@@ -39,7 +39,16 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _read_cube(path: str) -> SignCube:
-    return parse(Path(path).read_bytes().decode("utf-8"))
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # every byte before the bad one is ASCII: byte column = character column
+        bad = exc.start
+        raise ParseError(f"non-ASCII byte 0x{raw[bad]:02x}",
+                         line=raw.count(b"\n", 0, bad) + 1,
+                         column=bad - raw.rfind(b"\n", 0, bad)) from None
+    return parse(text)
 
 
 def _resolve_field(args) -> Field:
@@ -118,7 +127,7 @@ def cmd_layer(args) -> int:
     fixed: dict[int, int] = {}
     for spec in args.fix:
         coord, _, value = spec.partition("=")
-        if not coord.isdigit() or not value.isdigit():
+        if not all(f.isascii() and f.isdigit() for f in (coord, value)):
             return _fail(f"bad --fix {spec!r}; expected <coordinate>=<value>")
         pos = int(coord)
         if not 1 <= pos <= cube.n:
@@ -171,9 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--psl", action="store_true",
                    help="also check invariance under the determinant-1 Moebius group")
     v.add_argument("--q", type=int, help="field order binding --psl")
-    v.add_argument("--threads", type=int, default=0,
-                   help="worker count hint; 0 = implementation default "
-                        "(evaluation is currently sequential)")
     v.set_defaults(func=cmd_verify)
 
     i = sub.add_parser("info", help="print the shape of an HDM file")

@@ -4,9 +4,10 @@ Rows/columns/axes are indexed by the q+1 projective points in pg_points
 order (infinity first, then field elements), so cube index 0 is the point
 at infinity and index 1+a is the field element a.
 
-Entry generation is vectorized through the field's difference and product
-tables plus a precomputed character table: building the order-(q+1)
-3-cube costs a handful of O(q^3) array gathers.
+Entry generation is vectorized through the field's difference and
+character tables, which give the int8 difference-character matrix
+chi(x - y). Since chi is multiplicative, the order-(q+1) 3-cube is two
+in-place int8 products of broadcast views of that matrix.
 """
 
 import numpy as np
@@ -26,7 +27,7 @@ def paley2(F: Field) -> SignCube:
     h[1:, 1:] = diff_chi.T
     np.fill_diagonal(h[1:, 1:], 1)
     h[0, 0] = -1
-    return SignCube(2, v, h)
+    return SignCube._adopt(2, v, h)
 
 
 def paley3(F: Field) -> SignCube:
@@ -37,15 +38,14 @@ def paley3(F: Field) -> SignCube:
     infinity (chi(z-y), chi(x-z), chi(y-x) for x, y, z = infinity
     respectively); chi((x-y)(y-z)(z-x)) for distinct finite coordinates.
     """
-    q, v = F.q, F.q + 1
-    sub, mul, chi = F.sub_table, F.mul_table, F.chi_table
-    diff_chi = chi[sub]
+    v = F.q + 1
+    diff_chi = F.chi_table[F.sub_table]  # chi(x - y), junk on the diagonal
 
     H = np.ones((v, v, v), dtype=np.int8)
-    d_xy = sub[:, :, None]     # x - y
-    d_yz = sub[None, :, :]     # y - z
-    d_zx = sub.T[:, None, :]   # z - x
-    H[1:, 1:, 1:] = chi[mul[mul[d_xy, d_yz], d_zx]]
+    # chi((x-y)(y-z)(z-x)) = chi(x-y) * chi(y-z) * chi(z-x)
+    core = H[1:, 1:, 1:]
+    np.multiply(diff_chi[:, :, None], diff_chi[None, :, :], out=core)
+    core *= diff_chi.T[:, None, :]
     H[0, 1:, 1:] = diff_chi.T  # chi(z - y)
     H[1:, 0, 1:] = diff_chi    # chi(x - z)
     H[1:, 1:, 0] = diff_chi.T  # chi(y - x)
@@ -56,7 +56,7 @@ def paley3(F: Field) -> SignCube:
     H[i, :, i] = 1
     H[:, i, i] = 1
     H[i, i, i] = -1
-    return SignCube(3, v, H)
+    return SignCube._adopt(3, v, H)
 
 
 def yang_product(h: SignCube, dim: int) -> SignCube:
@@ -77,7 +77,7 @@ def yang_product(h: SignCube, dim: int) -> SignCube:
             shape = [1] * dim
             shape[j] = shape[k] = v
             out = out * h.array.reshape(shape)
-    return SignCube(dim, v, out)
+    return SignCube._adopt(dim, v, out)
 
 
 def dim_lift(h: SignCube) -> SignCube:
@@ -88,7 +88,7 @@ def dim_lift(h: SignCube) -> SignCube:
         raise NotHadamardInput("dimension lift needs a Hadamard input")
     v = h.v
     folded = (np.arange(v)[:, None] + np.arange(v)[None, :]) % v
-    return SignCube(h.n + 1, v, h.array[..., folded])
+    return SignCube._adopt(h.n + 1, v, h.array[..., folded])
 
 
 def almost_cube(F: Field, dim: int, chi0: int = -1) -> SignCube:
@@ -121,4 +121,4 @@ def almost_cube(F: Field, dim: int, chi0: int = -1) -> SignCube:
     chi[0] = chi0
     H = np.ones((v,) * dim, dtype=np.int8)
     H[(slice(1, None),) * dim] = chi[total]
-    return SignCube(dim, v, H)
+    return SignCube._adopt(dim, v, H)

@@ -98,8 +98,9 @@ class Field:
     """GF(p^k) for an odd prime power q = p^k, elements encoded as 0..q-1.
 
     Construction factors q, picks the canonical irreducible polynomial, and
-    finds the first primitive element in enumeration order; multiplication is
-    then served from discrete exp/log tables of size q.
+    finds the first primitive element g in enumeration order; multiplication,
+    inverses and the quadratic character are then served from discrete exp/log
+    tables of size q.
     """
 
     def __init__(self, q: int):
@@ -109,7 +110,6 @@ class Field:
         self._weights = [self.p**j for j in range(self.k)]
         self._digits = [tuple(_int_digits(a, self.p, self.k)) for a in range(q)]
         self._build_exp_log()
-        self._neg_one = self.neg(1)
 
     def __repr__(self):
         return f"GF({self.q})"
@@ -177,38 +177,23 @@ class Field:
             return 0
         return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
 
-    def pow(self, a: int, e: int) -> int:
-        """a**e by square-and-multiply (e >= 0)."""
-        if a == 0:
-            return 0 if e else 1
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of zero")
-        return self.pow(a, self.q - 2)
+        return self._exp[-self._log[a] % (self.q - 1)]
 
     def primitive_element(self) -> int:
         """First element in enumeration order with multiplicative order q-1."""
         return self._prim
 
     def chi(self, a: int) -> int:
-        """Quadratic character: +1 on non-zero squares, -1 on non-squares."""
+        """Quadratic character: +1 on non-zero squares, -1 on non-squares.
+
+        The primitive element g is a non-square, so chi(g**k) = (-1)**k.
+        """
         if a == 0:
             raise CharacterOfZero("chi is undefined at zero")
-        r = self.pow(a, (self.q - 1) // 2)
-        if r == 1:
-            return 1
-        if r == self._neg_one:
-            return -1
-        raise AssertionError(f"chi landed on {r}")  # unreachable
+        return -1 if self._log[a] & 1 else 1
 
     # -- vectorized tables for cube construction ------------------------------
 
@@ -216,8 +201,7 @@ class Field:
     def chi_table(self) -> np.ndarray:
         """chi by element index; entry 0 is a 0 sentinel and must not be read."""
         t = np.zeros(self.q, dtype=np.int8)
-        for a in range(1, self.q):
-            t[a] = self.chi(a)
+        t[1:] = np.where(np.array(self._log[1:]) & 1, -1, 1)
         t.flags.writeable = False
         return t
 
@@ -239,16 +223,5 @@ class Field:
     def sub_table(self) -> np.ndarray:
         d = self._digit_matrix
         t = self._from_digit_array((d[:, None, :] - d[None, :, :]) % self.p)
-        t.flags.writeable = False
-        return t
-
-    @cached_property
-    def mul_table(self) -> np.ndarray:
-        q = self.q
-        exp = np.array(self._exp, dtype=np.int64)
-        log = np.array(self._log, dtype=np.int64)
-        t = exp[(log[:, None] + log[None, :]) % (q - 1)]
-        t[0, :] = 0
-        t[:, 0] = 0
         t.flags.writeable = False
         return t

@@ -11,8 +11,8 @@ the inner product of two layers of size m is then m - 2*popcount(xor),
 which makes verifying an order-v 3-cube O(v^4) bit operations.  A plain
 summation implementation is kept alongside as an independent cross-check.
 
-File format "HDM v1" (UTF-8, LF line endings):
-  line 1:   "HDM <n> <v>"  with decimal integers and single spaces;
+File format "HDM v1" (ASCII, LF line endings):
+  line 1:   "HDM <n> <v>"  with ASCII decimal integers and single spaces;
   then exactly v**(n-1) lines of exactly v characters from {+, -}, the
   rows being the flat data in storage order; '+' is +1 and '-' is -1;
   no trailing whitespace, and the file ends with a final LF.
@@ -39,14 +39,28 @@ class SignCube:
     __slots__ = ("n", "v", "data")
 
     def __init__(self, n: int, v: int, entries):
+        self._init(n, v, entries, copy=True)
+
+    @classmethod
+    def _adopt(cls, n: int, v: int, data: np.ndarray) -> "SignCube":
+        """Wrap a freshly built int8 array without copying it; the caller
+        hands it over and must not write to it afterwards."""
+        cube = cls.__new__(cls)
+        cube._init(n, v, data, copy=False)
+        return cube
+
+    def _init(self, n: int, v: int, entries, copy: bool) -> None:
         if n < 1 or v < 1:
             raise ValueError(f"need n >= 1 and v >= 1, got n={n} v={v}")
         data = np.asarray(entries, dtype=np.int8).ravel()
         if data.size != v**n:
             raise ShapeMismatch(f"expected {v**n} entries, got {data.size}")
-        if data.size and not np.all(np.abs(data) == 1):
+        # reductions only, so validation allocates nothing the size of the cube
+        if data.size and (data.min() < -1 or data.max() > 1
+                          or np.count_nonzero(data) != data.size):
             raise ValueError("entries must be +1 or -1")
-        data = data.copy()
+        if copy:
+            data = data.copy()
         data.flags.writeable = False
         self.n = n
         self.v = v
@@ -241,8 +255,8 @@ def parse(text: str) -> SignCube:
     if not lines:
         raise ParseError("empty input", line=1)
     fields = lines[0].split(" ")
-    if len(fields) != 3 or fields[0] != "HDM" or not fields[1].isdigit() \
-            or not fields[2].isdigit():
+    if len(fields) != 3 or fields[0] != "HDM" \
+            or not all(f.isascii() and f.isdigit() for f in fields[1:]):
         raise ParseError("header must be 'HDM <n> <v>'", line=1)
     n, v = int(fields[1]), int(fields[2])
     if n < 1 or v < 1:

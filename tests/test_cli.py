@@ -116,8 +116,7 @@ def test_verify_proper_flag(tmp_path, capsys):
 
 def test_verify_all_flags(tmp_path, capsys):
     path = write_cube(tmp_path / "m.hdm", paley3(Field(9)))
-    assert main(["verify", path, "--proper", "--cyclic", "--psl", "--q", "9",
-                 "--threads", "4"]) == 1
+    assert main(["verify", path, "--proper", "--cyclic", "--psl", "--q", "9"]) == 1
     # q = 9 is 1 mod 4: propriety fails, the symmetry checks pass
     assert capsys.readouterr().out.splitlines() == [
         "hadamard: PASS",
@@ -150,6 +149,19 @@ def test_verify_parse_error_reports_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw, where", [
+    (b"HDM 2 2\n+\xff\n+-\n", "line 2, column 2"),
+    ("HDM \u00b2 2\n++\n+-\n".encode("utf-8"), "line 1, column 5"),
+])
+def test_verify_non_ascii_byte_reports_line_and_column(tmp_path, capsys, raw, where):
+    bad = tmp_path / "bad.hdm"
+    bad.write_bytes(raw)
+    assert main(["verify", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"parse error: {where}:" in err
+
+
 # -- info / layer / chi-table -------------------------------------------------------
 
 def test_info(tmp_path, capsys):
@@ -180,6 +192,8 @@ def test_layer_flag_validation(tmp_path, capsys):
     assert main(["layer", path, "--fix", "4=0"]) == 2
     assert main(["layer", path, "--fix", "0=1"]) == 2
     assert main(["layer", path, "--fix", "x=1"]) == 2
+    assert main(["layer", path, "--fix", "\u00b2=1"]) == 2
+    assert main(["layer", path, "--fix", "1=\u00b2"]) == 2
     assert main(["layer", path, "--fix", "1=9"]) == 2
     assert main(["layer", path, "--fix", "1=0", "--fix", "1=1"]) == 2
     assert main(["layer", path, "--fix", "1=0", "--fix", "2=0", "--fix", "3=0"]) == 2
@@ -236,6 +250,9 @@ def test_construct_verify_round_trip_products_and_lifts(tmp_path):
             assert main(["verify", lifted]) == 0, f"lift q={q} dim={dim}"
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(capsys):
     assert main(["construct"]) == 2          # missing --kind
     assert main(["no-such-command"]) == 2
+    capsys.readouterr()
+    assert main(["verify", "x.hdm", "--threads", "4"]) == 2  # option removed
+    assert "unrecognized arguments: --threads 4" in capsys.readouterr().err

@@ -1,12 +1,18 @@
+import hashlib
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hdmkit.constructions import almost_cube, dim_lift, paley2, paley3, yang_product
 from hdmkit.errors import DimensionMismatch, DimensionTooSmall, NotHadamardInput
 from hdmkit.gf import Field
-from hdmkit.ncube import SignCube, is_hadamard, is_proper, layer
+from hdmkit.ncube import SignCube, is_hadamard, is_proper, layer, serialize
 
 INF = None  # oracle-side marker for the point at infinity
+PINS = Path(__file__).resolve().parents[1] / "bench" / "pins.json"
 
 
 def pg(pt):
@@ -123,6 +129,26 @@ def test_paley3_is_hadamard_for_every_supported_order():
     for q in ODD_PRIME_POWERS_LE_101:
         rep = is_hadamard(paley3(Field(q)))
         assert rep.passed, f"q={q}: {rep}"
+
+
+def test_paley3_serialization_matches_pinned_digests():
+    pinned = json.loads(PINS.read_text())["hdm"]
+    assert pinned
+    for q, digest in pinned.items():
+        text = serialize(paley3(Field(int(q))))
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest, f"q={q}"
+
+
+def test_paley3_peak_memory_is_within_two_cubes():
+    F = Field(127)
+    paley3(F)  # warm the field's cached tables
+    tracemalloc.start()
+    try:
+        cube = paley3(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * cube.data.nbytes
 
 
 @pytest.mark.parametrize("q", [3, 7, 11])

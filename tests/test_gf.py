@@ -114,6 +114,30 @@ def test_inverses(q):
 
 # -- quadratic character ------------------------------------------------------
 
+def pow_raw(F, a, e):
+    """a**e by square-and-multiply over the table-free polynomial product."""
+    result = 1
+    while e:
+        if e & 1:
+            result = F._mul_raw(result, a)
+        a = F._mul_raw(a, a)
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("q", [3, 5, 9, 25, 27, 49, 81, 125, 243])
+def test_chi_and_inv_match_table_free_arithmetic(q):
+    """chi by Euler's criterion and a * a^-1 = 1, both without exp/log."""
+    F = Field(q)
+    minus_one = F.neg(1)
+    for a in range(1, q):
+        euler = pow_raw(F, a, (q - 1) // 2)
+        assert euler in (1, minus_one)
+        expected = 1 if euler == 1 else -1
+        assert F.chi(a) == expected
+        assert F.chi_table[a] == expected
+        assert F._mul_raw(a, F.inv(a)) == 1
+
 def test_chi_examples():
     F = Field(7)
     assert F.chi(1) == 1
@@ -190,4 +214,3 @@ def test_tables_match_scalar_ops(q):
         for b in F.elems:
             assert F.add_table[a, b] == F.add(a, b)
             assert F.sub_table[a, b] == F.sub(a, b)
-            assert F.mul_table[a, b] == F.mul(a, b)

@@ -228,6 +228,8 @@ def test_parse_illegal_character():
     ("HDM  2 2\n++\n+-\n", 1),       # double space
     ("HDM 2 2 \n++\n+-\n", 1),       # trailing space in header
     ("HDM x 2\n++\n+-\n", 1),        # non-decimal
+    ("HDM \u00b2 2\n++\n+-\n", 1),   # superscript two: isdigit, not int
+    ("HDM 2 \u0662\n++\n+-\n", 1),   # Arabic-Indic two: a decimal, not ASCII
     ("HDM 2 2\n++\n", 3),            # missing data line
     ("HDM 2 2\n++\n+-\n--\n", 4),    # trailing data line
     ("HDM 2 2\n++\n+-+\n", 3),       # wrong row length
