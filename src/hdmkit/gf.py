@@ -207,10 +207,10 @@ class Field:
 
     @cached_property
     def _digit_matrix(self) -> np.ndarray:
-        return np.array(self._digits, dtype=np.int64)
+        return np.array(self._digits, dtype=np.int32)
 
     def _from_digit_array(self, d: np.ndarray) -> np.ndarray:
-        return d @ np.array(self._weights, dtype=np.int64)
+        return d @ np.array(self._weights, dtype=np.int32)
 
     @cached_property
     def add_table(self) -> np.ndarray:

@@ -5,11 +5,11 @@ C order: entry (i_1, ..., i_n) sits at offset sum(i_j * v**(n-j)), i.e. the
 last index varies fastest.  All indices are 0-based.
 
 The verifier checks that any two parallel (n-1)-dimensional layers that
-differ in one fixed coordinate have inner product 0.  Its fast path packs
-each layer into a Python integer, one bit per entry (+1 -> 0, -1 -> 1);
-the inner product of two layers of size m is then m - 2*popcount(xor),
-which makes verifying an order-v 3-cube O(v^4) bit operations.  A plain
-summation implementation is kept alongside as an independent cross-check.
+differ in one fixed coordinate have inner product 0.  All such inner
+products are entries of Gram matrices X @ Xᵀ of ±1 matrices, which one
+kernel forms with float BLAS products (exact; see _gram_dtype) and scans
+for the first nonzero entry above the diagonal.  A plain summation
+implementation is kept alongside as an independent cross-check.
 
 File format "HDM v1" (ASCII, LF line endings):
   line 1:   "HDM <n> <v>"  with ASCII decimal integers and single spaces;
@@ -103,8 +103,9 @@ class VerifyReport:
     On failure, axis is the coordinate position whose two fixed values
     pair = (a, b) produced a nonzero inner product (the deviation); the
     first violation in lexicographic (axis, a, b) order wins.  All fields
-    are 0-based.  checked_pairs counts evaluated pairs, including the
-    failing one.
+    are 0-based.  checked_pairs is the failing pair's 1-based position in
+    the check's scan order, or the total number of pairs on a pass; it is
+    not a count of the work done.
     """
 
     passed: bool
@@ -132,36 +133,76 @@ def layer(H: SignCube, fixed: dict) -> SignCube:
 
 # -- verifier ------------------------------------------------------------------
 
-def _pack_rows(mat: np.ndarray) -> list[int]:
-    """One integer per row of a ±1 matrix, one bit per entry (-1 -> 1).
+# Cap on the bytes of float temporaries one kernel call works on: a chunk of
+# 2-D layers in is_proper, a column block in is_hadamard.
+_BUDGET = 1 << 20
 
-    Rows are padded to a byte boundary with 0 bits; the padding is equal
-    on both operands of any xor, so it never contributes to a popcount.
+
+def _gram_dtype(m: int) -> type:
+    """Float type for Gram products of ±1 lines of length m.
+
+    Every partial sum of such a product is an integer of magnitude at most
+    m, and float32 (float64) represents every integer up to 2**24 (2**53)
+    exactly, so the products are exact.  Lines longer than 2**53 cannot be
+    held in memory.
     """
-    packed = np.packbits(mat == -1, axis=1)
-    return [int.from_bytes(row.tobytes(), "big") for row in packed]
+    return np.float32 if m <= 1 << 24 else np.float64
 
 
-def _scan_packed(arr: np.ndarray, checked_start: int = 0):
-    """First violation over all (axis, a, b) in lexicographic order, or None.
+def _first_violation(blocks):
+    """First nonzero entry above the diagonal of a stack of Gram matrices.
 
-    Only a < b is scanned: the layer inner product is symmetric in (a, b),
-    so the lexicographically first violating ordered pair always has a < b.
+    blocks yields pairs (X, Xt): X is a float column block of a stack of
+    ±1 matrices, its leading axes indexing the stack and its last two
+    (v, c); Xt holds X with its last two axes swapped, in any layout.  The
+    Gram matrices are the sum of X @ Xt over the blocks.  Entries are
+    scanned by flat stack index, then row a, then column b > a.  Returns
+    (index, a, b, value) with value an int, or None if every entry above
+    the diagonal is 0.
     """
-    n, v = arr.ndim, arr.shape[0]
-    checked = checked_start
-    for axis in range(n):
-        flat = np.moveaxis(arr, axis, 0).reshape(v, -1)
-        m = flat.shape[1]
-        rows = _pack_rows(flat)
-        for a in range(v):
-            ra = rows[a]
-            for b in range(a + 1, v):
-                checked += 1
-                dev = m - 2 * (ra ^ rows[b]).bit_count()
-                if dev:
-                    return (axis, a, b, dev, checked)
-    return (None, None, None, None, checked)
+    gram = None
+    for x, xt in blocks:
+        if gram is None:
+            gram = x @ xt
+        else:
+            gram += x @ xt  # in place: a 2-D cube's Gram matrix is 4x its size
+    v = gram.shape[-1]
+    hit = gram != 0
+    hit &= np.triu(np.ones((v, v), dtype=bool), 1)
+    i = int(hit.argmax())
+    if not hit.flat[i]:
+        return None
+    k, ab = divmod(i, v * v)
+    return (k, *divmod(ab, v), int(gram.flat[i]))
+
+
+def _pair_index(v: int, a: int, b: int) -> int:
+    """0-based position of (a, b), a < b, among the pairs of range(v) in
+    lexicographic order."""
+    return a * (v - 1) - a * (a - 1) // 2 + b - a - 1
+
+
+def _chunks(total: int, cap: int):
+    """(start, stop) ranges covering range(total) with 1, 2, 4, ... items,
+    at most cap each: an early violation costs at most twice the work up
+    to it, and a clean scan makes O(log cap + total / cap) calls."""
+    start, size = 0, 1
+    while start < total:
+        stop = min(total, start + size, start + cap)
+        yield start, stop
+        start, size = stop, size * 2
+
+
+def _column_blocks(arr3: np.ndarray, dtype):
+    """Column blocks, at most _BUDGET bytes each, of the (v, P*Q) matrix
+    whose row a holds arr3[:, a, :] in C order."""
+    p_total, v, q_total = arr3.shape
+    width = max(1, _BUDGET // (v * np.dtype(dtype).itemsize))
+    p_step, q_step = max(1, width // q_total), min(q_total, width)
+    for p in range(0, p_total, p_step):
+        for q in range(0, q_total, q_step):
+            block = arr3[p:p + p_step, :, q:q + q_step].transpose(1, 0, 2)
+            yield block.astype(dtype, order="C").reshape(v, -1)
 
 
 def is_hadamard(H: SignCube) -> VerifyReport:
@@ -172,16 +213,23 @@ def is_hadamard(H: SignCube) -> VerifyReport:
     """
     if H.n < 2:
         raise DimensionTooSmall("need n >= 2")
-    axis, a, b, dev, checked = _scan_packed(H.array)
-    if axis is None:
-        return VerifyReport(passed=True, checked_pairs=checked)
-    return VerifyReport(False, axis=axis, pair=(a, b), deviation=dev,
-                        checked_pairs=checked)
+    n, v = H.n, H.v
+    dtype = _gram_dtype(v ** (n - 1))
+    for axis in range(n):
+        # [:, a, :] of this view is the layer with coordinate axis = a
+        blocks = _column_blocks(H.data.reshape(v**axis, v, -1), dtype)
+        hit = _first_violation((y, y.T) for y in blocks)
+        if hit is not None:
+            _, a, b, dev = hit
+            return VerifyReport(False, axis=axis, pair=(a, b), deviation=dev,
+                                checked_pairs=axis * v * (v - 1) // 2
+                                + _pair_index(v, a, b) + 1)
+    return VerifyReport(passed=True, checked_pairs=n * v * (v - 1) // 2)
 
 
 def is_hadamard_naive(H: SignCube) -> VerifyReport:
     """Same contract as is_hadamard, by direct summation; kept as an
-    independent oracle for the bit-packed path."""
+    independent oracle for the Gram kernel."""
     if H.n < 2:
         raise DimensionTooSmall("need n >= 2")
     n, v = H.n, H.v
@@ -215,24 +263,37 @@ def is_proper(H: SignCube) -> VerifyReport:
     the layer.  On failure, axis names the free coordinate whose two
     values pair = (a, b) index the non-orthogonal lines.  For n = 2 this
     coincides with is_hadamard.
+
+    Only rows are computed: a square ±1 matrix M with orthogonal rows has
+    M @ Mᵀ = vI, hence Mᵀ @ M = vI, so a layer's columns never hold the
+    first violation and the row Gram matrices decide the whole scan.
     """
     if H.n < 2:
         raise DimensionTooSmall("need n >= 2")
     n, v = H.n, H.v
-    arr = H.array
+    dtype = _gram_dtype(v)
+    layers, per_layer = v ** (n - 2), v * (v - 1)
+    cap = max(1, _BUDGET // (3 * v * v * np.dtype(dtype).itemsize))
     checked = 0
     for j1, j2 in itertools.combinations(range(n), 2):
-        others = [ax for ax in range(n) if ax not in (j1, j2)]
-        for vals in itertools.product(range(v), repeat=len(others)):
-            slicer = [slice(None)] * n
-            for ax, val in zip(others, vals):
-                slicer[ax] = val
-            mat = arr[tuple(slicer)]
-            axis, a, b, dev, checked = _scan_packed(mat, checked)
-            if axis is not None:
-                return VerifyReport(False, axis=(j1 if axis == 0 else j2),
-                                    pair=(a, b), deviation=dev,
+        # lay[p, r, q] is the layer with rows along j1 and columns along j2;
+        # (p, r, q) are the other coordinates, in scan order
+        lay = H.data.reshape(v**j1, v, v ** (j2 - j1 - 1), v, -1)
+        lay = lay.transpose(0, 2, 4, 1, 3)
+        for start, stop in _chunks(layers, cap):
+            mats = lay[np.unravel_index(np.arange(start, stop), lay.shape[:3])]
+            # each M beside a copy of Mᵀ in one buffer: measured faster than
+            # M @ Mᵀ as a view, or with the copy of Mᵀ in a buffer of its own
+            x = np.empty((stop - start, 2, v, v), dtype)
+            x[:, 0] = mats
+            x[:, 1] = mats.swapaxes(1, 2)
+            hit = _first_violation([(x[:, 0], x[:, 1])])
+            if hit is not None:
+                k, a, b, dev = hit
+                checked += (start + k) * per_layer + _pair_index(v, a, b) + 1
+                return VerifyReport(False, axis=j1, pair=(a, b), deviation=dev,
                                     checked_pairs=checked)
+        checked += layers * per_layer
     return VerifyReport(passed=True, checked_pairs=checked)
 
 
@@ -240,7 +301,7 @@ def is_proper(H: SignCube) -> VerifyReport:
 
 def serialize(H: SignCube) -> str:
     rows = H.v ** (H.n - 1)
-    chars = np.where(H.data == 1, ord("+"), ord("-")).astype(np.uint8)
+    chars = np.where(H.data == 1, np.uint8(ord("+")), np.uint8(ord("-")))
     body = np.empty((rows, H.v + 1), dtype=np.uint8)
     body[:, :-1] = chars.reshape(rows, H.v)
     body[:, -1] = ord("\n")
@@ -274,4 +335,4 @@ def parse(text: str) -> SignCube:
             if ch not in "+-":
                 raise ParseError(f"illegal character {ch!r}", line=i, column=col)
     raw = np.frombuffer("".join(lines[1:]).encode("ascii"), dtype=np.uint8)
-    return SignCube(n, v, np.where(raw == ord("+"), 1, -1))
+    return SignCube._adopt(n, v, np.where(raw == ord("+"), np.int8(1), np.int8(-1)))

@@ -164,7 +164,7 @@ def test_criterion_7_verifier_oracle_equivalence():
         cube = SignCube(n, v, [rng.choice((1, -1)) for _ in range(v**n)])
         if is_hadamard(cube) != is_hadamard_naive(cube):
             mismatches += 1
-    ok = report(7, "bit-packed verifier matches naive summation", mismatches == 0,
+    ok = report(7, "Gram verifier matches naive summation", mismatches == 0,
                 "200 random cubes")
     assert ok, f"{mismatches} mismatching reports"
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from hdmkit.errors import CharacterOfZero, DivisionByZero, NotOddPrimePower
@@ -210,6 +211,7 @@ def test_primitive_element_is_first_of_full_order(q):
 @pytest.mark.parametrize("q", [7, 9, 27])
 def test_tables_match_scalar_ops(q):
     F = Field(q)
+    assert F.add_table.dtype == F.sub_table.dtype == np.int32
     for a in F.elems:
         for b in F.elems:
             assert F.add_table[a, b] == F.add(a, b)

@@ -1,8 +1,12 @@
+import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hdmkit import ncube
+from hdmkit.constructions import dim_lift, paley2, paley3, yang_product
 from hdmkit.errors import (
     DimensionTooSmall,
     EmptyFix,
@@ -11,6 +15,7 @@ from hdmkit.errors import (
     ParseError,
     ShapeMismatch,
 )
+from hdmkit.gf import Field
 from hdmkit.ncube import (
     SignCube,
     VerifyReport,
@@ -196,6 +201,106 @@ def test_naive_and_packed_reports_identical():
         cubes.append(random_cube(rng, n, v))
     for c in cubes:
         assert is_hadamard(c) == is_hadamard_naive(c)
+
+
+def proper_oracle(c: SignCube) -> VerifyReport:
+    """is_proper's contract layer by layer: is_hadamard_naive on every 2-D
+    layer in scan order, which checks rows and then columns."""
+    checked, per_layer = 0, c.v * (c.v - 1)
+    for j1, j2 in itertools.combinations(range(c.n), 2):
+        others = [ax for ax in range(c.n) if ax not in (j1, j2)]
+        for vals in itertools.product(range(c.v), repeat=len(others)):
+            rep = is_hadamard_naive(layer(c, dict(zip(others, vals))) if others else c)
+            if not rep.passed:
+                return VerifyReport(False, axis=(j1, j2)[rep.axis], pair=rep.pair,
+                                    deviation=rep.deviation,
+                                    checked_pairs=checked + rep.checked_pairs)
+            checked += per_layer
+    return VerifyReport(passed=True, checked_pairs=checked)
+
+
+# is_proper takes 2-D layers in chunks of 1, 2, 4, 8, ... starting at
+# layers 0, 1, 3, 7, 15: flips go on both sides of each boundary.
+CHUNK_EDGES = (0, 1, 2, 3, 6, 7, 14, 15)
+
+
+def flip_in_layer(c: SignCube, index: int, rng: random.Random) -> SignCube:
+    """c with one seeded entry negated in the index-th 2-D layer of the
+    first free-axis pair (0, 1)."""
+    d = c.data.copy()
+    d[(rng.randrange(c.v) * c.v + rng.randrange(c.v)) * c.v ** (c.n - 2) + index] *= -1
+    return SignCube(c.n, c.v, d)
+
+
+@pytest.mark.parametrize("budget", [None, 3000], ids=["budget-default", "budget-3000"])
+def test_verifiers_match_oracles_on_adversarial_cubes(budget, monkeypatch):
+    """One flipped entry of a valid cube makes is_hadamard fail at axis 0,
+    and is_proper in the row pass of the pair-(0, 1) layer holding it,
+    whatever the seed; that layer sits at each chunk edge here.  Later axis
+    pairs and axes are reached by Hadamard cubes whose earlier layers pass.
+    No cube fails first in a column pass: a square ±1 matrix with orthogonal
+    rows also has orthogonal columns.  The small budget makes is_proper
+    take at most a few layers per chunk and is_hadamard many column blocks.
+    """
+    if budget is not None:
+        monkeypatch.setattr(ncube, "_BUDGET", budget)
+    rng = random.Random(20261018)
+    valid = [paley3(Field(q)) for q in (7, 11, 19)]
+    valid += [yang_product(paley2(Field(7)), 4), yang_product(paley2(Field(3)), 5)]
+    for c in valid:
+        layers = c.v ** (c.n - 2)
+        for index in sorted({i for i in CHUNK_EDGES if i < layers} | {layers - 1}):
+            bad = flip_in_layer(c, index, rng)
+            rep = is_proper(bad)
+            assert rep == proper_oracle(bad)
+            assert rep.axis == 0 and (rep.checked_pairs - 1) // (c.v * (c.v - 1)) == index
+            assert type(rep.deviation) is int
+            rep = is_hadamard(bad)
+            assert rep == is_hadamard_naive(bad)
+            assert rep.axis == 0 and type(rep.deviation) is int
+    h = paley2(Field(7)).array
+    later = [dim_lift(paley2(Field(7))), dim_lift(paley3(Field(7))),
+             SignCube(3, 8, np.broadcast_to(h[:, None, :], (8, 8, 8)))]
+    proper_reps = [is_proper(c) for c in later]
+    assert proper_reps == [proper_oracle(c) for c in later]
+    assert [r.axis for r in proper_reps] == [1, 2, 0]
+    hadamard_reps = [is_hadamard(c) for c in later]
+    assert hadamard_reps == [is_hadamard_naive(c) for c in later]
+    assert [r.axis for r in hadamard_reps] == [None, None, 1]
+
+
+def test_gram_dtype_is_exact_up_to_its_bound():
+    # float32 holds every integer up to 2**24 and not 2**24 + 1
+    assert ncube._gram_dtype(2**24) is np.float32
+    assert ncube._gram_dtype(2**24 + 1) is np.float64
+    assert int(np.float32(2**24)) == 2**24
+    assert int(np.float32(2**24 + 1)) != 2**24 + 1
+    assert int(np.float64(2**53 - 1)) == 2**53 - 1
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("check,q,factor", [
+    (is_hadamard, 251, 1.5),
+    (is_proper, 127, 2),
+])
+def test_verifier_peak_memory(check, q, factor):
+    cube = paley3(Field(q))  # the field's tables are warm before tracing
+    assert traced_peak(check, cube) <= factor * cube.data.nbytes
+
+
+def test_serialize_and_parse_peak_memory():
+    cube = paley3(Field(251))
+    text = serialize(cube)
+    assert traced_peak(serialize, cube) <= 5 * cube.data.nbytes
+    assert traced_peak(parse, text) <= 5 * cube.data.nbytes
 
 
 def test_verify_report_shape():
