@@ -39,16 +39,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _read_cube(path: str) -> SignCube:
-    raw = Path(path).read_bytes()
-    try:
-        text = raw.decode("ascii")
-    except UnicodeDecodeError as exc:
-        # every byte before the bad one is ASCII: byte column = character column
-        bad = exc.start
-        raise ParseError(f"non-ASCII byte 0x{raw[bad]:02x}",
-                         line=raw.count(b"\n", 0, bad) + 1,
-                         column=bad - raw.rfind(b"\n", 0, bad)) from None
-    return parse(text)
+    return parse(Path(path).read_bytes())
 
 
 def _resolve_field(args) -> Field:

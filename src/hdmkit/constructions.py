@@ -12,9 +12,21 @@ in-place int8 products of broadcast views of that matrix.
 
 import numpy as np
 
-from .errors import DimensionMismatch, DimensionTooSmall, NotHadamardInput
+from .errors import DimensionMismatch, DimensionTooSmall, NotHadamardInput, TooLarge
 from .gf import Field
 from .ncube import SignCube, is_hadamard
+
+# Largest cube that yang_product, dim_lift and almost_cube build: 2**30
+# entries, 1 GiB as int8, and they hold a few cube-sized temporaries on top.
+# Larger requests raise TooLarge before anything is allocated, as do more
+# than 32 axes (numpy 1.x's limit; only order 1 gets that far under the cap).
+MAX_ENTRIES = 1 << 30
+
+
+def _check_size(n: int, v: int) -> None:
+    if n > 32 or v**n > MAX_ENTRIES:
+        raise TooLarge(f"a cube of order {v} and dimension {n} exceeds "
+                       f"{MAX_ENTRIES} entries or 32 axes")
 
 
 def paley2(F: Field) -> SignCube:
@@ -66,6 +78,7 @@ def yang_product(h: SignCube, dim: int) -> SignCube:
         raise DimensionMismatch(f"input must be 2-dimensional, got n={h.n}")
     if dim < 2:
         raise DimensionTooSmall("need dim >= 2")
+    _check_size(dim, h.v)
     if not is_hadamard(h).passed:
         raise NotHadamardInput("product construction needs a Hadamard input")
     if dim == 2:
@@ -84,6 +97,7 @@ def dim_lift(h: SignCube) -> SignCube:
     """Lift an n-dimensional Hadamard matrix to n+1 dimensions by reading
     the last coordinate as a sum of two, modulo v.  Does not preserve
     propriety."""
+    _check_size(h.n + 1, h.v)
     if not is_hadamard(h).passed:
         raise NotHadamardInput("dimension lift needs a Hadamard input")
     v = h.v
@@ -112,6 +126,7 @@ def almost_cube(F: Field, dim: int, chi0: int = -1) -> SignCube:
         raise DimensionTooSmall("need dim >= 2")
     if chi0 not in (-1, 1):
         raise ValueError("chi0 must be +1 or -1")
+    _check_size(dim, F.q + 1)
     q, v = F.q, F.q + 1
     add = F.add_table
     total = np.arange(q)

@@ -63,6 +63,10 @@ class NotHadamardInput(HdmError):
     """A construction hypothesis requires a Hadamard input matrix."""
 
 
+class TooLarge(HdmError):
+    """The requested cube exceeds the size cap (constructions.MAX_ENTRIES)."""
+
+
 # -- symmetry checks ---------------------------------------------------------
 
 class DimensionMismatch(HdmError):

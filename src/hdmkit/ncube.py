@@ -16,9 +16,12 @@ File format "HDM v1" (ASCII, LF line endings):
   then exactly v**(n-1) lines of exactly v characters from {+, -}, the
   rows being the flat data in storage order; '+' is +1 and '-' is -1;
   no trailing whitespace, and the file ends with a final LF.
+parse reads it from str or from ASCII bytes; its docstring lists the order
+in which faults are reported.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -308,31 +311,105 @@ def serialize(H: SignCube) -> str:
     return f"HDM {H.n} {H.v}\n" + body.tobytes().decode("ascii")
 
 
-def parse(text: str) -> SignCube:
-    lines = text.split("\n")
-    if lines[-1] != "":
-        raise ParseError("missing final newline", line=len(lines))
-    lines.pop()
-    if not lines:
+def parse(text: str | bytes) -> SignCube:
+    """Read an HDM v1 file, given as str or as ASCII bytes.
+
+    The body is checked and converted to the int8 cube in one numpy pass
+    over the bytes.  Malformed input raises ParseError with the 1-based
+    line, and the column where there is one.  Of several faults, the
+    first of these is reported:
+
+      1. a non-ASCII byte (bytes input; the first such byte);
+      2. a missing final LF;
+      3. empty input;
+      4. a header other than "HDM <n> <v>" with ASCII decimal numbers;
+      5. a header number longer than int() converts;
+      6. n < 1 or v < 1;
+      7. fewer or more than v**(n-1) data lines;
+      8. the first data line that is not v characters long or holds a
+         character other than '+' and '-'; on it the length comes first.
+
+    A str is read by characters: a non-ASCII character in it is a bad
+    header or an illegal character at its character column.
+    """
+    if isinstance(text, str):
+        # one byte per character, so byte offsets are character offsets; a
+        # non-ASCII character becomes '?', which no check accepts
+        data = text.encode("ascii", "replace")
+    else:
+        data = text
+        if not data.isascii():
+            bad = int(np.argmax(np.frombuffer(data, dtype=np.uint8) >= 0x80))
+            raise ParseError(f"non-ASCII byte 0x{data[bad]:02x}",
+                             line=data.count(b"\n", 0, bad) + 1,
+                             column=bad - data.rfind(b"\n", 0, bad))
+    if data and not data.endswith(b"\n"):
+        raise ParseError("missing final newline", line=data.count(b"\n") + 1)
+    if not data:
         raise ParseError("empty input", line=1)
-    fields = lines[0].split(" ")
-    if len(fields) != 3 or fields[0] != "HDM" \
-            or not all(f.isascii() and f.isdigit() for f in fields[1:]):
+    head_end = data.index(b"\n")
+    fields = data[:head_end].split(b" ")
+    if len(fields) != 3 or fields[0] != b"HDM" \
+            or not all(f.isdigit() for f in fields[1:]):  # bytes: ASCII digits
         raise ParseError("header must be 'HDM <n> <v>'", line=1)
-    n, v = int(fields[1]), int(fields[2])
+    try:
+        n, v = int(fields[1]), int(fields[2])
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError("header number too long", line=1) from None
     if n < 1 or v < 1:
         raise ParseError(f"invalid dimensions n={n} v={v}", line=1)
-    rows = v ** (n - 1)
-    if len(lines) - 1 < rows:
-        raise ParseError(f"expected {rows} data lines, found {len(lines) - 1}",
-                         line=len(lines) + 1)
-    if len(lines) - 1 > rows:
+    found = data.count(b"\n") - 1
+    # v**(n-1) > found if v > found or 2**(n-1) > found; deciding that first
+    # keeps a hostile header from costing a power with millions of digits
+    short = n > 1 and v > 1 and (v > found or n - 1 >= found.bit_length())
+    rows = 0 if short else v ** (n - 1)
+    if short or rows > found:
+        raise ParseError(f"expected {_power_text(v, n - 1)} data lines, "
+                         f"found {found}", line=found + 2)
+    if rows < found:
         raise ParseError("trailing content after data lines", line=rows + 2)
-    for i, row in enumerate(lines[1:], start=2):
-        if len(row) != v:
-            raise ParseError(f"expected {v} characters, found {len(row)}", line=i)
-        for col, ch in enumerate(row, start=1):
-            if ch not in "+-":
-                raise ParseError(f"illegal character {ch!r}", line=i, column=col)
-    raw = np.frombuffer("".join(lines[1:]).encode("ascii"), dtype=np.uint8)
-    return SignCube._adopt(n, v, np.where(raw == ord("+"), np.int8(1), np.int8(-1)))
+    body = np.frombuffer(data, dtype=np.uint8, offset=head_end + 1)
+    if body.size == rows * (v + 1):
+        # 44 - '+' = 1 and 44 - '-' = -1 (255 as uint8); every other ASCII
+        # byte lands outside {1, -1}.  If the first v bytes of every row pass,
+        # the body's rows LFs can only sit at the row ends.
+        cube = np.empty((rows, v), dtype=np.int8)
+        grid = body.reshape(rows, v + 1)[:, :v]
+        np.subtract(np.uint8(44), grid, out=cube.view(np.uint8))
+        if cube.min() >= -1 and cube.max() <= 1 \
+                and np.count_nonzero(cube) == cube.size:
+            return SignCube._adopt(n, v, cube.reshape(-1))
+    raise _body_error(text, body, v, head_end + 1)
+
+
+def _power_text(v: int, e: int) -> str:
+    """v**e in decimal, or as "v**e" when the decimal has more digits than
+    str() converts (sys.get_int_max_str_digits(), 4300 by default); the
+    power is computed only when it has about that many digits or fewer."""
+    if e * math.log10(v) <= 4301:
+        try:
+            return str(v**e)
+        except ValueError:
+            pass
+    return f"{v}**{e}"
+
+
+def _body_error(text, body: np.ndarray, v: int, base: int) -> ParseError:
+    """The first fault in an HDM body (data lines, one LF each, starting at
+    offset base of text): the first line that is not v long or that holds
+    a byte other than '+' and '-'; its length is reported first."""
+    ends = np.flatnonzero(body == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    long_or_short = np.flatnonzero(ends - starts != v)
+    illegal = np.flatnonzero((body != ord("+")) & (body != ord("-"))
+                             & (body != ord("\n")))
+    first = long_or_short[0] if long_or_short.size else len(ends)
+    if illegal.size:
+        at = int(illegal[0])
+        i = int(np.searchsorted(ends, at))
+        if i < first:
+            ch = text[base + at] if isinstance(text, str) else chr(body[at])
+            return ParseError(f"illegal character {ch!r}", line=i + 2,
+                              column=at - int(starts[i]) + 1)
+    return ParseError(f"expected {v} characters, found {int(ends[first] - starts[first])}",
+                      line=int(first) + 2)

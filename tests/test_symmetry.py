@@ -87,6 +87,31 @@ def test_square_scaling_keeps_invariance():
     assert check_permutation_invariance(paley3(F), scaling_perm(F, g2))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_permutation_invariance_matches_fancy_indexing(n):
+    """check_permutation_invariance against the direct relabelling
+    arr[np.ix_(perm, ..., perm)], on cubes that are invariant (constant
+    on the cycles of perm), nearly invariant (one entry flipped) and random."""
+    rng = np.random.default_rng(n)
+    verdicts = set()
+    for v in (1, 2, 3, 5, 8):
+        for _ in range(10):
+            perm = rng.permutation(v)
+            cycle = np.arange(v)  # cycle[i]: smallest point on i's cycle
+            for _ in range(v):
+                cycle = np.minimum(cycle, cycle[perm])
+            invariant = rng.choice([-1, 1], size=(v,) * n)[np.ix_(*[cycle] * n)]
+            flipped = invariant.copy()
+            flipped[tuple(rng.integers(v, size=n))] *= -1
+            for arr in (invariant, flipped, rng.choice([-1, 1], size=(v,) * n)):
+                H = SignCube(n, v, arr)
+                expected = bool(np.array_equal(arr[np.ix_(*[perm] * n)], arr))
+                assert check_permutation_invariance(H, perm) == expected
+                assert check_permutation_invariance(H, perm.tolist()) == expected
+                verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
 def test_psl_invariance_of_paley3(q):
     F = Field(q)
