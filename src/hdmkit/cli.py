@@ -42,22 +42,14 @@ def _read_cube(path: str) -> SignCube:
     return parse(Path(path).read_bytes())
 
 
-def _resolve_field(args) -> Field:
-    if (args.q is None) == (args.v is None):
-        raise SystemExit(_fail("give exactly one of --q / --v"))
-    q = args.q if args.q is not None else args.v - 1
-    try:
-        return Field(q)
-    except NotOddPrimePower:
-        raise SystemExit(_fail(f"order not covered: q={q} is not an odd prime power"))
-
-
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_construct(args) -> int:
     kind = args.kind
     if kind in ("paley2", "paley3", "almost-cube"):
-        F = _resolve_field(args)
+        if (args.q is None) == (args.v is None):
+            return _fail("give exactly one of --q / --v")
+        F = Field(args.q if args.q is not None else args.v - 1)
         if kind == "paley2":
             cube = paley2(F)
         elif kind == "paley3":
@@ -90,10 +82,7 @@ def cmd_verify(args) -> int:
     if args.psl:
         if args.q is None:
             return _fail("--psl requires --q to bind the field")
-        try:
-            F = Field(args.q)
-        except NotOddPrimePower:
-            return _fail(f"order not covered: q={args.q} is not an odd prime power")
+        F = Field(args.q)
         results.append(("psl", check_psl_invariance(cube, F), None))
 
     for name, ok, rep in results:
@@ -131,10 +120,7 @@ def cmd_layer(args) -> int:
 
 
 def cmd_chi_table(args) -> int:
-    try:
-        F = Field(args.q)
-    except NotOddPrimePower:
-        return _fail(f"order not covered: q={args.q} is not an odd prime power")
+    F = Field(args.q)
     for a in range(1, F.q):
         elem = str(a) if F.k == 1 else ",".join(str(c) for c in F.coeffs(a))
         print(f"{a} {elem} {F.chi(a):+d}")
@@ -198,8 +184,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except SystemExit as exc:  # raised by _resolve_field
-        return exc.code if isinstance(exc.code, int) else 2
+    except NotOddPrimePower as exc:
+        return _fail(f"order not covered: {exc}")
     except ParseError as exc:
         return _fail(f"parse error: {exc}")
     except NotHadamardInput as exc:

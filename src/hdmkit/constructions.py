@@ -14,19 +14,18 @@ import numpy as np
 
 from .errors import DimensionMismatch, DimensionTooSmall, NotHadamardInput, TooLarge
 from .gf import Field
-from .ncube import SignCube, is_hadamard
+from .ncube import MAX_AXES, SignCube, is_hadamard
 
-# Largest cube that yang_product, dim_lift and almost_cube build: 2**30
-# entries, 1 GiB as int8, and they hold a few cube-sized temporaries on top.
-# Larger requests raise TooLarge before anything is allocated, as do more
-# than 32 axes (numpy 1.x's limit; only order 1 gets that far under the cap).
+# Largest cube that any construction builds: 2**30 entries, 1 GiB as int8,
+# and they hold a few cube-sized temporaries on top.  Larger requests raise
+# TooLarge before anything is allocated, as do more than ncube.MAX_AXES axes.
 MAX_ENTRIES = 1 << 30
 
 
 def _check_size(n: int, v: int) -> None:
-    if n > 32 or v**n > MAX_ENTRIES:
+    if n > MAX_AXES or v**n > MAX_ENTRIES:
         raise TooLarge(f"a cube of order {v} and dimension {n} exceeds "
-                       f"{MAX_ENTRIES} entries or 32 axes")
+                       f"{MAX_ENTRIES} entries or {MAX_AXES} axes")
 
 
 def paley2(F: Field) -> SignCube:
@@ -34,6 +33,7 @@ def paley2(F: Field) -> SignCube:
     the rest of the diagonal and the infinity row/column, chi(y - x)
     elsewhere.  Hadamard for q = 3 (mod 4)."""
     v = F.q + 1
+    _check_size(2, v)
     diff_chi = F.chi_table[F.sub_table]  # chi(x - y), junk on the diagonal
     h = np.ones((v, v), dtype=np.int8)
     h[1:, 1:] = diff_chi.T
@@ -51,6 +51,7 @@ def paley3(F: Field) -> SignCube:
     respectively); chi((x-y)(y-z)(z-x)) for distinct finite coordinates.
     """
     v = F.q + 1
+    _check_size(3, v)
     diff_chi = F.chi_table[F.sub_table]  # chi(x - y), junk on the diagonal
 
     H = np.ones((v, v, v), dtype=np.int8)

@@ -64,7 +64,8 @@ class NotHadamardInput(HdmError):
 
 
 class TooLarge(HdmError):
-    """The requested cube exceeds the size cap (constructions.MAX_ENTRIES)."""
+    """The request exceeds a size cap (constructions.MAX_ENTRIES, ncube.MAX_AXES
+    or gf.MAX_ORDER)."""
 
 
 # -- symmetry checks ---------------------------------------------------------

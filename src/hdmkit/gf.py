@@ -11,7 +11,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CharacterOfZero, DivisionByZero, NotOddPrimePower
+from .errors import CharacterOfZero, DivisionByZero, NotOddPrimePower, TooLarge
+
+# Largest order Field accepts: its q x q int32 addition and subtraction
+# tables then stay within 2**30 bytes each, though building one for q = p**k
+# holds int32 temporaries k times that size.  Checked before q is factored,
+# so a huge q costs no trial division either.
+MAX_ORDER = 16383
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
@@ -104,6 +110,8 @@ class Field:
     """
 
     def __init__(self, q: int):
+        if isinstance(q, int) and q > MAX_ORDER:
+            raise TooLarge(f"q={q} exceeds the field order cap {MAX_ORDER}")
         self.p, self.k = factor_prime_power(q)
         self.q = q
         self.irr = canonical_irreducible(self.p, self.k)

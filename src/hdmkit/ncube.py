@@ -35,6 +35,10 @@ from .errors import (
     ShapeMismatch,
 )
 
+# Most axes a cube may have: numpy 1.x's limit on array dimensions.  Only
+# order 1 comes near it: at order 2, 33 axes already make 2**33 entries.
+MAX_AXES = 32
+
 
 class SignCube:
     """Immutable n-dimensional order-v array with entries in {-1, +1}."""
@@ -326,7 +330,8 @@ def parse(text: str | bytes) -> SignCube:
       5. a header number longer than int() converts;
       6. n < 1 or v < 1;
       7. fewer or more than v**(n-1) data lines;
-      8. the first data line that is not v characters long or holds a
+      8. n > MAX_AXES (in practice only at order 1);
+      9. the first data line that is not v characters long or holds a
          character other than '+' and '-'; on it the length comes first.
 
     A str is read by characters: a non-ASCII character in it is a bad
@@ -368,6 +373,8 @@ def parse(text: str | bytes) -> SignCube:
                          f"found {found}", line=found + 2)
     if rows < found:
         raise ParseError("trailing content after data lines", line=rows + 2)
+    if n > MAX_AXES:
+        raise ParseError(f"dimension n={n} exceeds {MAX_AXES} axes", line=1)
     body = np.frombuffer(data, dtype=np.uint8, offset=head_end + 1)
     if body.size == rows * (v + 1):
         # 44 - '+' = 1 and 44 - '-' = -1 (255 as uint8); every other ASCII

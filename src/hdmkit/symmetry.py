@@ -4,26 +4,49 @@ A determinant-1 Moebius map permutes the q+1 points; applying it to every
 coordinate of a cube indexed in pg_points order is a simultaneous index
 relabelling, and the checks here decide whether the cube is fixed by it.
 Generator invariance extends to the whole generated group, so the full
-group check only runs the three generators.
+group check only runs the three generators, and the cyclic check only
+one coordinate shift (the other is its square).  Every check is one
+relabel-and-compare, _relabels_to; _check_shape raises DimensionMismatch
+unless n = 3 and, given a field, OrderMismatch unless v = q + 1.
 """
 
 import numpy as np
 
 from .errors import DimensionMismatch, InfinityNotAllowed, OrderMismatch
 from .gf import Field
-from .ncube import SignCube, layer
+from .ncube import SignCube
 from .projline import Moebius, PPoint, psl_generators
 
 
-def check_cyclic(H: SignCube) -> bool:
-    """Does H(x, y, z) = H(y, z, x) = H(z, x, y) hold everywhere?"""
+def _check_shape(H: SignCube, F: Field | None = None) -> None:
+    """Require a 3-cube, and with a field F, one of order q + 1."""
     if H.n != 3:
         raise DimensionMismatch(f"need n = 3, got n={H.n}")
-    arr = H.array
-    return bool(
-        np.array_equal(arr, arr.transpose(1, 2, 0))
-        and np.array_equal(arr, arr.transpose(2, 0, 1))
-    )
+    if F is not None and H.v != F.q + 1:
+        raise OrderMismatch(f"cube order {H.v} != q+1 = {F.q + 1}")
+
+
+def _relabels_to(src: np.ndarray, dst: np.ndarray, perm=None, axes=None) -> bool:
+    """Does dst equal src with its axes reordered by transpose(axes), then
+    every index i on every axis replaced by perm[i]?"""
+    if axes is not None:
+        src = src.transpose(axes)
+    if perm is not None:
+        index = np.asarray(perm)
+        # one gather per axis: measured 2-3x faster than one fancy-index gather
+        for axis in range(src.ndim):
+            src = src.take(index, axis=axis)
+    return bool(np.array_equal(src, dst))
+
+
+def check_cyclic(H: SignCube) -> bool:
+    """Does H(x, y, z) = H(y, z, x) = H(z, x, y) hold everywhere?
+
+    Invariance under one shift implies it under the shift's square, which
+    is the other shift, so one comparison decides both equalities.
+    """
+    _check_shape(H)
+    return _relabels_to(H.array, H.array, axes=(1, 2, 0))
 
 
 def check_permutation_invariance(H: SignCube, perm) -> bool:
@@ -32,21 +55,12 @@ def check_permutation_invariance(H: SignCube, perm) -> bool:
     perm = list(perm)
     if len(perm) != H.v:
         raise OrderMismatch(f"permutation length {len(perm)} != order {H.v}")
-    arr = H.array
-    index = np.asarray(perm)
-    # one gather per axis: measured 2-3x faster than arr[np.ix_(perm, ...)]
-    relabelled = arr
-    for axis in range(H.n):
-        relabelled = relabelled.take(index, axis=axis)
-    return bool(np.array_equal(relabelled, arr))
+    return _relabels_to(H.array, H.array, perm)
 
 
 def check_moebius_invariance(H: SignCube, F: Field, m: Moebius) -> bool:
     """Does H(m(x), m(y), m(z)) = H(x, y, z) hold for all triples?"""
-    if H.n != 3:
-        raise DimensionMismatch(f"need n = 3, got n={H.n}")
-    if H.v != F.q + 1:
-        raise OrderMismatch(f"cube order {H.v} != q+1 = {F.q + 1}")
+    _check_shape(H, F)
     return check_permutation_invariance(H, m.perm())
 
 
@@ -69,7 +83,6 @@ def layer_equiv_witness(F: Field, c: PPoint) -> Moebius:
 
 def check_layer_witness(F: Field, H: SignCube, c: PPoint) -> bool:
     """Verify layer_c(x, y) = layer_inf(f(x), f(y)) for the witness f."""
+    _check_shape(H, F)
     perm = layer_equiv_witness(F, c).perm()
-    fixed_c = layer(H, {2: 1 + c.e}).array
-    fixed_inf = layer(H, {2: 0}).array
-    return bool(np.array_equal(fixed_inf[np.ix_(perm, perm)], fixed_c))
+    return _relabels_to(H.array[:, :, 0], H.array[:, :, 1 + c.e], perm)

@@ -1,5 +1,6 @@
 import pytest
 
+from hdmkit import constructions, gf
 from hdmkit.cli import main
 from hdmkit.constructions import almost_cube, paley2, paley3
 from hdmkit.gf import Field
@@ -96,6 +97,21 @@ def test_construct_refuses_oversized_cube(tmp_path, monkeypatch, capsys, args):
     assert not (tmp_path / "x.hdm").exists()
 
 
+def test_construct_and_chi_table_refuse_orders_over_the_caps(monkeypatch, capsys):
+    monkeypatch.setattr(gf, "MAX_ORDER", 7)
+    assert main(["chi-table", "--q", "9"]) == 2
+    assert main(["construct", "--kind", "paley2", "--q", "9"]) == 2
+    monkeypatch.setattr(constructions, "MAX_ENTRIES", 8**3 - 1)
+    assert main(["construct", "--kind", "paley3", "--q", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "q=9 exceeds the field order cap 7",
+        "q=9 exceeds the field order cap 7",
+        "a cube of order 8 and dimension 3 exceeds 511 entries or 32 axes",
+    ]
+
+
 def test_construct_unreadable_input(tmp_path):
     assert main(["construct", "--kind", "lift",
                  "--input", str(tmp_path / "missing.hdm")]) == 2
@@ -188,6 +204,13 @@ def test_hostile_header_exits_2(tmp_path, capsys, command, header, where):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(f"parse error: {where}:")
+
+
+def test_layer_refuses_a_file_over_the_axis_cap(tmp_path, capsys):
+    one = tmp_path / "one.hdm"
+    one.write_bytes(b"HDM 100 1\n+\n")
+    assert main(["layer", str(one), "--fix", "1=0"]) == 2
+    assert capsys.readouterr().err == "parse error: line 1: dimension n=100 exceeds 32 axes\n"
 
 
 # -- info / layer / chi-table -------------------------------------------------------

@@ -230,11 +230,20 @@ def test_size_guard_boundary(monkeypatch):
     assert yang_product(h, 3).n == 3
     assert dim_lift(h).n == 3
     assert almost_cube(Field(7), 3).n == 3
+    assert paley3(Field(7)).n == 3
     monkeypatch.setattr(constructions, "MAX_ENTRIES", 8**3 - 1)
     for build in (lambda: yang_product(h, 3), lambda: dim_lift(h),
-                  lambda: almost_cube(Field(7), 3)):
+                  lambda: almost_cube(Field(7), 3), lambda: paley3(Field(7))):
         with pytest.raises(TooLarge):
             build()
+    monkeypatch.setattr(constructions, "MAX_ENTRIES", 8**2)
+    assert paley2(Field(7)).n == 2
+    monkeypatch.setattr(constructions, "MAX_ENTRIES", 8**2 - 1)
+    for build in (paley2, paley3):
+        F = Field(7)
+        with pytest.raises(TooLarge):
+            build(F)
+        assert "sub_table" not in vars(F)  # refused before any table is built
 
 
 # -- dimension lift ----------------------------------------------------------------

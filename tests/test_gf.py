@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hdmkit.errors import CharacterOfZero, DivisionByZero, NotOddPrimePower
+from hdmkit import gf
+from hdmkit.errors import CharacterOfZero, DivisionByZero, NotOddPrimePower, TooLarge
 from hdmkit.gf import Field, canonical_irreducible, factor_prime_power
 
 # Odd prime powers up to 101; the supported desk-scale orders.
@@ -42,6 +43,15 @@ def test_field_new_prime_power():
 def test_field_new_rejects_non_prime_powers(q):
     with pytest.raises(NotOddPrimePower):
         Field(q)
+
+
+def test_field_order_cap(monkeypatch):
+    """The cap admits exactly MAX_ORDER and is checked before q is factored."""
+    monkeypatch.setattr(gf, "MAX_ORDER", 7)
+    assert Field(7).q == 7
+    for q in (9, 21):
+        with pytest.raises(TooLarge):
+            Field(q)
 
 
 def test_factor_prime_power():

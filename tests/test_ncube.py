@@ -355,6 +355,7 @@ def test_parse_ascii_bytes():
     ("HDM 2 2\n++\n+-\n--\n", 4),    # trailing data line
     ("HDM 2 2\n++\n+-+\n", 3),       # wrong row length
     ("HDM 0 2\n", 1),                # bad dimension
+    ("HDM 33 1\n+\n", 1),            # more axes than MAX_AXES
     pytest.param("HDM 1000000 3\n", 2, id="rows-too-long-to-print"),
     pytest.param("HDM 2 " + "9" * 5000 + "\n", 1, id="v-too-long-for-int"),
 ])
@@ -362,6 +363,10 @@ def test_parse_rejects_malformed(text, line):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert exc.value.line == line
+
+
+def test_parse_accepts_order_1_up_to_the_axis_cap():
+    assert parse("HDM 32 1\n+\n").n == ncube.MAX_AXES == 32
 
 
 def test_parse_hostile_header_is_quick():

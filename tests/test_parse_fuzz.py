@@ -6,7 +6,8 @@ the oracle for bytes input.  Every mutant of a small serialized cube must
 give the oracle's cube, or a ParseError with the oracle's message, line
 and column.  Where the oracle itself crashed with another exception (a
 header number too long for int(), a row count too long to print), a
-ParseError is required.
+ParseError is required.  A cube the oracle accepts with more than MAX_AXES
+axes (only order 1 has so few rows) must be refused by the axis cap.
 """
 
 import random
@@ -18,7 +19,7 @@ from hdmkit.cli import main
 from hdmkit.constructions import paley3
 from hdmkit.errors import ParseError
 from hdmkit.gf import Field
-from hdmkit.ncube import SignCube, parse, serialize
+from hdmkit.ncube import MAX_AXES, SignCube, parse, serialize
 
 
 def reference_parse(text: str) -> SignCube:
@@ -143,6 +144,9 @@ def test_parse_matches_reference_parser(as_text):
         # same non-ASCII positions as the bytes
         source = raw.decode("latin-1") if as_text else raw
         expected = outcome(reference_parse if as_text else reference_read, source)
+        if isinstance(expected, SignCube) and expected.n > MAX_AXES:
+            expected = ParseError(f"dimension n={expected.n} exceeds {MAX_AXES} axes",
+                                  line=1)
         got = outcome(parse, source)
         if isinstance(expected, SignCube):
             kinds["accepted"] += 1

@@ -49,6 +49,30 @@ def test_cyclic_needs_3d():
         check_cyclic(H2)
 
 
+def cyclic_by_both_shifts(arr):
+    """check_cyclic's former two-comparison form, kept as its oracle."""
+    return bool(np.array_equal(arr, arr.transpose(1, 2, 0))
+                and np.array_equal(arr, arr.transpose(2, 0, 1)))
+
+
+def test_cyclic_matches_both_shifts():
+    """check_cyclic compares one shift only; against both comparisons on
+    cyclic cubes, their one-flip variants and random cubes."""
+    rng = np.random.default_rng(11)
+    verdicts = set()
+    for v in (1, 2, 3, 5, 8):
+        for _ in range(10):
+            a = rng.choice([-1, 1], size=(v, v, v))
+            cyclic = a * a.transpose(1, 2, 0) * a.transpose(2, 0, 1)
+            flipped = cyclic.copy()
+            flipped[tuple(rng.integers(v, size=3))] *= -1
+            for arr in (cyclic, flipped, rng.choice([-1, 1], size=(v, v, v))):
+                expected = cyclic_by_both_shifts(arr)
+                assert check_cyclic(SignCube(3, v, arr)) == expected
+                verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 def test_yang_cyclic_for_symmetric_input():
     syl4 = SignCube(2, 4, np.kron(H2.array, H2.array))
     assert check_cyclic(yang_product(H2, 3))
@@ -173,6 +197,42 @@ def test_witness_contract_exhaustive(q):
     cube = paley3(F)
     for c in F.elems:
         assert check_layer_witness(F, cube, PPoint(c))
+
+
+def layer_witness_by_copies(F, H, c):
+    """check_layer_witness's former form, on layer() copies, kept as its oracle."""
+    perm = layer_equiv_witness(F, c).perm()
+    fixed_c = layer(H, {2: 1 + c.e}).array
+    fixed_inf = layer(H, {2: 0}).array
+    return bool(np.array_equal(fixed_inf[np.ix_(perm, perm)], fixed_c))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+def test_layer_witness_matches_layer_copies(q):
+    """On paley3 and on paley3 with one entry of the c-layer flipped."""
+    F = Field(q)
+    cube = paley3(F)
+    rng = np.random.default_rng(q)
+    verdicts = set()
+    for c in F.elems:
+        flipped = cube.array.copy()
+        flipped[(*rng.integers(cube.v, size=2), 1 + c)] *= -1
+        for H in (cube, SignCube(3, cube.v, flipped)):
+            expected = layer_witness_by_copies(F, H, PPoint(c))
+            assert check_layer_witness(F, H, PPoint(c)) == expected
+            verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_layer_witness_rejects_wrong_order_or_dimension():
+    F = Field(7)
+    for H, error in ((paley3(Field(5)), OrderMismatch),
+                     (paley3(Field(11)), OrderMismatch),
+                     (yang_product(paley2(F), 4), DimensionMismatch),
+                     (paley2(F), DimensionMismatch)):
+        for c in (PPoint(0), PPoint(6)):
+            with pytest.raises(error):
+                check_layer_witness(F, H, c)
 
 
 @pytest.mark.parametrize("q", [3, 7])
