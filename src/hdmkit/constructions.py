@@ -4,10 +4,11 @@ Rows/columns/axes are indexed by the q+1 projective points in pg_points
 order (infinity first, then field elements), so cube index 0 is the point
 at infinity and index 1+a is the field element a.
 
-Entry generation is vectorized through the field's difference and
-character tables, which give the int8 difference-character matrix
-chi(x - y). Since chi is multiplicative, the order-(q+1) 3-cube is two
-in-place int8 products of broadcast views of that matrix.
+Entries are chi of a linear form in the coordinates, gathered from the
+field's character table at the form's int16 sum index (Field._sum_index):
+x - y gives the int8 difference-character matrix chi(x - y). Since chi is
+multiplicative, the order-(q+1) 3-cube is two in-place int8 products of
+broadcast views of that matrix.
 """
 
 import numpy as np
@@ -16,9 +17,9 @@ from .errors import DimensionMismatch, DimensionTooSmall, NotHadamardInput, TooL
 from .gf import Field
 from .ncube import MAX_AXES, SignCube, is_hadamard
 
-# Largest cube that any construction builds: 2**30 entries, 1 GiB as int8,
-# and they hold a few cube-sized temporaries on top.  Larger requests raise
-# TooLarge before anything is allocated, as do more than ncube.MAX_AXES axes.
+# Largest cube that any construction builds: 2**30 entries, 1 GiB as int8; a
+# build peaks at about 5 bytes per entry (almost_cube's int16 sum index).  Larger
+# requests raise TooLarge before allocating, as do more than ncube.MAX_AXES axes.
 MAX_ENTRIES = 1 << 30
 
 
@@ -34,7 +35,7 @@ def paley2(F: Field) -> SignCube:
     elsewhere.  Hadamard for q = 3 (mod 4)."""
     v = F.q + 1
     _check_size(2, v)
-    diff_chi = F.chi_table[F.sub_table]  # chi(x - y), junk on the diagonal
+    diff_chi = F.chi_table[F._sum_index((1, -1))]  # chi(x - y), junk on the diagonal
     h = np.ones((v, v), dtype=np.int8)
     h[1:, 1:] = diff_chi.T
     np.fill_diagonal(h[1:, 1:], 1)
@@ -52,7 +53,7 @@ def paley3(F: Field) -> SignCube:
     """
     v = F.q + 1
     _check_size(3, v)
-    diff_chi = F.chi_table[F.sub_table]  # chi(x - y), junk on the diagonal
+    diff_chi = F.chi_table[F._sum_index((1, -1))]  # chi(x - y), junk on the diagonal
 
     H = np.ones((v, v, v), dtype=np.int8)
     # chi((x-y)(y-z)(z-x)) = chi(x-y) * chi(y-z) * chi(z-x)
@@ -90,7 +91,7 @@ def yang_product(h: SignCube, dim: int) -> SignCube:
         for k in range(j + 1, dim):
             shape = [1] * dim
             shape[j] = shape[k] = v
-            out = out * h.array.reshape(shape)
+            out *= h.array.reshape(shape)
     return SignCube._adopt(dim, v, out)
 
 
@@ -127,14 +128,10 @@ def almost_cube(F: Field, dim: int, chi0: int = -1) -> SignCube:
         raise DimensionTooSmall("need dim >= 2")
     if chi0 not in (-1, 1):
         raise ValueError("chi0 must be +1 or -1")
-    _check_size(dim, F.q + 1)
-    q, v = F.q, F.q + 1
-    add = F.add_table
-    total = np.arange(q)
-    for _ in range(dim - 1):
-        total = add[total[..., None], np.arange(q)]
+    v = F.q + 1
+    _check_size(dim, v)
     chi = F.chi_table.copy()
     chi[0] = chi0
     H = np.ones((v,) * dim, dtype=np.int8)
-    H[(slice(1, None),) * dim] = chi[total]
+    H[(slice(1, None),) * dim] = chi[F._sum_index((1,) * dim)]
     return SignCube._adopt(dim, v, H)

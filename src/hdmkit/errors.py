@@ -78,5 +78,9 @@ class OrderMismatch(HdmError):
     """Cube order and field order disagree (expects v = q + 1)."""
 
 
+class NotAPermutation(HdmError, ValueError):
+    """A point relabelling is not a permutation of the cube's indices."""
+
+
 class InfinityNotAllowed(HdmError):
     """The operation needs a finite projective point."""

@@ -13,10 +13,10 @@ import numpy as np
 
 from .errors import CharacterOfZero, DivisionByZero, NotOddPrimePower, TooLarge
 
-# Largest order Field accepts: its q x q int32 addition and subtraction
-# tables then stay within 2**30 bytes each, though building one for q = p**k
-# holds int32 temporaries k times that size.  Checked before q is factored,
-# so a huge q costs no trial division either.
+# Largest order Field accepts: _sum_index's int16 arrays stay exact, since
+# their partial sums lie in (-p, 2p - 1) and 2q - 2 <= 32767 holds for every
+# q up to this cap.  Checked before q is factored, so a huge q costs no trial
+# division either.
 MAX_ORDER = 16383
 
 
@@ -213,23 +213,24 @@ class Field:
         t.flags.writeable = False
         return t
 
-    @cached_property
-    def _digit_matrix(self) -> np.ndarray:
-        return np.array(self._digits, dtype=np.int32)
+    def _sum_index(self, signs) -> np.ndarray:
+        """Index of x_1 + s_2 x_2 + ... + s_d x_d at (x_1, ..., x_d), for signs
+        (1, s_2, ..., s_d) with each s_i = +-1, as an int16 array of shape (q,)*d.
 
-    def _from_digit_array(self, d: np.ndarray) -> np.ndarray:
-        return d @ np.array(self._weights, dtype=np.int32)
-
-    @cached_property
-    def add_table(self) -> np.ndarray:
-        d = self._digit_matrix
-        t = self._from_digit_array((d[:, None, :] + d[None, :, :]) % self.p)
-        t.flags.writeable = False
-        return t
-
-    @cached_property
-    def sub_table(self) -> np.ndarray:
-        d = self._digit_matrix
-        t = self._from_digit_array((d[:, None, :] - d[None, :, :]) % self.p)
-        t.flags.writeable = False
-        return t
+        Built one base-p digit and one axis at a time, reduced mod p after each
+        axis, so every partial sum lies in (-p, 2p - 1): int16 is exact while
+        2q - 2 <= 32767, which MAX_ORDER guarantees.
+        """
+        p, out = self.p, 0
+        for j in range(self.k):
+            digit = np.arange(self.q, dtype=np.int16) // p**j % p
+            acc = digit
+            for s in signs[1:]:
+                acc = acc[..., None] + s * digit
+                acc %= p
+            if j:
+                acc *= p**j
+                out += acc
+            else:
+                out = acc
+        return out

@@ -12,7 +12,13 @@ unless n = 3 and, given a field, OrderMismatch unless v = q + 1.
 
 import numpy as np
 
-from .errors import DimensionMismatch, InfinityNotAllowed, OrderMismatch
+from .errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    InfinityNotAllowed,
+    NotAPermutation,
+    OrderMismatch,
+)
 from .gf import Field
 from .ncube import SignCube
 from .projline import Moebius, PPoint, psl_generators
@@ -51,10 +57,14 @@ def check_cyclic(H: SignCube) -> bool:
 
 def check_permutation_invariance(H: SignCube, perm) -> bool:
     """Is H fixed by relabelling every coordinate with the same point
-    permutation (perm[i] = image of point index i)?"""
+    permutation (perm[i] = image of point index i)?  Raises OrderMismatch
+    unless len(perm) == v, and NotAPermutation unless perm is a
+    permutation of range(v)."""
     perm = list(perm)
     if len(perm) != H.v:
         raise OrderMismatch(f"permutation length {len(perm)} != order {H.v}")
+    if set(perm) != set(range(H.v)):
+        raise NotAPermutation(f"perm is not a permutation of range({H.v})")
     return _relabels_to(H.array, H.array, perm)
 
 
@@ -74,10 +84,14 @@ def layer_equiv_witness(F: Field, c: PPoint) -> Moebius:
 
     Relabelling both free coordinates of the z = c layer of an invariant
     cube by this map yields the z = infinity layer, so every fixed-value
-    layer is a row/column permutation of that one.
+    layer is a row/column permutation of that one.  c must be an element
+    of F: infinity raises InfinityNotAllowed, any other point outside
+    0..q-1 IndexOutOfRange.
     """
     if c.is_infinity:
         raise InfinityNotAllowed("c must be finite; the identity already works")
+    if not 0 <= c.e < F.q:
+        raise IndexOutOfRange(f"point {c} is not an element of GF({F.q})")
     return Moebius(F, 0, F.neg(1), 1, F.neg(c.e))
 
 

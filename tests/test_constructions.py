@@ -152,6 +152,35 @@ def test_paley3_peak_memory_is_within_two_cubes():
     assert peak <= 2 * cube.data.nbytes
 
 
+def traced_peak_ratio(build):
+    """tracemalloc peak of build() over the nbytes of the cube it returns."""
+    tracemalloc.start()
+    try:
+        cube = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / cube.data.nbytes
+
+
+def test_paley2_peak_memory_does_not_grow_with_k():
+    F = Field(3**6)
+    F.chi_table  # warm the field's cached table
+    assert traced_peak_ratio(lambda: paley2(F)) <= 5
+
+
+@pytest.mark.parametrize("q, dim", [(79, 3), (23, 4)])
+def test_almost_cube_peak_memory(q, dim):
+    F = Field(q)
+    F.chi_table
+    assert traced_peak_ratio(lambda: almost_cube(F, dim)) <= 5
+
+
+def test_yang_product_peak_memory():
+    h = paley2(Field(23))
+    assert traced_peak_ratio(lambda: yang_product(h, 5)) <= 1.5
+
+
 @pytest.mark.parametrize("q", [3, 7, 11])
 def test_paley3_proper_when_q_is_3_mod_4(q):
     F = Field(q)
@@ -239,11 +268,16 @@ def test_size_guard_boundary(monkeypatch):
     monkeypatch.setattr(constructions, "MAX_ENTRIES", 8**2)
     assert paley2(Field(7)).n == 2
     monkeypatch.setattr(constructions, "MAX_ENTRIES", 8**2 - 1)
+
+    def no_index(self, signs):
+        raise AssertionError("sum index built before the size check")
+
+    monkeypatch.setattr(Field, "_sum_index", no_index)
     for build in (paley2, paley3):
-        F = Field(7)
         with pytest.raises(TooLarge):
-            build(F)
-        assert "sub_table" not in vars(F)  # refused before any table is built
+            build(Field(7))
+    with pytest.raises(TooLarge):
+        almost_cube(Field(7), 2)
 
 
 # -- dimension lift ----------------------------------------------------------------

@@ -218,11 +218,23 @@ def test_primitive_element_is_first_of_full_order(q):
 
 # -- vectorized tables --------------------------------------------------------
 
-@pytest.mark.parametrize("q", [7, 9, 27])
-def test_tables_match_scalar_ops(q):
+@pytest.mark.parametrize("q", [7, 9, 25, 27])
+def test_sum_index_matches_scalar_ops(q):
     F = Field(q)
-    assert F.add_table.dtype == F.sub_table.dtype == np.int32
+    sub, add = F._sum_index((1, -1)), F._sum_index((1, 1))
+    add3, sub3 = F._sum_index((1, 1, 1)), F._sum_index((1, -1, -1))
+    assert sub.dtype == add.dtype == add3.dtype == sub3.dtype == np.int16
+    assert sub.shape == add.shape == (q, q) and add3.shape == sub3.shape == (q, q, q)
     for a in F.elems:
         for b in F.elems:
-            assert F.add_table[a, b] == F.add(a, b)
-            assert F.sub_table[a, b] == F.sub(a, b)
+            assert sub[a, b] == F.sub(a, b)
+            assert add[a, b] == F.add(a, b)
+            for c in F.elems:
+                assert add3[a, b, c] == F.add(F.add(a, b), c)
+                assert sub3[a, b, c] == F.sub(F.sub(a, b), c)
+
+
+def test_sum_index_int16_bound_covers_max_order():
+    """Partial sums of _sum_index stay below 2q - 1, so int16 is exact up to
+    the cap; arithmetic only, nothing is built."""
+    assert 2 * gf.MAX_ORDER - 2 <= np.iinfo(np.int16).max

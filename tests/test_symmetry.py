@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from hdmkit.constructions import almost_cube, paley2, paley3, yang_product
-from hdmkit.errors import DimensionMismatch, InfinityNotAllowed, OrderMismatch
+from hdmkit.errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    InfinityNotAllowed,
+    NotAPermutation,
+    OrderMismatch,
+)
 from hdmkit.gf import Field
 from hdmkit.ncube import SignCube, is_hadamard, is_proper, layer
 from hdmkit.projline import INF, Moebius, PPoint, identity, psl_generators
@@ -233,6 +239,20 @@ def test_layer_witness_rejects_wrong_order_or_dimension():
         for c in (PPoint(0), PPoint(6)):
             with pytest.raises(error):
                 check_layer_witness(F, H, c)
+
+
+def test_symmetry_checks_reject_bad_permutations_and_points():
+    F = Field(7)
+    ones = SignCube(3, 8, [1] * 512)
+    for perm in ([9] * 8, [0] * 8):  # out of range; in range but not a permutation
+        with pytest.raises(NotAPermutation):
+            check_permutation_invariance(ones, perm)
+    cube = paley3(F)
+    for c in (PPoint(20), PPoint(7), PPoint(-1)):
+        with pytest.raises(IndexOutOfRange):
+            layer_equiv_witness(F, c)
+        with pytest.raises(IndexOutOfRange):
+            check_layer_witness(F, cube, c)
 
 
 @pytest.mark.parametrize("q", [3, 7])
