@@ -46,6 +46,11 @@ def _read_cube(path: str) -> SignCube:
 
 def cmd_construct(args) -> int:
     kind = args.kind
+    reads = {"paley2": ("q", "v"), "paley3": ("q", "v"), "almost-cube": ("q", "v", "dim"),
+             "product": ("input", "dim"), "lift": ("input",)}[kind]
+    for opt in ("q", "v", "input", "dim"):
+        if getattr(args, opt) is not None and opt not in reads:
+            return _fail(f"--kind {kind} does not read --{opt}")
     if kind in ("paley2", "paley3", "almost-cube"):
         if (args.q is None) == (args.v is None):
             return _fail("give exactly one of --q / --v")
@@ -69,6 +74,10 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # usage and field errors come before the file is read and checked
+    if args.psl and args.q is None:
+        return _fail("--psl requires --q to bind the field")
+    F = Field(args.q) if args.psl else None
     cube = _read_cube(args.path)
     results = []
 
@@ -80,9 +89,6 @@ def cmd_verify(args) -> int:
     if args.cyclic:
         results.append(("cyclic", check_cyclic(cube), None))
     if args.psl:
-        if args.q is None:
-            return _fail("--psl requires --q to bind the field")
-        F = Field(args.q)
         results.append(("psl", check_psl_invariance(cube, F), None))
 
     for name, ok, rep in results:

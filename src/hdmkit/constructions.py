@@ -4,11 +4,13 @@ Rows/columns/axes are indexed by the q+1 projective points in pg_points
 order (infinity first, then field elements), so cube index 0 is the point
 at infinity and index 1+a is the field element a.
 
-Entries are chi of a linear form in the coordinates, gathered from the
-field's character table at the form's int16 sum index (Field._sum_index):
-x - y gives the int8 difference-character matrix chi(x - y). Since chi is
-multiplicative, the order-(q+1) 3-cube is two in-place int8 products of
-broadcast views of that matrix.
+The Paley cubes are read off one int8 matrix on PG(1, q), D[a, b] =
+chi(a - b) (_diff_chi), whose finite core is gathered from the field's
+character table at the int16 sum index of x - y (Field._sum_index).  Since
+chi is multiplicative, the 3-cube is D[x, y] * D[y, z] * D[z, x], two
+in-place int8 products of broadcast views of D, and the 2-D matrix is its
+z = infinity layer.  The other constructions work on a given cube or on
+the coordinate-sum index.
 """
 
 import numpy as np
@@ -29,46 +31,56 @@ def _check_size(n: int, v: int) -> None:
                        f"{MAX_ENTRIES} entries or {MAX_AXES} axes")
 
 
+def _diff_chi(F: Field) -> np.ndarray:
+    """D[a, b] = chi(a - b) on PG(1, q), int8 of shape (q+1, q+1), with
+    chi(inf - b) = 1, chi(a - inf) = chi(-1), and chi(-1) on the whole
+    diagonal.  These make D[a, b] * D[b, a] = chi(-1) for every a != b, so
+    D[x, y] * D[y, z] * D[z, x] is +1 when exactly two of x, y, z are equal."""
+    # gathered before D is allocated: the sum index is freed first, and the
+    # peak stays at the index's two int16 arrays
+    core = F.chi_table[F._sum_index((1, -1))]
+    chi_minus1 = F.chi(F.neg(1))
+    D = np.empty((F.q + 1, F.q + 1), dtype=np.int8)
+    D[1:, 1:] = core
+    D[0] = 1
+    D[1:, 0] = chi_minus1
+    np.fill_diagonal(D, chi_minus1)
+    return D
+
+
 def paley2(F: Field) -> SignCube:
     """2-D quadratic-residue matrix of order q+1: -1 at (inf, inf), +1 on
     the rest of the diagonal and the infinity row/column, chi(y - x)
-    elsewhere.  Hadamard for q = 3 (mod 4)."""
+    elsewhere.  Hadamard for q = 3 (mod 4).
+
+    This is paley3's z = infinity layer, D[x, y] * D[y, inf] * D[inf, x]:
+    D with its finite rows times chi(-1), and -1 at (inf, inf)."""
     v = F.q + 1
     _check_size(2, v)
-    diff_chi = F.chi_table[F._sum_index((1, -1))]  # chi(x - y), junk on the diagonal
-    h = np.ones((v, v), dtype=np.int8)
-    h[1:, 1:] = diff_chi.T
-    np.fill_diagonal(h[1:, 1:], 1)
+    h = _diff_chi(F)
+    h[1:] *= h[0, 0]  # the diagonal holds chi(-1)
     h[0, 0] = -1
     return SignCube._adopt(2, v, h)
 
 
 def paley3(F: Field) -> SignCube:
-    """3-D quadratic-residue cube of order q+1.
+    """3-D quadratic-residue cube of order q+1: chi((x-y)(y-z)(z-x)) on
+    PG(1, q), built as D[x, y] * D[y, z] * D[z, x] with D = _diff_chi(F).
 
     Entries: -1 when all three coordinates coincide; +1 when exactly two
     coincide; chi of the opposite difference when one coordinate is
     infinity (chi(z-y), chi(x-z), chi(y-x) for x, y, z = infinity
     respectively); chi((x-y)(y-z)(z-x)) for distinct finite coordinates.
+    The product gives all of these but the triple diagonal, where it is
+    chi(-1)**3.
     """
     v = F.q + 1
     _check_size(3, v)
-    diff_chi = F.chi_table[F._sum_index((1, -1))]  # chi(x - y), junk on the diagonal
-
-    H = np.ones((v, v, v), dtype=np.int8)
-    # chi((x-y)(y-z)(z-x)) = chi(x-y) * chi(y-z) * chi(z-x)
-    core = H[1:, 1:, 1:]
-    np.multiply(diff_chi[:, :, None], diff_chi[None, :, :], out=core)
-    core *= diff_chi.T[:, None, :]
-    H[0, 1:, 1:] = diff_chi.T  # chi(z - y)
-    H[1:, 0, 1:] = diff_chi    # chi(x - z)
-    H[1:, 1:, 0] = diff_chi.T  # chi(y - x)
-
-    # coincidence cells overwrite the junk chi(0) sentinels left above
+    D = _diff_chi(F)
+    H = np.empty((v, v, v), dtype=np.int8)
+    np.multiply(D[:, :, None], D[None], out=H)
+    H *= D.T[:, None, :]
     i = np.arange(v)
-    H[i, i, :] = 1
-    H[i, :, i] = 1
-    H[:, i, i] = 1
     H[i, i, i] = -1
     return SignCube._adopt(3, v, H)
 
@@ -83,8 +95,6 @@ def yang_product(h: SignCube, dim: int) -> SignCube:
     _check_size(dim, h.v)
     if not is_hadamard(h).passed:
         raise NotHadamardInput("product construction needs a Hadamard input")
-    if dim == 2:
-        return SignCube(2, h.v, h.data)
     v = h.v
     out = np.ones((v,) * dim, dtype=np.int8)
     for j in range(dim):

@@ -161,19 +161,16 @@ class Field:
 
     def _build_exp_log(self):
         q = self.q
+        # the powers of each candidate g until they return to 1; the first g
+        # with q - 1 of them is primitive, and its powers are the exp table
         for g in range(1, q):
-            x, order = g, 1
+            exp, x = [1], g
             while x != 1:
+                exp.append(x)
                 x = self._mul_raw(x, g)
-                order += 1
-                if order > q:  # safety; cannot happen for valid fields
-                    break
-            if order == q - 1:
+            if len(exp) == q - 1:
                 self._prim = g
                 break
-        exp = [1]
-        for _ in range(q - 2):
-            exp.append(self._mul_raw(exp[-1], self._prim))
         log = [0] * q
         for i, e in enumerate(exp):
             log[e] = i

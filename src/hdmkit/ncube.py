@@ -378,14 +378,16 @@ def parse(text: str | bytes) -> SignCube:
     body = np.frombuffer(data, dtype=np.uint8, offset=head_end + 1)
     if body.size == rows * (v + 1):
         # 44 - '+' = 1 and 44 - '-' = -1 (255 as uint8); every other ASCII
-        # byte lands outside {1, -1}.  If the first v bytes of every row pass,
-        # the body's rows LFs can only sit at the row ends.
+        # byte lands outside {1, -1}, which SignCube's ±1 check refuses.  If
+        # the first v bytes of every row pass, the body's rows LFs can only
+        # sit at the row ends.
         cube = np.empty((rows, v), dtype=np.int8)
         grid = body.reshape(rows, v + 1)[:, :v]
         np.subtract(np.uint8(44), grid, out=cube.view(np.uint8))
-        if cube.min() >= -1 and cube.max() <= 1 \
-                and np.count_nonzero(cube) == cube.size:
+        try:
             return SignCube._adopt(n, v, cube.reshape(-1))
+        except ValueError:
+            pass  # located and reported by _body_error
     raise _body_error(text, body, v, head_end + 1)
 
 

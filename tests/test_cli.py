@@ -112,6 +112,27 @@ def test_construct_and_chi_table_refuse_orders_over_the_caps(monkeypatch, capsys
     ]
 
 
+@pytest.mark.parametrize("kind, extra, option", [
+    ("paley2", ["--q", "7", "--dim", "3"], "--dim"),
+    ("paley3", ["--q", "7", "--dim", "5"], "--dim"),
+    ("lift", ["--input", "h.hdm", "--dim", "3"], "--dim"),
+    ("paley2", ["--q", "7", "--input", "h.hdm"], "--input"),
+    ("paley3", ["--v", "8", "--input", "missing.hdm"], "--input"),
+    ("almost-cube", ["--q", "5", "--input", "h.hdm"], "--input"),
+    ("product", ["--input", "h.hdm", "--dim", "3", "--q", "7"], "--q"),
+    ("lift", ["--input", "h.hdm", "--v", "8"], "--v"),
+])
+def test_construct_refuses_options_its_kind_does_not_read(tmp_path, monkeypatch, capsys,
+                                                          kind, extra, option):
+    monkeypatch.chdir(tmp_path)
+    write_cube(tmp_path / "h.hdm", paley2(Field(7)))
+    assert main(["construct", "--kind", kind, *extra, "--out", "x.hdm"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"--kind {kind} does not read {option}\n"
+    assert not (tmp_path / "x.hdm").exists()
+
+
 def test_construct_unreadable_input(tmp_path):
     assert main(["construct", "--kind", "lift",
                  "--input", str(tmp_path / "missing.hdm")]) == 2
@@ -160,6 +181,15 @@ def test_verify_psl_requires_q(tmp_path, capsys):
     path = write_cube(tmp_path / "m.hdm", paley3(Field(7)))
     assert main(["verify", path, "--psl"]) == 2
     assert "--psl requires --q" in capsys.readouterr().err
+
+
+def test_verify_checks_arguments_before_reading_the_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "missing.hdm", "--psl"]) == 2
+    assert capsys.readouterr().err == "--psl requires --q to bind the field\n"
+    assert main(["verify", "missing.hdm", "--psl", "--q", "4"]) == 2
+    assert capsys.readouterr().err == \
+        "order not covered: q=4 is not an odd prime power\n"
 
 
 def test_verify_psl_order_mismatch(tmp_path):

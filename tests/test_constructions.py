@@ -78,7 +78,7 @@ def test_paley2_small_example():
     ]
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 9])
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 27])
 def test_paley2_matches_scalar_oracle(q):
     F = Field(q)
     cube = paley2(F)
@@ -111,7 +111,7 @@ def test_paley3_character_entries():
     assert paley3(Field(7)).get((1, 2, 3)) == 1
 
 
-@pytest.mark.parametrize("q", [3, 5, 9])
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 27])
 def test_paley3_matches_scalar_oracle(q):
     F = Field(q)
     cube = paley3(F)
@@ -192,7 +192,10 @@ def test_paley3_proper_when_q_is_3_mod_4(q):
 @pytest.mark.parametrize("q", [5, 9, 13])
 def test_paley3_not_proper_when_q_is_1_mod_4(q):
     # order q+1 = 2 (mod 4): no 2-D Hadamard matrix of that order exists
-    assert not is_proper(paley3(Field(q))).passed
+    F = Field(q)
+    cube = paley3(F)
+    assert not is_proper(cube).passed
+    assert layer(cube, {2: 0}) == paley2(F)  # fixing z = infinity
 
 
 # -- product construction ---------------------------------------------------------
