@@ -77,6 +77,8 @@ def cmd_verify(args) -> int:
     # usage and field errors come before the file is read and checked
     if args.psl and args.q is None:
         return _fail("--psl requires --q to bind the field")
+    if args.q is not None and not args.psl:
+        return _fail("verify does not read --q without --psl")
     F = Field(args.q) if args.psl else None
     cube = _read_cube(args.path)
     results = []

@@ -114,7 +114,9 @@ def dim_lift(h: SignCube) -> SignCube:
         raise NotHadamardInput("dimension lift needs a Hadamard input")
     v = h.v
     folded = (np.arange(v)[:, None] + np.arange(v)[None, :]) % v
-    return SignCube._adopt(h.n + 1, v, h.array[..., folded])
+    # take, unlike h.array[..., folded], returns a C-contiguous array that
+    # _adopt can wrap without a copy
+    return SignCube._adopt(h.n + 1, v, h.array.take(folded, axis=-1))
 
 
 def almost_cube(F: Field, dim: int, chi0: int = -1) -> SignCube:

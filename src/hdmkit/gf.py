@@ -20,27 +20,29 @@ from .errors import CharacterOfZero, DivisionByZero, NotOddPrimePower, TooLarge
 MAX_ORDER = 16383
 
 
+def _factor(n: int) -> dict[int, int]:
+    """{prime: exponent} for an integer n >= 1, by trial division."""
+    factors = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = 1  # what is left has no divisor up to its square root
+    return factors
+
+
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, k) with q = p**k and p prime, by trial division.
 
     Raises NotOddPrimePower when q is not an odd prime power >= 3.
     """
-    if not isinstance(q, int) or q < 3 or q % 2 == 0:
+    factors = _factor(q) if isinstance(q, int) and q >= 3 and q % 2 else {}
+    if len(factors) != 1:
         raise NotOddPrimePower(f"q={q} is not an odd prime power")
-    p = 3
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 2
-    else:
-        return q, 1  # q itself is an odd prime
-    k = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        k += 1
-    if rest != 1:
-        raise NotOddPrimePower(f"q={q} is not an odd prime power")
+    [(p, k)] = factors.items()
     return p, k
 
 
@@ -67,35 +69,18 @@ def _poly_rem(a, m, p):
     return [c % p for c in a[:dm]]
 
 
-def _int_digits(code: int, p: int, width: int) -> list[int]:
-    out = []
-    for _ in range(width):
-        code, r = divmod(code, p)
-        out.append(r)
-    return out
-
-
 def canonical_irreducible(p: int, k: int) -> tuple[int, ...]:
     """First monic irreducible of degree k over F_p in index order.
 
     Polynomials are ranked by the integer sum(coeffs[j] * p**j) of their lower
     coefficients; irreducibility is decided by trial division against every
-    monic polynomial of degree 1..k//2.
+    monic polynomial of degree 1..k//2 (none for k = 1, so x itself wins).
     """
-    if k == 1:
-        return (0, 1)
+    divisors = [[code // p**j % p for j in range(d)] + [1]
+                for d in range(1, k // 2 + 1) for code in range(p**d)]
     for code in range(p**k):
-        cand = _int_digits(code, p, k) + [1]
-        divisible = False
-        for d in range(1, k // 2 + 1):
-            for code2 in range(p**d):
-                div = _int_digits(code2, p, d) + [1]
-                if not any(_poly_rem(cand, div, p)):
-                    divisible = True
-                    break
-            if divisible:
-                break
-        if not divisible:
+        cand = [code // p**j % p for j in range(k)] + [1]
+        if all(any(_poly_rem(cand, div, p)) for div in divisors):
             return tuple(cand)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
@@ -116,7 +101,7 @@ class Field:
         self.q = q
         self.irr = canonical_irreducible(self.p, self.k)
         self._weights = [self.p**j for j in range(self.k)]
-        self._digits = [tuple(_int_digits(a, self.p, self.k)) for a in range(q)]
+        self._digits = [tuple(a // w % self.p for w in self._weights) for a in range(q)]
         self._build_exp_log()
 
     def __repr__(self):
@@ -156,24 +141,39 @@ class Field:
     def _mul_raw(self, a: int, b: int) -> int:
         """Polynomial product reduced modulo irr; table-free bootstrap path."""
         prod = _poly_mul(self._digits[a], self._digits[b], self.p)
-        rem = _poly_rem(prod + [0] * self.k, self.irr, self.p) if self.k > 1 else [prod[0]]
+        rem = _poly_rem(prod, self.irr, self.p) if self.k > 1 else prod
         return sum(c * w for c, w in zip(rem, self._weights))
 
+    def _pow_raw(self, a: int, e: int) -> int:
+        """a**e by square-and-multiply over _mul_raw."""
+        out = 1
+        while e:
+            if e & 1:
+                out = self._mul_raw(out, a)
+            a = self._mul_raw(a, a)
+            e >>= 1
+        return out
+
     def _build_exp_log(self):
+        """Find the primitive element and fill the exp/log tables from it.
+
+        g has order q - 1 exactly when g**((q-1)/r) != 1 for every prime
+        r | q - 1, so each candidate costs a few square-and-multiply powers
+        and the first candidate in enumeration order that passes is the
+        primitive element.  Only its powers are walked, once, as the exp table.
+        """
         q = self.q
-        # the powers of each candidate g until they return to 1; the first g
-        # with q - 1 of them is primitive, and its powers are the exp table
-        for g in range(1, q):
-            exp, x = [1], g
-            while x != 1:
-                exp.append(x)
-                x = self._mul_raw(x, g)
-            if len(exp) == q - 1:
-                self._prim = g
-                break
+        cofactors = [(q - 1) // r for r in _factor(q - 1)]
+        g = next(g for g in range(1, q)
+                 if all(self._pow_raw(g, e) != 1 for e in cofactors))
+        exp, x = [1], g
+        while x != 1:
+            exp.append(x)
+            x = self._mul_raw(x, g)
         log = [0] * q
         for i, e in enumerate(exp):
             log[e] = i
+        self._prim = g
         self._exp = exp
         self._log = log
 

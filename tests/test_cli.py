@@ -192,6 +192,18 @@ def test_verify_checks_arguments_before_reading_the_file(tmp_path, monkeypatch, 
         "order not covered: q=4 is not an odd prime power\n"
 
 
+def test_verify_refuses_q_without_psl(tmp_path, monkeypatch, capsys):
+    path = write_cube(tmp_path / "m.hdm", paley3(Field(7)))
+    for q in ("4", "7", "13"):
+        assert main(["verify", path, "--q", q]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "verify does not read --q without --psl\n"
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "missing.hdm", "--q", "7"]) == 2  # before the file is read
+    assert capsys.readouterr().err == "verify does not read --q without --psl\n"
+
+
 def test_verify_psl_order_mismatch(tmp_path):
     path = write_cube(tmp_path / "m.hdm", paley3(Field(7)))
     assert main(["verify", path, "--psl", "--q", "5"]) == 2

@@ -181,6 +181,11 @@ def test_yang_product_peak_memory():
     assert traced_peak_ratio(lambda: yang_product(h, 5)) <= 1.5
 
 
+def test_dim_lift_peak_memory():
+    h = paley3(Field(47))
+    assert traced_peak_ratio(lambda: dim_lift(h)) <= 1.5
+
+
 @pytest.mark.parametrize("q", [3, 7, 11])
 def test_paley3_proper_when_q_is_3_mod_4(q):
     F = Field(q)

@@ -39,7 +39,7 @@ def test_field_new_prime_power():
     assert F.irr == expected
 
 
-@pytest.mark.parametrize("q", [21, 1, 2, 4, 15, 22, 100, 0, -7])
+@pytest.mark.parametrize("q", [21, 1, 2, 4, 15, 22, 100, 0, -7, 45, 75, 441, 16383])
 def test_field_new_rejects_non_prime_powers(q):
     with pytest.raises(NotOddPrimePower):
         Field(q)
@@ -58,6 +58,9 @@ def test_factor_prime_power():
     assert factor_prime_power(27) == (3, 3)
     assert factor_prime_power(49) == (7, 2)
     assert factor_prime_power(101) == (101, 1)
+    assert factor_prime_power(6561) == (3, 8)
+    assert factor_prime_power(16129) == (127, 2)
+    assert factor_prime_power(16381) == (16381, 1)
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (3, 4), (5, 2), (7, 2)])
@@ -209,11 +212,29 @@ def test_primitive_element_examples():
     assert Field(3).primitive_element() == 2
 
 
-@pytest.mark.parametrize("q", [5, 7, 9, 25, 27])
+@pytest.mark.parametrize("q", [5, 7, 9, 25, 27, 2187, 6561])
 def test_primitive_element_is_first_of_full_order(q):
     F = Field(q)
     expected = next(a for a in range(1, q) if order_of(F, a) == q - 1)
     assert F.primitive_element() == expected
+
+
+def test_primitive_search_walks_only_the_primitive_element(monkeypatch):
+    """Building GF(3^8), whose primitive element is 38, costs the q - 2
+    products of the exp table plus a few powers per candidate; walking each
+    candidate's powers took 40 813 products."""
+    calls = 0
+    mul_raw = Field._mul_raw
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return mul_raw(self, a, b)
+
+    monkeypatch.setattr(Field, "_mul_raw", counted)
+    F = Field(6561)
+    assert F.primitive_element() == 38
+    assert calls <= 2 * F.q
 
 
 # -- vectorized tables --------------------------------------------------------
