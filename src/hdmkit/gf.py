@@ -7,6 +7,7 @@ encoding doubles as the canonical enumeration used for file formats and for
 indexing the projective line.
 """
 
+import operator
 from functools import cached_property
 
 import numpy as np
@@ -34,12 +35,22 @@ def _factor(n: int) -> dict[int, int]:
     return factors
 
 
+def _integer(q) -> int:
+    """q as a Python int, numpy integers included, so that powers of it stay
+    exact; NotOddPrimePower if q is not integral (operator.index)."""
+    try:
+        return operator.index(q)
+    except TypeError:
+        raise NotOddPrimePower(f"q={q} is not an odd prime power") from None
+
+
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, k) with q = p**k and p prime, by trial division.
 
     Raises NotOddPrimePower when q is not an odd prime power >= 3.
     """
-    factors = _factor(q) if isinstance(q, int) and q >= 3 and q % 2 else {}
+    q = _integer(q)
+    factors = _factor(q) if q >= 3 and q % 2 else {}
     if len(factors) != 1:
         raise NotOddPrimePower(f"q={q} is not an odd prime power")
     [(p, k)] = factors.items()
@@ -95,7 +106,8 @@ class Field:
     """
 
     def __init__(self, q: int):
-        if isinstance(q, int) and q > MAX_ORDER:
+        q = _integer(q)
+        if q > MAX_ORDER:
             raise TooLarge(f"q={q} exceeds the field order cap {MAX_ORDER}")
         self.p, self.k = factor_prime_power(q)
         self.q = q
@@ -204,7 +216,9 @@ class Field:
 
     @cached_property
     def chi_table(self) -> np.ndarray:
-        """chi by element index; entry 0 is a 0 sentinel and must not be read."""
+        """chi by element index.  Entry 0 is a 0 sentinel that callers
+        overwrite: _diff_chi gathers it on the diagonal (x - x) and then fills
+        the diagonal, and almost_cube sets it to chi0 in a copy."""
         t = np.zeros(self.q, dtype=np.int8)
         t[1:] = np.where(np.array(self._log[1:]) & 1, -1, 1)
         t.flags.writeable = False

@@ -33,6 +33,7 @@ from .errors import (
     IndexOutOfRange,
     ParseError,
     ShapeMismatch,
+    TooLarge,
 )
 
 # Most axes a cube may have: numpy 1.x's limit on array dimensions.  Only
@@ -46,28 +47,32 @@ class SignCube:
     __slots__ = ("n", "v", "data")
 
     def __init__(self, n: int, v: int, entries):
-        self._init(n, v, entries, copy=True)
+        # a C-order copy that only the cube holds: one int8 copy of an int8
+        # input, and never a buffer shared with the caller
+        self._init(n, v, np.array(entries, order="C"))
 
     @classmethod
     def _adopt(cls, n: int, v: int, data: np.ndarray) -> "SignCube":
         """Wrap a freshly built int8 array without copying it; the caller
         hands it over and must not write to it afterwards."""
         cube = cls.__new__(cls)
-        cube._init(n, v, data, copy=False)
+        cube._init(n, v, data)
         return cube
 
-    def _init(self, n: int, v: int, entries, copy: bool) -> None:
+    def _init(self, n: int, v: int, data: np.ndarray) -> None:
         if n < 1 or v < 1:
             raise ValueError(f"need n >= 1 and v >= 1, got n={n} v={v}")
-        data = np.asarray(entries, dtype=np.int8).ravel()
+        if n > MAX_AXES:
+            raise TooLarge(f"dimension n={n} exceeds {MAX_AXES} axes")
         if data.size != v**n:
             raise ShapeMismatch(f"expected {v**n} entries, got {data.size}")
-        # reductions only, so validation allocates nothing the size of the cube
-        if data.size and (data.min() < -1 or data.max() > 1
-                          or np.count_nonzero(data) != data.size):
+        # the entries as given, before the int8 cast, so that no value can
+        # wrap or truncate onto ±1; reductions only, so validation allocates
+        # nothing the size of the cube
+        if not np.issubdtype(data.dtype, np.integer) or data.min() < -1 \
+                or data.max() > 1 or np.count_nonzero(data) != data.size:
             raise ValueError("entries must be +1 or -1")
-        if copy:
-            data = data.copy()
+        data = data.astype(np.int8, copy=False).ravel()
         data.flags.writeable = False
         self.n = n
         self.v = v
@@ -95,12 +100,10 @@ class SignCube:
         idx = tuple(idx)
         if len(idx) != self.n:
             raise IndexOutOfRange(f"expected {self.n} indices, got {len(idx)}")
-        off = 0
         for i in idx:
             if not 0 <= i < self.v:
                 raise IndexOutOfRange(f"index {i} outside [0, {self.v})")
-            off = off * self.v + i
-        return int(self.data[off])
+        return int(self.array[idx])
 
 
 @dataclass
@@ -135,7 +138,7 @@ def layer(H: SignCube, fixed: dict) -> SignCube:
         if not 0 <= val < H.v:
             raise IndexOutOfRange(f"fixed value {val} outside [0, {H.v})")
     slicer = tuple(fixed.get(ax, slice(None)) for ax in range(H.n))
-    return SignCube(H.n - len(fixed), H.v, H.array[slicer].ravel())
+    return SignCube(H.n - len(fixed), H.v, H.array[slicer])
 
 
 # -- verifier ------------------------------------------------------------------

@@ -7,7 +7,7 @@ order, so point index 0 is infinity and index 1+a is the element a.
 
 from dataclasses import dataclass
 
-from .errors import BadDeterminant
+from .errors import BadDeterminant, IndexOutOfRange
 from .gf import Field
 
 
@@ -41,8 +41,9 @@ def pg_index(pt: PPoint) -> int:
 class Moebius:
     """x -> (a*x + b) / (c*x + d) over a fixed field, with a*d - b*c = 1.
 
-    Coefficients are element indices.  Construction rejects any other
-    determinant; there is no normalization.  Two instances represent the
+    Coefficients are element indices in 0..q-1; construction raises
+    IndexOutOfRange for any other index, then rejects any determinant
+    other than 1; there is no normalization.  Two instances represent the
     same group element iff they act identically on the projective line
     (sign-flipped coefficients give the same action), so comparisons go
     through perm()/same_action() rather than coefficient equality.
@@ -51,6 +52,8 @@ class Moebius:
     __slots__ = ("field", "a", "b", "c", "d")
 
     def __init__(self, field: Field, a: int, b: int, c: int, d: int):
+        if not all(0 <= x < field.q for x in (a, b, c, d)):
+            raise IndexOutOfRange(f"coefficients {(a, b, c, d)} outside [0, {field.q})")
         det = field.sub(field.mul(a, d), field.mul(b, c))
         if det != 1:
             raise BadDeterminant(f"ad - bc = {det}, need 1")

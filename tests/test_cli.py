@@ -177,6 +177,22 @@ def test_verify_all_flags(tmp_path, capsys):
     ]
 
 
+def test_verify_symmetry_failure_lines(tmp_path, capsys):
+    """The lift of paley2(GF(7)) is Hadamard but neither proper nor
+    invariant: every symmetry check prints a bare FAIL."""
+    base, lifted = str(tmp_path / "h.hdm"), str(tmp_path / "l.hdm")
+    assert main(["construct", "--kind", "paley2", "--q", "7", "--out", base]) == 0
+    assert main(["construct", "--kind", "lift", "--input", base, "--out", lifted]) == 0
+    capsys.readouterr()
+    assert main(["verify", lifted, "--proper", "--cyclic", "--psl", "--q", "7"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "hadamard: PASS",
+        "proper: FAIL axis=2 a=1 b=2 dev=4",
+        "cyclic: FAIL",
+        "psl: FAIL",
+    ]
+
+
 def test_verify_psl_requires_q(tmp_path, capsys):
     path = write_cube(tmp_path / "m.hdm", paley3(Field(7)))
     assert main(["verify", path, "--psl"]) == 2

@@ -241,6 +241,8 @@ def test_yang_rejects_bad_input():
         yang_product(yang_product(H2, 3), 3)
     with pytest.raises(DimensionTooSmall):
         yang_product(H2, 1)
+    with pytest.raises(DimensionTooSmall):
+        almost_cube(Field(3), 1)
 
 
 def test_size_guard_refuses_before_allocating():

@@ -23,6 +23,10 @@ def test_field_new_prime():
     assert (F.p, F.k, F.q) == (7, 1, 7)
     assert F.irr == (0, 1)
     assert list(F.elems) == list(range(7))
+    # numpy integers become Python ints, so powers of q stay exact
+    for q, pk in ((np.int64(7), (7, 1)), (np.int32(9), (3, 2))):
+        F = Field(q)
+        assert (F.p, F.k, F.q) == (*pk, q) and type(F.q) is int
 
 
 def test_field_new_prime_power():
@@ -41,6 +45,12 @@ def test_field_new_prime_power():
 
 @pytest.mark.parametrize("q", [21, 1, 2, 4, 15, 22, 100, 0, -7, 45, 75, 441, 16383])
 def test_field_new_rejects_non_prime_powers(q):
+    with pytest.raises(NotOddPrimePower):
+        Field(q)
+
+
+@pytest.mark.parametrize("q", [7.0, "7", np.float64(7)])
+def test_field_new_rejects_non_integral_orders(q):
     with pytest.raises(NotOddPrimePower):
         Field(q)
 

@@ -15,6 +15,7 @@ from hdmkit.errors import (
     IndexOutOfRange,
     ParseError,
     ShapeMismatch,
+    TooLarge,
 )
 from hdmkit.gf import Field
 from hdmkit.ncube import (
@@ -62,6 +63,8 @@ def test_get_out_of_range():
     with pytest.raises(IndexOutOfRange):
         c.get((0, 2))
     with pytest.raises(IndexOutOfRange):
+        c.get((0, -1))
+    with pytest.raises(IndexOutOfRange):
         c.get((0,))
 
 
@@ -70,9 +73,49 @@ def test_cube_new_shape_mismatch():
         SignCube(3, 2, [1] * 7)
 
 
-def test_cube_new_rejects_bad_entries():
+@pytest.mark.parametrize("entries", [
+    pytest.param([1, 1, 0, -1], id="zero"),
+    pytest.param([1, 1, 1, -1.5], id="float-below"),
+    pytest.param([1, 1, 1, 1.5], id="float-above"),
+    pytest.param(np.array([1, 1, 1, 255]), id="int64-255"),
+    pytest.param(np.array([1, -1, 1, 257]), id="int64-257"),
+    pytest.param(np.array([1, 1, 1, 255], dtype=np.uint8), id="uint8-255"),
+    pytest.param(np.array([1., -1., 1., -1.9]), id="float-array"),
+    pytest.param(np.array([1., 1., 1., -1.]), id="float-exact"),
+    pytest.param(np.ones(4, bool), id="bool"),
+    pytest.param(["1", "1", "1", "-1"], id="strings"),
+])
+def test_cube_new_rejects_bad_entries(entries):
+    """Entries are checked as given, before the int8 cast, so no value
+    wraps or truncates onto ±1; only integer arrays are accepted."""
     with pytest.raises(ValueError):
-        SignCube(2, 2, [1, 1, 0, -1])
+        SignCube(2, 2, entries)
+
+
+def test_cube_new_accepts_integer_lists_arrays_and_views():
+    ref = SignCube(2, 2, [1, -1, 1, 1])
+    m = np.array([[1, 1], [-1, 1]])
+    for entries in ([[1, -1], [1, 1]], np.array([1, -1, 1, 1], dtype=np.int8),
+                    np.array([1, -1, 1, 1], dtype=np.int32), m.T,
+                    np.array([1, 9, -1, 9, 1, 9, 1, 9])[::2]):
+        c = SignCube(2, 2, entries)
+        assert c == ref and c.data.dtype == np.int8
+    assert SignCube(2, 2, np.broadcast_to(np.array([1, -1]), (2, 2))) == \
+        SignCube(2, 2, [1, -1, 1, -1])
+
+
+def test_cube_axis_cap():
+    with pytest.raises(TooLarge):
+        SignCube(ncube.MAX_AXES + 1, 1, [1])
+    c = SignCube(ncube.MAX_AXES, 1, [1])
+    assert parse(serialize(c)) == c
+
+
+def test_constructor_copies_once_and_adopt_does_not_copy():
+    arr = paley3(Field(127)).array.copy()
+    assert traced_peak(SignCube, 3, 128, arr) <= 1.5 * arr.nbytes
+    assert not np.shares_memory(SignCube(3, 128, arr).data, arr)
+    assert np.shares_memory(SignCube._adopt(3, 128, arr).data, arr)
 
 
 def test_data_is_immutable():
@@ -136,6 +179,8 @@ def test_dimension_too_small():
         is_hadamard(SignCube(1, 4, [1, 1, -1, -1]))
     with pytest.raises(DimensionTooSmall):
         is_proper(SignCube(1, 4, [1, 1, -1, -1]))
+    with pytest.raises(DimensionTooSmall):
+        is_hadamard_naive(SignCube(1, 4, [1, 1, -1, -1]))
 
 
 def test_diagonal_inner_product_is_full():

@@ -2,7 +2,7 @@ from collections import deque
 
 import pytest
 
-from hdmkit.errors import BadDeterminant
+from hdmkit.errors import BadDeterminant, IndexOutOfRange
 from hdmkit.gf import Field
 from hdmkit.projline import (
     INF,
@@ -86,6 +86,17 @@ def test_moebius_new_rejects_other_determinants():
     assert F.chi(g) == -1
     with pytest.raises(BadDeterminant):
         Moebius(F, g, 0, 0, 1)
+
+
+def test_moebius_new_rejects_indices_outside_the_field():
+    """Indices are checked before the determinant: -1 would read element
+    q - 1 from the tables, and q would end in a bare IndexError."""
+    F = Field(9)
+    for coeffs in ((1, -1, 0, 1), (1, 9, 0, 1), (0, 8, 1, 9)):
+        with pytest.raises(IndexOutOfRange):
+            Moebius(F, *coeffs)
+    shift = Moebius(F, 1, F.neg(1), 0, 1)  # x -> x - 1, given by its index
+    assert shift.perm()[pg_index(PPoint(1))] == pg_index(PPoint(0))
 
 
 def test_apply_translation():

@@ -247,6 +247,8 @@ def test_symmetry_checks_reject_bad_permutations_and_points():
     for perm in ([9] * 8, [0] * 8):  # out of range; in range but not a permutation
         with pytest.raises(NotAPermutation):
             check_permutation_invariance(ones, perm)
+    with pytest.raises(OrderMismatch):
+        check_permutation_invariance(ones, range(7))
     cube = paley3(F)
     for c in (PPoint(20), PPoint(7), PPoint(-1)):
         with pytest.raises(IndexOutOfRange):
