@@ -10,7 +10,9 @@ from .ncube import (
     is_proper,
     layer,
     parse,
+    read,
     serialize,
+    write,
 )
 from .projline import INF, Moebius, PPoint, pg_index, pg_points, psl_generators
 from .symmetry import (
@@ -49,6 +51,8 @@ __all__ = [
     "pg_index",
     "pg_points",
     "psl_generators",
+    "read",
     "serialize",
+    "write",
     "yang_product",
 ]

@@ -12,7 +12,6 @@ verify prints failing axis/value details 1-based.
 
 import argparse
 import sys
-from pathlib import Path
 
 from .constructions import almost_cube, dim_lift, paley2, paley3, yang_product
 from .errors import (
@@ -22,7 +21,7 @@ from .errors import (
     ParseError,
 )
 from .gf import Field
-from .ncube import SignCube, is_hadamard, is_proper, layer, parse, serialize
+from .ncube import SignCube, is_hadamard, is_proper, layer, read, write
 from .symmetry import check_cyclic, check_psl_invariance
 
 
@@ -31,15 +30,19 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _emit(text: str, out: str | None) -> None:
+def _write_cube(cube: SignCube, out: str | None) -> None:
     if out:
-        Path(out).write_bytes(text.encode("ascii"))
+        with open(out, "wb") as f:
+            write(cube, f)
     else:
-        sys.stdout.write(text)
+        sys.stdout.flush()  # anything printed before goes first
+        write(cube, sys.stdout.buffer)
+        sys.stdout.buffer.flush()
 
 
 def _read_cube(path: str) -> SignCube:
-    return parse(Path(path).read_bytes())
+    with open(path, "rb") as f:
+        return read(f)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -68,7 +71,7 @@ def cmd_construct(args) -> int:
             return _fail("--kind product requires --dim")
         base = _read_cube(args.input)
         cube = yang_product(base, args.dim) if kind == "product" else dim_lift(base)
-    _emit(serialize(cube), args.out)
+    _write_cube(cube, args.out)
     print(f"{kind} n={cube.n} v={cube.v}", file=sys.stderr)
     return 0
 
@@ -123,7 +126,7 @@ def cmd_layer(args) -> int:
         if pos - 1 in fixed:
             return _fail(f"coordinate {pos} fixed twice")
         fixed[pos - 1] = int(value)
-    _emit(serialize(layer(cube, fixed)), args.out)
+    _write_cube(layer(cube, fixed), args.out)
     return 0
 
 

@@ -19,9 +19,13 @@ from .errors import DimensionMismatch, DimensionTooSmall, NotHadamardInput, TooL
 from .gf import Field
 from .ncube import MAX_AXES, SignCube, is_hadamard
 
-# Largest cube that any construction builds: 2**30 entries, 1 GiB as int8; a
-# build peaks at about 5 bytes per entry (almost_cube's int16 sum index).  Larger
-# requests raise TooLarge before allocating, as do more than ncube.MAX_AXES axes.
+# Largest cube that any construction builds: 2**30 entries, 1 GiB as int8.  A
+# paley3 build, hdm construct and hdm verify each hold the cube plus about
+# ncube._BUDGET (1 MiB) of temporaries: the Paley cubes are filled in place,
+# write and read stream the file in blocks of rows, and the symmetry checks
+# walk the cube in slabs.  almost_cube is the exception: its int16 sum index
+# makes it peak at about 4 bytes per entry.  Larger requests raise TooLarge
+# before allocating, as do more than ncube.MAX_AXES axes.
 MAX_ENTRIES = 1 << 30
 
 

@@ -12,7 +12,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CharacterOfZero, DivisionByZero, NotOddPrimePower, TooLarge
+from .errors import (
+    CharacterOfZero,
+    DivisionByZero,
+    IndexOutOfRange,
+    NotOddPrimePower,
+    TooLarge,
+)
 
 # Largest order Field accepts: _sum_index's int16 arrays stay exact, since
 # their partial sums lie in (-p, 2p - 1) and 2q - 2 <= 32767 holds for every
@@ -124,9 +130,21 @@ class Field:
         """Canonical enumeration; elems[0] is zero, elems[1] is one."""
         return range(self.q)
 
+    def _index(self, a) -> int:
+        """a as an element index: an integer (operator.index) in 0..q-1, else
+        IndexOutOfRange.  The scalar operations call it on their arguments,
+        so a negative index cannot wrap around the tables."""
+        try:
+            i = operator.index(a)
+        except TypeError:
+            raise IndexOutOfRange(f"element {a!r} is not an integer") from None
+        if not 0 <= i < self.q:
+            raise IndexOutOfRange(f"element {i} outside [0, {self.q})")
+        return i
+
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Coefficient vector of element a, constant term first."""
-        return self._digits[a]
+        return self._digits[self._index(a)]
 
     def element(self, coeffs) -> int:
         """Index of the element with the given coefficient vector."""
@@ -138,15 +156,15 @@ class Field:
     # -- additive structure (coefficientwise mod p) ---------------------------
 
     def add(self, a: int, b: int) -> int:
-        da, db = self._digits[a], self._digits[b]
+        da, db = self.coeffs(a), self.coeffs(b)
         return sum((x + y) % self.p * w for x, y, w in zip(da, db, self._weights))
 
     def sub(self, a: int, b: int) -> int:
-        da, db = self._digits[a], self._digits[b]
+        da, db = self.coeffs(a), self.coeffs(b)
         return sum((x - y) % self.p * w for x, y, w in zip(da, db, self._weights))
 
     def neg(self, a: int) -> int:
-        return sum(-x % self.p * w for x, w in zip(self._digits[a], self._weights))
+        return sum(-x % self.p * w for x, w in zip(self.coeffs(a), self._weights))
 
     # -- multiplicative structure ---------------------------------------------
 
@@ -190,11 +208,13 @@ class Field:
         self._log = log
 
     def mul(self, a: int, b: int) -> int:
+        a, b = self._index(a), self._index(b)
         if a == 0 or b == 0:
             return 0
         return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
 
     def inv(self, a: int) -> int:
+        a = self._index(a)
         if a == 0:
             raise DivisionByZero("inverse of zero")
         return self._exp[-self._log[a] % (self.q - 1)]
@@ -208,6 +228,7 @@ class Field:
 
         The primitive element g is a non-square, so chi(g**k) = (-1)**k.
         """
+        a = self._index(a)
         if a == 0:
             raise CharacterOfZero("chi is undefined at zero")
         return -1 if self._log[a] & 1 else 1

@@ -17,9 +17,12 @@ File format "HDM v1" (ASCII, LF line endings):
   rows being the flat data in storage order; '+' is +1 and '-' is -1;
   no trailing whitespace, and the file ends with a final LF.
 parse reads it from str or from ASCII bytes; its docstring lists the order
-in which faults are reported.
+in which faults are reported.  write and read stream it to and from a
+binary file one block of rows (at most _BUDGET bytes) at a time, so a
+process holds the cube and one block; serialize is write's output as str.
 """
 
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,38 +44,48 @@ from .errors import (
 MAX_AXES = 32
 
 
+def _check_entries(n: int, v: int, data: np.ndarray) -> None:
+    """Raise unless data can be the entries of an order-v, n-dimensional
+    cube: n >= 1 and v >= 1, n <= MAX_AXES (TooLarge), v**n entries
+    (ShapeMismatch), and integer entries that are all +1 or -1.  The
+    entries are checked as given, before any int8 cast, so no value can
+    wrap or truncate onto ±1; reductions only, so the check allocates
+    nothing the size of the cube."""
+    if n < 1 or v < 1:
+        raise ValueError(f"need n >= 1 and v >= 1, got n={n} v={v}")
+    if n > MAX_AXES:
+        raise TooLarge(f"dimension n={n} exceeds {MAX_AXES} axes")
+    if data.size != v**n:
+        raise ShapeMismatch(f"expected {v**n} entries, got {data.size}")
+    if not np.issubdtype(data.dtype, np.integer) or data.min() < -1 \
+            or data.max() > 1 or np.count_nonzero(data) != data.size:
+        raise ValueError("entries must be +1 or -1")
+
+
 class SignCube:
     """Immutable n-dimensional order-v array with entries in {-1, +1}."""
 
     __slots__ = ("n", "v", "data")
 
     def __init__(self, n: int, v: int, entries):
-        # a C-order copy that only the cube holds: one int8 copy of an int8
-        # input, and never a buffer shared with the caller
-        self._init(n, v, np.array(entries, order="C"))
+        entries = np.asarray(entries)
+        _check_entries(n, v, entries)
+        # one int8 C-order copy that only the cube holds: never the caller's
+        # buffer, and no copy in the input's (possibly wider) dtype
+        self._init(n, v, entries.astype(np.int8, order="C"))
 
     @classmethod
     def _adopt(cls, n: int, v: int, data: np.ndarray) -> "SignCube":
-        """Wrap a freshly built int8 array without copying it; the caller
-        hands it over and must not write to it afterwards."""
+        """Wrap a freshly built C-order int8 array without copying it, after
+        the same checks as the constructor; the caller hands it over and
+        must not write to it afterwards."""
+        _check_entries(n, v, data)
         cube = cls.__new__(cls)
         cube._init(n, v, data)
         return cube
 
     def _init(self, n: int, v: int, data: np.ndarray) -> None:
-        if n < 1 or v < 1:
-            raise ValueError(f"need n >= 1 and v >= 1, got n={n} v={v}")
-        if n > MAX_AXES:
-            raise TooLarge(f"dimension n={n} exceeds {MAX_AXES} axes")
-        if data.size != v**n:
-            raise ShapeMismatch(f"expected {v**n} entries, got {data.size}")
-        # the entries as given, before the int8 cast, so that no value can
-        # wrap or truncate onto ±1; reductions only, so validation allocates
-        # nothing the size of the cube
-        if not np.issubdtype(data.dtype, np.integer) or data.min() < -1 \
-                or data.max() > 1 or np.count_nonzero(data) != data.size:
-            raise ValueError("entries must be +1 or -1")
-        data = data.astype(np.int8, copy=False).ravel()
+        data = data.ravel()
         data.flags.writeable = False
         self.n = n
         self.v = v
@@ -143,8 +156,10 @@ def layer(H: SignCube, fixed: dict) -> SignCube:
 
 # -- verifier ------------------------------------------------------------------
 
-# Cap on the bytes of float temporaries one kernel call works on: a chunk of
-# 2-D layers in is_proper, a column block in is_hadamard.
+# Cap on the bytes of temporaries one step works on: a chunk of 2-D layers
+# in is_proper, a column block in is_hadamard, a block of rows in write and
+# read, and a slab of the cube in symmetry._relabels_to.  Beside the cube, a
+# process holds about this much.
 _BUDGET = 1 << 20
 
 
@@ -309,13 +324,83 @@ def is_proper(H: SignCube) -> VerifyReport:
 
 # -- HDM v1 text format ----------------------------------------------------------
 
+def _block_rows(v: int) -> int:
+    """Rows of v characters and an LF per I/O block: as many as fit in
+    _BUDGET bytes, and at least one."""
+    return max(1, _BUDGET // (v + 1))
+
+
+def write(H: SignCube, out) -> None:
+    """Write H in HDM v1 to the binary stream out.
+
+    The rows are converted one block at a time into one reused uint8
+    buffer of at most _BUDGET bytes (one row if a row is longer), whose
+    last column is LF, so writing holds nothing the size of the cube.
+    """
+    rows, v = H.v ** (H.n - 1), H.v
+    grid = H.data.view(np.uint8).reshape(rows, v)
+    buf = np.empty((min(rows, _block_rows(v)), v + 1), dtype=np.uint8)
+    buf[:, v] = ord("\n")
+    out.write(f"HDM {H.n} {H.v}\n".encode("ascii"))
+    for start in range(0, rows, len(buf)):
+        block = buf[:min(len(buf), rows - start)]
+        # parse's map inverted: 44 - 1 = '+', and 44 - 255 = '-' mod 256
+        np.subtract(np.uint8(44), grid[start:start + len(block)], out=block[:, :v])
+        out.write(block)
+
+
 def serialize(H: SignCube) -> str:
-    rows = H.v ** (H.n - 1)
-    chars = np.where(H.data == 1, np.uint8(ord("+")), np.uint8(ord("-")))
-    body = np.empty((rows, H.v + 1), dtype=np.uint8)
-    body[:, :-1] = chars.reshape(rows, H.v)
-    body[:, -1] = ord("\n")
-    return f"HDM {H.n} {H.v}\n" + body.tobytes().decode("ascii")
+    """H as HDM v1 text: write's output, decoded once."""
+    out = io.BytesIO()
+    write(H, out)
+    return out.getvalue().decode("ascii")
+
+
+def read(f) -> SignCube:
+    """Read an HDM v1 file from the seekable binary stream f.
+
+    The header is checked, and the stream's size against it, before the
+    cube is allocated; the rows are then read one block of at most
+    _BUDGET bytes at a time into one reused buffer and converted into the
+    cube, so reading holds the cube and one block.  A file that fails any
+    of these checks, or one whose header is long (more than 64 bytes),
+    is handed whole to parse, which accepts or refuses it with its own
+    ParseError: read accepts exactly what parse accepts.
+    """
+    head = f.readline(64)
+    fields = head[:-1].split(b" ")
+    size = f.seek(0, io.SEEK_END)
+    if head.endswith(b"\n") and len(fields) == 3 and fields[0] == b"HDM" \
+            and all(x.isdigit() for x in fields[1:]):
+        n, v = int(fields[1]), int(fields[2])
+        if 1 <= n <= MAX_AXES and v >= 1 \
+                and size == len(head) + v ** (n - 1) * (v + 1):
+            cube = _read_rows(f, len(head), n, v)
+            if cube is not None:
+                return cube
+    f.seek(0)
+    return parse(f.read())
+
+
+def _read_rows(f, offset: int, n: int, v: int) -> SignCube | None:
+    """The cube whose v**(n-1) rows follow the header at offset of f, or
+    None if a block is short, a row does not end in LF, or an entry is
+    not '+' or '-'."""
+    rows = v ** (n - 1)
+    cube = np.empty((rows, v), dtype=np.int8)
+    buf = np.empty((min(rows, _block_rows(v)), v + 1), dtype=np.uint8)
+    f.seek(offset)
+    for start in range(0, rows, len(buf)):
+        block = buf[:min(len(buf), rows - start)]
+        if f.readinto(block) != block.nbytes or not (block[:, v] == ord("\n")).all():
+            return None
+        # the map parse uses: '+' -> 1, '-' -> -1, anything else off ±1
+        np.subtract(np.uint8(44), block[:, :v],
+                    out=cube[start:start + len(block)].view(np.uint8))
+    try:
+        return SignCube._adopt(n, v, cube)
+    except ValueError:
+        return None
 
 
 def parse(text: str | bytes) -> SignCube:

@@ -71,10 +71,11 @@ class Moebius:
             if self.c == 0:
                 return INF
             return PPoint(F.mul(self.a, F.inv(self.c)))
-        den = F.add(F.mul(self.c, x.e), self.d)
+        e = F._index(x.e)
+        den = F.add(F.mul(self.c, e), self.d)
         if den == 0:
             return INF
-        num = F.add(F.mul(self.a, x.e), self.b)
+        num = F.add(F.mul(self.a, e), self.b)
         return PPoint(F.mul(num, F.inv(den)))
 
     def compose(self, other: "Moebius") -> "Moebius":

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from hdmkit import gf
-from hdmkit.errors import CharacterOfZero, DivisionByZero, NotOddPrimePower, TooLarge
+from hdmkit.errors import (
+    CharacterOfZero,
+    DivisionByZero,
+    IndexOutOfRange,
+    NotOddPrimePower,
+    TooLarge,
+)
 from hdmkit.gf import Field, canonical_irreducible, factor_prime_power
 
 # Odd prime powers up to 101; the supported desk-scale orders.
@@ -105,6 +111,28 @@ def test_mul_inv_examples():
     F9 = Field(9)
     t = F9.element((0, 1))
     assert F9.mul(t, t) == 2  # t^2 = -1 = 2 mod (t^2 + 1)
+
+
+@pytest.mark.parametrize("op,args", [
+    ("add", (1, 9)), ("add", (-1, 1)), ("sub", (9, 0)), ("sub", (0, -9)),
+    ("neg", (-1,)), ("neg", (10,)), ("mul", (2, -1)), ("mul", (9, 2)),
+    ("mul", (0, -1)), ("inv", (-1,)), ("inv", (9,)), ("chi", (-3,)),
+    ("chi", (9,)), ("coeffs", (-1,)), ("coeffs", (9,)), ("add", (1.0, 1)),
+    ("mul", ("2", 1)),
+])
+def test_scalar_ops_refuse_indices_outside_the_field(op, args):
+    """A negative index used to wrap around the tables (mul(2, -1) read
+    element 8 and returned 4, chi(-3) returned 1), and q ended in a bare
+    IndexError; both, and a non-integer, are IndexOutOfRange, even where
+    the other argument is 0."""
+    with pytest.raises(IndexOutOfRange):
+        getattr(Field(9), op)(*args)
+
+
+def test_scalar_ops_take_numpy_integers():
+    F = Field(9)
+    assert F.mul(np.int64(2), np.int16(8)) == F.mul(2, 8)
+    assert F.chi(np.uint8(3)) == F.chi(3)
 
 
 def test_coeffs_roundtrip():

@@ -1,7 +1,11 @@
+import hashlib
+import io
 import itertools
+import json
 import random
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +30,15 @@ from hdmkit.ncube import (
     is_proper,
     layer,
     parse,
+    read,
     serialize,
+    write,
 )
+
+PINS = Path(__file__).resolve().parents[1] / "bench" / "pins.json"
+# ncube._BUDGET values for the multi-block paths: one row, column or layer
+# per block, a few, and the default
+BUDGETS = (1, 256, 1 << 20)
 
 H2 = SignCube(2, 2, [1, 1, 1, -1])
 SYL4 = SignCube(2, 4, np.kron(H2.array, H2.array))
@@ -112,9 +123,15 @@ def test_cube_axis_cap():
 
 
 def test_constructor_copies_once_and_adopt_does_not_copy():
-    arr = paley3(Field(127)).array.copy()
-    assert traced_peak(SignCube, 3, 128, arr) <= 1.5 * arr.nbytes
-    assert not np.shares_memory(SignCube(3, 128, arr).data, arr)
+    """An integer array is checked as given and copied once, as int8: an
+    int64 input used to be copied in its own dtype first (9.0x the cube)."""
+    cube = paley3(Field(127))
+    for dtype in (np.int8, np.int16, np.int64):
+        arr = cube.array.astype(dtype)
+        assert traced_peak(SignCube, 3, 128, arr) <= 1.5 * cube.data.nbytes, dtype
+        assert not np.shares_memory(SignCube(3, 128, arr).data, arr)
+        assert SignCube(3, 128, arr) == cube
+    arr = cube.array.copy()
     assert np.shares_memory(SignCube._adopt(3, 128, arr).data, arr)
 
 
@@ -315,6 +332,27 @@ def test_verifiers_match_oracles_on_adversarial_cubes(budget, monkeypatch):
     assert [r.axis for r in hadamard_reps] == [None, None, 1]
 
 
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_verifiers_match_oracles_at_shrunken_budgets(budget, monkeypatch):
+    """is_hadamard and is_proper against is_hadamard_naive and the
+    layerwise oracle, with the column blocks and layer chunks cut down to
+    one column or layer at budget 1: paley3 for q <= 23 (proper only for
+    q = 3 mod 4) with and without one flipped entry, products and random
+    cubes."""
+    monkeypatch.setattr(ncube, "_BUDGET", budget)
+    rng = random.Random(budget)
+    cubes = []
+    for q in (3, 5, 7, 9, 11, 13, 19, 23):
+        c = paley3(Field(q))
+        cubes += [c, flip_in_layer(c, rng.randrange(c.v), rng)]
+    cubes += [yang_product(paley2(Field(3)), 4), yang_product(SYL4, 3),
+              dim_lift(paley2(Field(7)))]
+    cubes += [random_cube(rng, n, v) for n, v in ((2, 6), (3, 4), (4, 3))]
+    for c in cubes:
+        assert is_hadamard(c) == is_hadamard_naive(c)
+        assert is_proper(c) == proper_oracle(c)
+
+
 def test_gram_dtype_is_exact_up_to_its_bound():
     # float32 holds every integer up to 2**24 and not 2**24 + 1
     assert ncube._gram_dtype(2**24) is np.float32
@@ -347,6 +385,18 @@ def test_serialize_and_parse_peak_memory():
     text = serialize(cube)
     assert traced_peak(serialize, cube) <= 5 * cube.data.nbytes
     assert traced_peak(parse, text) <= 5 * cube.data.nbytes
+
+
+def test_block_write_and_read_peak_memory(tmp_path):
+    """write and read hold the cube and one budget: the text is never
+    whole in memory on either side."""
+    cube = paley3(Field(251))
+    bound = 1.1 * cube.data.nbytes + ncube._BUDGET
+    path = tmp_path / "p251.hdm"
+    with open(path, "wb") as f:
+        assert cube.data.nbytes + traced_peak(write, cube, f) <= bound
+    with open(path, "rb") as f:
+        assert traced_peak(read, f) <= bound
 
 
 @pytest.mark.parametrize("as_bytes,factor", [(True, 2.5), (False, 3.5)])
@@ -419,6 +469,37 @@ def test_parse_hostile_header_is_quick():
     with pytest.raises(ParseError, match=r"line 2: expected 3\*\*9999999 data lines"):
         parse("HDM 10000000 3\n")
     assert time.perf_counter() - start < 0.5
+
+
+def reference_text(c: SignCube) -> bytes:
+    """The HDM v1 text built row by row, as an oracle for write."""
+    rows = c.data.reshape(-1, c.v).tolist()
+    body = "".join("".join("+" if x == 1 else "-" for x in row) + "\n" for row in rows)
+    return f"HDM {c.n} {c.v}\n{body}".encode("ascii")
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_write_read_round_trip_at_shrunken_budgets(budget, monkeypatch, tmp_path):
+    """write then read, one row per block at budget 1 and a partial last
+    block where the rows do not divide evenly: against the row-by-row
+    text, serialize, parse and the stored digests."""
+    monkeypatch.setattr(ncube, "_BUDGET", budget)
+    rng = random.Random(budget)
+    cubes = [H2, SignCube(1, 3, [1, 1, -1]), SignCube(2, 1, [1]), paley3(Field(49))]
+    cubes += [random_cube(rng, n, v) for n, v in ((4, 5), (3, 7), (2, 40))]
+    path = tmp_path / "c.hdm"
+    for c in cubes:
+        with open(path, "wb") as f:
+            write(c, f)
+        raw = path.read_bytes()
+        assert raw == reference_text(c) == serialize(c).encode("ascii")
+        with open(path, "rb") as f:
+            assert read(f) == parse(raw) == c
+    pinned = json.loads(PINS.read_text())["hdm"]
+    for q in ("49", "53"):
+        out = io.BytesIO()
+        write(paley3(Field(int(q))), out)
+        assert hashlib.sha256(out.getvalue()).hexdigest() == pinned[q], f"q={q}"
 
 
 def test_round_trip_various():

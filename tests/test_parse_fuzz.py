@@ -8,18 +8,22 @@ and column.  Where the oracle itself crashed with another exception (a
 header number too long for int(), a row count too long to print), a
 ParseError is required.  A cube the oracle accepts with more than MAX_AXES
 axes (only order 1 has so few rows) must be refused by the axis cap.
+The block reader `read` must do exactly what `parse` does on every mutant.
 """
 
+import io
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hdmkit import ncube
 from hdmkit.cli import main
 from hdmkit.constructions import paley3
 from hdmkit.errors import ParseError
 from hdmkit.gf import Field
-from hdmkit.ncube import MAX_AXES, SignCube, parse, serialize
+from hdmkit.ncube import MAX_AXES, SignCube, parse, read, serialize
 
 
 def reference_parse(text: str) -> SignCube:
@@ -160,6 +164,41 @@ def test_parse_matches_reference_parser(as_text):
             kinds["crashed"] += 1
             assert isinstance(got, ParseError), raw
     assert min(kinds.values()) > 0, kinds
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 20])
+def test_block_reader_matches_parse_on_every_mutant(budget, monkeypatch):
+    """read gives parse's cube or parse's ParseError (message, line and
+    column) on all of the corpus, one row per block at budget 1."""
+    monkeypatch.setattr(ncube, "_BUDGET", budget)
+    for raw in CORPUS:
+        expected = outcome(parse, raw)
+        got = outcome(lambda b: read(io.BytesIO(b)), raw)
+        if isinstance(expected, SignCube):
+            assert isinstance(got, SignCube) and got == expected, raw
+        else:
+            assert isinstance(got, ParseError), raw
+            assert (str(got), got.line, got.column) == \
+                (str(expected), expected.line, expected.column), raw
+
+
+@pytest.mark.parametrize("head", [b"HDM 31 2\n", b"HDM 2 4294967296\n"])
+def test_block_reader_refuses_a_huge_header_before_allocating(head):
+    """A header claiming a cube of 2**30 or 2**64 entries over a file of a
+    few bytes: the size check refuses it before the cube is allocated, and
+    parse reports the missing rows."""
+    raw = head + b"++\n"
+    n, v = (int(x) for x in head.split()[1:])
+    claimed = len(head) + v ** (n - 1) * (v + 1)  # the size read() expects
+    assert claimed > 2**31 and len(raw) < 32
+    tracemalloc.start()
+    try:
+        got = outcome(lambda b: read(io.BytesIO(b)), raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert (str(got), got.line, got.column) == (str(parse_error(raw)), 3, None)
 
 
 def test_cli_rejects_fuzzed_files_with_exit_2(tmp_path, capsys):

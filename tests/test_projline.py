@@ -99,6 +99,14 @@ def test_moebius_new_rejects_indices_outside_the_field():
     assert shift.perm()[pg_index(PPoint(1))] == pg_index(PPoint(0))
 
 
+@pytest.mark.parametrize("e", [-1, -9, 9, 20])
+def test_apply_refuses_points_outside_the_field(e):
+    """PPoint(-1) used to wrap to element 8 (apply returned PPoint(6)), and
+    PPoint(20) ended in a bare IndexError."""
+    with pytest.raises(IndexOutOfRange):
+        Moebius(Field(9), 1, 1, 0, 1).apply(PPoint(e))
+
+
 def test_apply_translation():
     F = Field(7)
     t = Moebius(F, 1, 1, 0, 1)

@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hdmkit import ncube
 from hdmkit.constructions import almost_cube, paley2, paley3, yang_product
 from hdmkit.errors import (
     DimensionMismatch,
@@ -15,6 +17,7 @@ from hdmkit.gf import Field
 from hdmkit.ncube import SignCube, is_hadamard, is_proper, layer
 from hdmkit.projline import INF, Moebius, PPoint, identity, psl_generators
 from hdmkit.symmetry import (
+    _relabels_to,
     check_cyclic,
     check_layer_witness,
     check_moebius_invariance,
@@ -24,6 +27,21 @@ from hdmkit.symmetry import (
 )
 
 H2 = SignCube(2, 2, [1, 1, 1, -1])
+
+# ncube._BUDGET values at which the slab walk of _relabels_to is checked:
+# one index of axis 0 per slab, a few, and the default (one slab here)
+BUDGETS = (1, 256, 1 << 20)
+
+
+def under_budgets(check, *args):
+    """check(*args) at each budget in BUDGETS; the verdicts must agree."""
+    verdicts = set()
+    with pytest.MonkeyPatch.context() as mp:
+        for budget in BUDGETS:
+            mp.setattr(ncube, "_BUDGET", budget)
+            verdicts.add(check(*args))
+    assert len(verdicts) == 1, verdicts
+    return verdicts.pop()
 
 
 def scaling_perm(F, g):
@@ -74,7 +92,7 @@ def test_cyclic_matches_both_shifts():
             flipped[tuple(rng.integers(v, size=3))] *= -1
             for arr in (cyclic, flipped, rng.choice([-1, 1], size=(v, v, v))):
                 expected = cyclic_by_both_shifts(arr)
-                assert check_cyclic(SignCube(3, v, arr)) == expected
+                assert under_budgets(check_cyclic, SignCube(3, v, arr)) == expected
                 verdicts.add(expected)
     assert verdicts == {True, False}
 
@@ -136,7 +154,7 @@ def test_permutation_invariance_matches_fancy_indexing(n):
             for arr in (invariant, flipped, rng.choice([-1, 1], size=(v,) * n)):
                 H = SignCube(n, v, arr)
                 expected = bool(np.array_equal(arr[np.ix_(*[perm] * n)], arr))
-                assert check_permutation_invariance(H, perm) == expected
+                assert under_budgets(check_permutation_invariance, H, perm) == expected
                 assert check_permutation_invariance(H, perm.tolist()) == expected
                 verdicts.add(expected)
     assert verdicts == {True, False}
@@ -213,6 +231,44 @@ def layer_witness_by_copies(F, H, c):
     return bool(np.array_equal(fixed_inf[np.ix_(perm, perm)], fixed_c))
 
 
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_relabels_to_finds_a_difference_in_the_first_or_last_slab(budget, monkeypatch):
+    """_relabels_to against the whole-cube relabelling
+    arr.transpose(axes)[np.ix_(perm, ..., perm)], with one entry of it
+    flipped in the first or the last index of axis 0."""
+    monkeypatch.setattr(ncube, "_BUDGET", budget)
+    rng = np.random.default_rng(budget)
+    for n in (1, 2, 3):
+        for v in (1, 2, 5, 8, 13):
+            arr = rng.choice(np.array([-1, 1], dtype=np.int8), size=(v,) * n)
+            perm, axes = rng.permutation(v), tuple(rng.permutation(n))
+            for p, a in ((perm, axes), (perm, None), (None, axes)):
+                whole = arr if a is None else arr.transpose(a)
+                if p is not None:
+                    whole = whole[np.ix_(*[p] * n)]
+                assert _relabels_to(arr, whole, p, a)
+                for first in (0, v - 1):
+                    bad = whole.copy()
+                    bad[(first, *rng.integers(v, size=n - 1))] *= -1
+                    assert not _relabels_to(arr, bad, p, a)
+            assert not _relabels_to(arr, arr[:-1], perm, axes)
+
+
+def test_symmetry_checks_peak_memory():
+    """check_cyclic and check_psl_invariance hold the cube and one budget:
+    they walk the cube in slabs instead of making cube-sized relabelled
+    copies (the PSL check used to peak at 2.0x the cube at q = 251)."""
+    F = Field(251)
+    cube = paley3(F)
+    tracemalloc.start()
+    try:
+        assert check_cyclic(cube) and check_psl_invariance(cube, F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cube.data.nbytes + peak <= 1.1 * cube.data.nbytes + ncube._BUDGET
+
+
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
 def test_layer_witness_matches_layer_copies(q):
     """On paley3 and on paley3 with one entry of the c-layer flipped."""
@@ -225,7 +281,7 @@ def test_layer_witness_matches_layer_copies(q):
         flipped[(*rng.integers(cube.v, size=2), 1 + c)] *= -1
         for H in (cube, SignCube(3, cube.v, flipped)):
             expected = layer_witness_by_copies(F, H, PPoint(c))
-            assert check_layer_witness(F, H, PPoint(c)) == expected
+            assert under_budgets(check_layer_witness, F, H, PPoint(c)) == expected
             verdicts.add(expected)
     assert verdicts == {True, False}
 
