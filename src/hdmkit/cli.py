@@ -118,14 +118,17 @@ def cmd_layer(args) -> int:
     fixed: dict[int, int] = {}
     for spec in args.fix:
         coord, _, value = spec.partition("=")
-        if not all(f.isascii() and f.isdigit() for f in (coord, value)):
+        try:
+            if not all(f.isascii() and f.isdigit() for f in (coord, value)):
+                raise ValueError
+            pos, val = int(coord), int(value)
+        except ValueError:  # not decimal, or more digits than int() converts
             return _fail(f"bad --fix {spec!r}; expected <coordinate>=<value>")
-        pos = int(coord)
         if not 1 <= pos <= cube.n:
             return _fail(f"coordinate {pos} outside 1..{cube.n}")
         if pos - 1 in fixed:
             return _fail(f"coordinate {pos} fixed twice")
-        fixed[pos - 1] = int(value)
+        fixed[pos - 1] = val
     _write_cube(layer(cube, fixed), args.out)
     return 0
 

@@ -16,15 +16,19 @@ File format "HDM v1" (ASCII, LF line endings):
   then exactly v**(n-1) lines of exactly v characters from {+, -}, the
   rows being the flat data in storage order; '+' is +1 and '-' is -1;
   no trailing whitespace, and the file ends with a final LF.
-parse reads it from str or from ASCII bytes; its docstring lists the order
-in which faults are reported.  write and read stream it to and from a
-binary file one block of rows (at most _BUDGET bytes) at a time, so a
-process holds the cube and one block; serialize is write's output as str.
+write and read stream it to and from a binary file one block of rows (at
+most _BUDGET bytes) at a time, so a process holds the cube and one block.
+read is the one decoder: parse is read over an in-memory stream of a str
+or of ASCII bytes, and serialize is write's output as str.  A file that
+read cannot accept is read again in blocks and lines, after the cube is
+dropped, for the ParseError of its first fault; parse's docstring lists
+the order in which faults are reported.
 """
 
 import io
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +64,19 @@ def _check_entries(n: int, v: int, data: np.ndarray) -> None:
     if not np.issubdtype(data.dtype, np.integer) or data.min() < -1 \
             or data.max() > 1 or np.count_nonzero(data) != data.size:
         raise ValueError("entries must be +1 or -1")
+
+
+def _index(i, bound: int, what: str) -> int:
+    """i as an index in [0, bound), else IndexOutOfRange: an integer by
+    operator.index, as in gf.Field._index, but never a bool, which Python
+    would read as 0 or 1 and numpy as a mask."""
+    try:
+        k = operator.index(i)
+    except TypeError:
+        k = None
+    if k is None or isinstance(i, bool) or not 0 <= k < bound:
+        raise IndexOutOfRange(f"{what} {i!r} is not an integer in [0, {bound})")
+    return k
 
 
 class SignCube:
@@ -113,10 +130,7 @@ class SignCube:
         idx = tuple(idx)
         if len(idx) != self.n:
             raise IndexOutOfRange(f"expected {self.n} indices, got {len(idx)}")
-        for i in idx:
-            if not 0 <= i < self.v:
-                raise IndexOutOfRange(f"index {i} outside [0, {self.v})")
-        return int(self.array[idx])
+        return int(self.array[tuple(_index(i, self.v, "index") for i in idx)])
 
 
 @dataclass
@@ -145,11 +159,8 @@ def layer(H: SignCube, fixed: dict) -> SignCube:
         raise EmptyFix("at least one coordinate must be fixed")
     if len(fixed) >= H.n:
         raise FullFix("at least one coordinate must remain free")
-    for pos, val in fixed.items():
-        if not 0 <= pos < H.n:
-            raise IndexOutOfRange(f"coordinate position {pos} outside [0, {H.n})")
-        if not 0 <= val < H.v:
-            raise IndexOutOfRange(f"fixed value {val} outside [0, {H.v})")
+    fixed = {_index(pos, H.n, "coordinate position"): _index(val, H.v, "fixed value")
+             for pos, val in fixed.items()}
     slicer = tuple(fixed.get(ax, slice(None)) for ax in range(H.n))
     return SignCube(H.n - len(fixed), H.v, H.array[slicer])
 
@@ -344,7 +355,7 @@ def write(H: SignCube, out) -> None:
     out.write(f"HDM {H.n} {H.v}\n".encode("ascii"))
     for start in range(0, rows, len(buf)):
         block = buf[:min(len(buf), rows - start)]
-        # parse's map inverted: 44 - 1 = '+', and 44 - 255 = '-' mod 256
+        # read's map inverted: 44 - 1 = '+', and 44 - 255 = '-' mod 256
         np.subtract(np.uint8(44), grid[start:start + len(block)], out=block[:, :v])
         out.write(block)
 
@@ -359,57 +370,121 @@ def serialize(H: SignCube) -> str:
 def read(f) -> SignCube:
     """Read an HDM v1 file from the seekable binary stream f.
 
-    The header is checked, and the stream's size against it, before the
-    cube is allocated; the rows are then read one block of at most
-    _BUDGET bytes at a time into one reused buffer and converted into the
-    cube, so reading holds the cube and one block.  A file that fails any
-    of these checks, or one whose header is long (more than 64 bytes),
-    is handed whole to parse, which accepts or refuses it with its own
-    ParseError: read accepts exactly what parse accepts.
+    The header line is read and checked, and the stream's size against
+    it, before the cube is allocated; the rows are then read one block of
+    at most _BUDGET bytes at a time into one reused buffer and converted
+    into the cube, so a valid file costs the cube and one block.  Any
+    other file raises the ParseError of its first fault, in the order
+    listed under parse, which _first_fault finds after the cube is
+    dropped, reading blocks of at most _BUDGET bytes and then one row at a
+    time: a malformed file costs no more than a valid one, unless its
+    header line alone is longer than the cube, as that line is read whole.
     """
-    head = f.readline(64)
-    fields = head[:-1].split(b" ")
     size = f.seek(0, io.SEEK_END)
-    if head.endswith(b"\n") and len(fields) == 3 and fields[0] == b"HDM" \
-            and all(x.isdigit() for x in fields[1:]):
-        n, v = int(fields[1]), int(fields[2])
-        if 1 <= n <= MAX_AXES and v >= 1 \
-                and size == len(head) + v ** (n - 1) * (v + 1):
-            cube = _read_rows(f, len(head), n, v)
-            if cube is not None:
-                return cube
     f.seek(0)
-    return parse(f.read())
+    head = f.readline()
+    try:
+        n, v = _header(head[:-1])
+        if n <= MAX_AXES and size == len(head) + v ** (n - 1) * (v + 1):
+            return _read_rows(f, n, v)
+    except ValueError:  # a ParseError, or a bad body: reported in fault order
+        pass
+    raise _first_fault(f, size)
 
 
-def _read_rows(f, offset: int, n: int, v: int) -> SignCube | None:
-    """The cube whose v**(n-1) rows follow the header at offset of f, or
-    None if a block is short, a row does not end in LF, or an entry is
-    not '+' or '-'."""
+def _header(line: bytes) -> tuple[int, int]:
+    """n and v from an HDM header line without its LF, else the ParseError
+    of faults 4 to 6 in parse's list."""
+    fields = line.split(b" ")
+    if len(fields) != 3 or fields[0] != b"HDM" \
+            or not all(x.isdigit() for x in fields[1:]):  # bytes: ASCII digits
+        raise ParseError("header must be 'HDM <n> <v>'", line=1)
+    try:
+        n, v = int(fields[1]), int(fields[2])
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError("header number too long", line=1) from None
+    if n < 1 or v < 1:
+        raise ParseError(f"invalid dimensions n={n} v={v}", line=1)
+    return n, v
+
+
+def _read_rows(f, n: int, v: int) -> SignCube:
+    """The cube whose v**(n-1) rows follow in f, which stands just past the
+    header line; ValueError if a block is short, a row does not end in LF,
+    or an entry is not '+' or '-'."""
     rows = v ** (n - 1)
-    cube = np.empty((rows, v), dtype=np.int8)
+    cube = np.empty((rows, v), dtype=np.uint8)
     buf = np.empty((min(rows, _block_rows(v)), v + 1), dtype=np.uint8)
-    f.seek(offset)
     for start in range(0, rows, len(buf)):
         block = buf[:min(len(buf), rows - start)]
         if f.readinto(block) != block.nbytes or not (block[:, v] == ord("\n")).all():
-            return None
-        # the map parse uses: '+' -> 1, '-' -> -1, anything else off ±1
-        np.subtract(np.uint8(44), block[:, :v],
-                    out=cube[start:start + len(block)].view(np.uint8))
+            raise ValueError("short block or misplaced LF")
+        # 44 - '+' = 1 and 44 - '-' = -1 (255 as uint8); every other ASCII
+        # byte lands outside {1, -1}, which SignCube's ±1 check refuses
+        np.subtract(np.uint8(44), block[:, :v], out=cube[start:start + len(block)])
+    return SignCube._adopt(n, v, cube.view(np.int8))
+
+
+def _first_fault(f, size: int) -> ParseError:
+    """The first fault, in the order listed under parse, of the file f of
+    size bytes that read could not accept.  One pass over blocks of
+    _BUDGET bytes finds faults 1 to 3, the header line gives 4 to 8, and
+    the data lines are then read one at a time for 9: a line longer than
+    v is counted in pieces of _BUDGET bytes, never held whole."""
+    f.seek(0)
+    lfs, last = 0, -1  # LFs before the block, and the offset of the last one
+    for pos in range(0, size, _BUDGET):
+        block = f.read(_BUDGET)
+        if not block.isascii():
+            bad = int(np.argmax(np.frombuffer(block, dtype=np.uint8) >= 0x80))
+            lf = block.rfind(b"\n", 0, bad)
+            return ParseError(f"non-ASCII byte 0x{block[bad]:02x}",
+                              line=lfs + block.count(b"\n", 0, bad) + 1,
+                              column=bad - lf if lf >= 0 else pos + bad - last)
+        lf = block.rfind(b"\n")
+        lfs, last = lfs + block.count(b"\n"), pos + lf if lf >= 0 else last
+    if not size:
+        return ParseError("empty input", line=1)
+    if last != size - 1:
+        return ParseError("missing final newline", line=lfs + 1)
+    f.seek(0)
     try:
-        return SignCube._adopt(n, v, cube)
-    except ValueError:
-        return None
+        n, v = _header(f.readline()[:-1])
+    except ParseError as exc:
+        return exc
+    found = lfs - 1
+    # v**(n-1) > found if v > found or 2**(n-1) > found; deciding that first
+    # keeps a hostile header from costing a power with millions of digits
+    short = n > 1 and v > 1 and (v > found or n - 1 >= found.bit_length())
+    rows = 0 if short else v ** (n - 1)
+    if short or rows > found:
+        return ParseError(f"expected {_power_text(v, n - 1)} data lines, "
+                          f"found {found}", line=found + 2)
+    if rows < found:
+        return ParseError("trailing content after data lines", line=rows + 2)
+    if n > MAX_AXES:
+        return ParseError(f"dimension n={n} exceeds {MAX_AXES} axes", line=1)
+    for i in range(2, rows + 2):
+        line = f.readline(min(v, size) + 1)  # no line is longer than the file
+        length = len(line) - 1
+        while line and not line.endswith(b"\n"):  # longer than v
+            line = f.readline(_BUDGET)
+            length += len(line)
+        if length != v:
+            return ParseError(f"expected {v} characters, found {length}", line=i)
+        rest = line.lstrip(b"+-")
+        if rest != b"\n":
+            return ParseError(f"illegal character {chr(rest[0])!r}", line=i,
+                              column=v + 2 - len(rest))
 
 
 def parse(text: str | bytes) -> SignCube:
-    """Read an HDM v1 file, given as str or as ASCII bytes.
+    """Read an HDM v1 file, given as str or as ASCII bytes: read over an
+    in-memory stream.
 
-    The body is checked and converted to the int8 cube in one numpy pass
-    over the bytes.  Malformed input raises ParseError with the 1-based
-    line, and the column where there is one.  Of several faults, the
-    first of these is reported:
+    Malformed input raises ParseError with the 1-based line, and the
+    column where there is one.  Of several faults, the first of these is
+    reported:
 
       1. a non-ASCII byte (bytes input; the first such byte);
       2. a missing final LF;
@@ -425,58 +500,19 @@ def parse(text: str | bytes) -> SignCube:
     A str is read by characters: a non-ASCII character in it is a bad
     header or an illegal character at its character column.
     """
-    if isinstance(text, str):
-        # one byte per character, so byte offsets are character offsets; a
-        # non-ASCII character becomes '?', which no check accepts
-        data = text.encode("ascii", "replace")
-    else:
-        data = text
-        if not data.isascii():
-            bad = int(np.argmax(np.frombuffer(data, dtype=np.uint8) >= 0x80))
-            raise ParseError(f"non-ASCII byte 0x{data[bad]:02x}",
-                             line=data.count(b"\n", 0, bad) + 1,
-                             column=bad - data.rfind(b"\n", 0, bad))
-    if data and not data.endswith(b"\n"):
-        raise ParseError("missing final newline", line=data.count(b"\n") + 1)
-    if not data:
-        raise ParseError("empty input", line=1)
-    head_end = data.index(b"\n")
-    fields = data[:head_end].split(b" ")
-    if len(fields) != 3 or fields[0] != b"HDM" \
-            or not all(f.isdigit() for f in fields[1:]):  # bytes: ASCII digits
-        raise ParseError("header must be 'HDM <n> <v>'", line=1)
+    # a str becomes one byte per character, so byte offsets are character
+    # offsets; a non-ASCII character becomes '?', which no check accepts
+    data = text.encode("ascii", "replace") if isinstance(text, str) else text
     try:
-        n, v = int(fields[1]), int(fields[2])
-    except ValueError:  # more digits than sys.get_int_max_str_digits()
-        raise ParseError("header number too long", line=1) from None
-    if n < 1 or v < 1:
-        raise ParseError(f"invalid dimensions n={n} v={v}", line=1)
-    found = data.count(b"\n") - 1
-    # v**(n-1) > found if v > found or 2**(n-1) > found; deciding that first
-    # keeps a hostile header from costing a power with millions of digits
-    short = n > 1 and v > 1 and (v > found or n - 1 >= found.bit_length())
-    rows = 0 if short else v ** (n - 1)
-    if short or rows > found:
-        raise ParseError(f"expected {_power_text(v, n - 1)} data lines, "
-                         f"found {found}", line=found + 2)
-    if rows < found:
-        raise ParseError("trailing content after data lines", line=rows + 2)
-    if n > MAX_AXES:
-        raise ParseError(f"dimension n={n} exceeds {MAX_AXES} axes", line=1)
-    body = np.frombuffer(data, dtype=np.uint8, offset=head_end + 1)
-    if body.size == rows * (v + 1):
-        # 44 - '+' = 1 and 44 - '-' = -1 (255 as uint8); every other ASCII
-        # byte lands outside {1, -1}, which SignCube's ±1 check refuses.  If
-        # the first v bytes of every row pass, the body's rows LFs can only
-        # sit at the row ends.
-        cube = np.empty((rows, v), dtype=np.int8)
-        grid = body.reshape(rows, v + 1)[:, :v]
-        np.subtract(np.uint8(44), grid, out=cube.view(np.uint8))
-        try:
-            return SignCube._adopt(n, v, cube.reshape(-1))
-        except ValueError:
-            pass  # located and reported by _body_error
-    raise _body_error(text, body, v, head_end + 1)
+        return read(io.BytesIO(data))
+    except ParseError as exc:
+        # the bytes of a str are ASCII: only an illegal character has a column
+        if data is text or exc.column is None:
+            raise
+        # every data line before the bad one is v + 1 long, as the first is
+        start = text.index("\n") + 1
+        at = start + (exc.line - 2) * (text.index("\n", start) + 1 - start) + exc.column - 1
+        raise ParseError(f"illegal character {text[at]!r}", exc.line, exc.column) from None
 
 
 def _power_text(v: int, e: int) -> str:
@@ -489,24 +525,3 @@ def _power_text(v: int, e: int) -> str:
         except ValueError:
             pass
     return f"{v}**{e}"
-
-
-def _body_error(text, body: np.ndarray, v: int, base: int) -> ParseError:
-    """The first fault in an HDM body (data lines, one LF each, starting at
-    offset base of text): the first line that is not v long or that holds
-    a byte other than '+' and '-'; its length is reported first."""
-    ends = np.flatnonzero(body == ord("\n"))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    long_or_short = np.flatnonzero(ends - starts != v)
-    illegal = np.flatnonzero((body != ord("+")) & (body != ord("-"))
-                             & (body != ord("\n")))
-    first = long_or_short[0] if long_or_short.size else len(ends)
-    if illegal.size:
-        at = int(illegal[0])
-        i = int(np.searchsorted(ends, at))
-        if i < first:
-            ch = text[base + at] if isinstance(text, str) else chr(body[at])
-            return ParseError(f"illegal character {ch!r}", line=i + 2,
-                              column=at - int(starts[i]) + 1)
-    return ParseError(f"expected {v} characters, found {int(ends[first] - starts[first])}",
-                      line=int(first) + 2)

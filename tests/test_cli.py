@@ -308,6 +308,17 @@ def test_layer_flag_validation(tmp_path, capsys):
     assert main(["layer", path, "--fix", "1=0", "--fix", "2=0", "--fix", "3=0"]) == 2
 
 
+@pytest.mark.parametrize("spec", ["1=" + "9" * 5000, "9" * 5000 + "=0"],
+                         ids=["value", "coordinate"])
+def test_layer_fix_with_more_digits_than_int_converts_exits_2(tmp_path, capsys, spec):
+    """A --fix number longer than int() converts (4300 digits by default) is
+    a usage error, not a ValueError traceback."""
+    path = write_cube(tmp_path / "m.hdm", paley3(Field(3)))
+    assert main(["layer", path, "--fix", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad --fix ") and err.endswith("expected <coordinate>=<value>\n")
+
+
 def test_chi_table_q7(capsys):
     assert main(["chi-table", "--q", "7"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -67,6 +67,7 @@ def test_cube_new_and_get():
     c = SignCube(2, 2, [1, 1, 1, -1])
     assert c.get((1, 1)) == -1
     assert c.get((0, 1)) == 1
+    assert c.get((np.int64(1), np.int32(1))) == -1
 
 
 def test_get_out_of_range():
@@ -77,6 +78,23 @@ def test_get_out_of_range():
         c.get((0, -1))
     with pytest.raises(IndexOutOfRange):
         c.get((0,))
+
+
+C3 = SignCube(3, 3, [1] * 27)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: C3.get((0.5, 0, 0)), id="get-float"),
+    pytest.param(lambda: C3.get((True, 0, 0)), id="get-bool"),
+    pytest.param(lambda: layer(C3, {0.5: 1}), id="layer-float-position"),
+    pytest.param(lambda: layer(C3, {0: 1.5}), id="layer-float-value"),
+])
+def test_non_integer_indices_are_out_of_range(call):
+    """get and layer check each index through one gate, as Field does:
+    operator.index, then the range, else IndexOutOfRange; a bool is not
+    read as 0 or 1."""
+    with pytest.raises(IndexOutOfRange, match="is not an integer in"):
+        call()
 
 
 def test_cube_new_shape_mismatch():
@@ -152,6 +170,7 @@ def test_layer_fixes_one_coordinate():
     c = product_cube(H2, 3)
     sl = layer(c, {2: 1})
     assert sl.n == 2 and sl.v == 2
+    assert layer(c, {np.int64(2): np.int32(1)}) == sl
     for i in range(2):
         for j in range(2):
             assert sl.get((i, j)) == c.get((i, j, 1))
@@ -399,6 +418,45 @@ def test_block_write_and_read_peak_memory(tmp_path):
         assert traced_peak(read, f) <= bound
 
 
+# each fault: the corrupted q = 251 file (v = 252) and the report it must give
+def bad_last_row_byte(raw: bytes) -> tuple[bytes, str]:
+    return raw[:-2] + b"?\n", f"line {raw.count(10)}, column 252: illegal character '?'"
+
+
+def non_ascii_in_a_middle_row(raw: bytes) -> tuple[bytes, str]:
+    mid = len(raw) // 2
+    where = f"line {raw.count(10, 0, mid) + 1}, column {mid - raw.rfind(10, 0, mid)}"
+    return raw[:mid] + b"\xe9" + raw[mid + 1:], f"{where}: non-ASCII byte 0xe9"
+
+
+def short_middle_row(raw: bytes) -> tuple[bytes, str]:
+    end = raw.index(10, len(raw) // 2)
+    return (raw[:end - 1] + raw[end:],
+            f"line {raw.count(10, 0, end) + 1}: expected 252 characters, found 251")
+
+
+@pytest.mark.parametrize("fault", [bad_last_row_byte, non_ascii_in_a_middle_row,
+                                   short_middle_row])
+def test_read_peak_memory_on_malformed_files(tmp_path, fault):
+    """A malformed file costs read no more than a valid one (the bound of
+    test_block_write_and_read_peak_memory): the cube is dropped before the
+    first fault is searched for, in blocks and single rows."""
+    cube = paley3(Field(251))
+    raw, report = fault(serialize(cube).encode("ascii"))
+    path = tmp_path / "bad.hdm"
+    path.write_bytes(raw)
+    with open(path, "rb") as f:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as exc:
+                read(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 1.1 * cube.data.nbytes + ncube._BUDGET
+    assert str(exc.value) == report
+
+
 @pytest.mark.parametrize("as_bytes,factor", [(True, 2.5), (False, 3.5)])
 def test_parse_peak_memory(as_bytes, factor):
     cube = paley3(Field(251))
@@ -453,6 +511,8 @@ def test_parse_ascii_bytes():
     ("HDM 33 1\n+\n", 1),            # more axes than MAX_AXES
     pytest.param("HDM 1000000 3\n", 2, id="rows-too-long-to-print"),
     pytest.param("HDM 2 " + "9" * 5000 + "\n", 1, id="v-too-long-for-int"),
+    pytest.param("HDM 1 " + "9" * 30 + "\n+\n", 2, id="row-longer-than-the-file"),
+    pytest.param("HDM 1 " + "9" * 4300 + "\n++\n", 2, id="row-longer-than-any-size"),
 ])
 def test_parse_rejects_malformed(text, line):
     with pytest.raises(ParseError) as exc:
