@@ -8,8 +8,14 @@ The verifier checks that any two parallel (n-1)-dimensional layers that
 differ in one fixed coordinate have inner product 0.  All such inner
 products are entries of Gram matrices X @ Xᵀ of ±1 matrices, which one
 kernel forms with float BLAS products (exact; see _gram_dtype) and scans
-for the first nonzero entry above the diagonal.  A plain summation
-implementation is kept alongside as an independent cross-check.
+for the first nonzero entry above the diagonal.  Both checks view the
+cube as a stack of such matrices, one per axis for is_hadamard and the
+2-D layers of each axis pair for is_proper, and one producer (_scan)
+feeds the kernel: it takes the stack in chunks of 1, 2, 4, ... matrices
+and the columns in blocks, through one float buffer of at most _BUDGET
+bytes.  Beside that buffer a check holds the Gram matrices, v*v floats
+each.  A plain summation implementation is kept alongside as an
+independent cross-check.
 
 File format "HDM v1" (ASCII, LF line endings):
   line 1:   "HDM <n> <v>"  with ASCII decimal integers and single spaces;
@@ -17,7 +23,8 @@ File format "HDM v1" (ASCII, LF line endings):
   rows being the flat data in storage order; '+' is +1 and '-' is -1;
   no trailing whitespace, and the file ends with a final LF.
 write and read stream it to and from a binary file one block of rows (at
-most _BUDGET bytes) at a time, so a process holds the cube and one block.
+most _BUDGET bytes) at a time, so a process holds the cube and one block;
+the header line is read in bounded pieces too.
 read is the one decoder: parse is read over an in-memory stream of a str
 or of ASCII bytes, and serialize is write's output as str.  A file that
 read cannot accept is read again in blocks and lines, after the cube is
@@ -29,6 +36,8 @@ import io
 import itertools
 import math
 import operator
+import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,10 +176,12 @@ def layer(H: SignCube, fixed: dict) -> SignCube:
 
 # -- verifier ------------------------------------------------------------------
 
-# Cap on the bytes of temporaries one step works on: a chunk of 2-D layers
-# in is_proper, a column block in is_hadamard, a block of rows in write and
-# read, and a slab of the cube in symmetry._relabels_to.  Beside the cube, a
-# process holds about this much.
+# Cap on the bytes of temporaries one step works on: the float buffer of the
+# verifiers' producer _scan (a column block of one matrix, or a chunk of
+# whole 2-D layers beside their transposes), a block of rows in write and
+# read, a piece of a header line, and a slab of the cube in
+# symmetry._relabels_to.  Beside the cube, a process holds about this much;
+# the verifiers also hold their Gram matrices, v*v floats each.
 _BUDGET = 1 << 20
 
 
@@ -195,21 +206,19 @@ def _first_violation(blocks):
     scanned by flat stack index, then row a, then column b > a.  Returns
     (index, a, b, value) with value an int, or None if every entry above
     the diagonal is 0.
+
+    A Gram matrix is symmetric, so once its diagonal is zeroed its first
+    nonzero entry in row-major order lies above the diagonal: an entry
+    (a, b) with b < a would follow its mirror (b, a).  No mask is needed.
     """
     gram = None
-    for x, xt in blocks:
-        if gram is None:
-            gram = x @ xt
-        else:
-            gram += x @ xt  # in place: a 2-D cube's Gram matrix is 4x its size
+    for x, xt in blocks:  # summed in place: a 2-D cube's Gram matrix is 4x its size
+        gram = x @ xt if gram is None else np.add(gram, x @ xt, out=gram)
     v = gram.shape[-1]
-    hit = gram != 0
-    hit &= np.triu(np.ones((v, v), dtype=bool), 1)
-    i = int(hit.argmax())
-    if not hit.flat[i]:
-        return None
+    gram.reshape(-1, v * v)[:, ::v + 1] = 0
+    i = int((gram != 0).argmax())
     k, ab = divmod(i, v * v)
-    return (k, *divmod(ab, v), int(gram.flat[i]))
+    return (k, *divmod(ab, v), int(gram.flat[i])) if gram.flat[i] else None
 
 
 def _pair_index(v: int, a: int, b: int) -> int:
@@ -218,27 +227,51 @@ def _pair_index(v: int, a: int, b: int) -> int:
     return a * (v - 1) - a * (a - 1) // 2 + b - a - 1
 
 
-def _chunks(total: int, cap: int):
-    """(start, stop) ranges covering range(total) with 1, 2, 4, ... items,
-    at most cap each: an early violation costs at most twice the work up
-    to it, and a clean scan makes O(log cap + total / cap) calls."""
+def _scan(mats: np.ndarray):
+    """_first_violation over a stack of ±1 matrices, in budgeted blocks.
+
+    mats is a view of the cube shaped stack + (v, P, Q): matrix k, a flat
+    C-order index into the stack, has v rows, row a being mats[k][a] read
+    in C order.  The stack is taken in chunks of 1, 2, 4, ... matrices, so
+    an early violation costs at most about twice the work up to it.  One
+    float buffer of at most _BUDGET bytes (one column, if that is larger)
+    is reused for every block: a chunk of one matrix is cast a column
+    block at a time and its Gram matrix summed as y @ yᵀ; a larger chunk
+    holds whole matrices X beside a contiguous copy of Xᵀ, measured faster
+    for stacks of small layers than X @ Xᵀ as a view or X and Xᵀ in one
+    interleaved buffer.  Returns (index, a, b, value) as _first_violation
+    does, with index into the whole stack, or None.
+    """
+    *stack, v, p_total, q_total = mats.shape
+    total, cols = math.prod(stack), p_total * q_total
+    dtype = _gram_dtype(cols)
+    # the one float buffer: _BUDGET bytes, or one column if that is more
+    buf = np.empty(min(max(v, _BUDGET // dtype().itemsize), 2 * total * v * cols), dtype)
+    cap = max(1, len(buf) // (2 * v * cols))  # matrices per chunk, beside Xᵀ
+    p_step, q_step = max(1, len(buf) // (v * q_total)), min(q_total, len(buf) // v)
     start, size = 0, 1
     while start < total:
         stop = min(total, start + size, start + cap)
-        yield start, stop
+        if stop - start == 1:  # a view, no gather, and 2-D products
+            m = mats[np.unravel_index(start, stack)]
+            blocks = (_cast(buf, m[:, p:p + p_step, q:q + q_step]).reshape(v, -1)
+                      for p in range(0, p_total, p_step)
+                      for q in range(0, q_total, q_step))
+            hit = _first_violation((y, y.T) for y in blocks)
+        else:
+            x = mats[np.unravel_index(np.arange(start, stop), stack)]
+            x = _cast(buf, x.reshape(-1, v, cols))
+            hit = _first_violation([(x, _cast(buf[x.size:], x.swapaxes(1, 2)))])
+        if hit is not None:
+            return (start + hit[0], *hit[1:])
         start, size = stop, size * 2
 
 
-def _column_blocks(arr3: np.ndarray, dtype):
-    """Column blocks, at most _BUDGET bytes each, of the (v, P*Q) matrix
-    whose row a holds arr3[:, a, :] in C order."""
-    p_total, v, q_total = arr3.shape
-    width = max(1, _BUDGET // (v * np.dtype(dtype).itemsize))
-    p_step, q_step = max(1, width // q_total), min(q_total, width)
-    for p in range(0, p_total, p_step):
-        for q in range(0, q_total, q_step):
-            block = arr3[p:p + p_step, :, q:q + q_step].transpose(1, 0, 2)
-            yield block.astype(dtype, order="C").reshape(v, -1)
+def _cast(buf: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """src copied into the front of the float buffer buf, shaped as src."""
+    out = buf[:src.size].reshape(src.shape)
+    out[...] = src
+    return out
 
 
 def is_hadamard(H: SignCube) -> VerifyReport:
@@ -250,11 +283,10 @@ def is_hadamard(H: SignCube) -> VerifyReport:
     if H.n < 2:
         raise DimensionTooSmall("need n >= 2")
     n, v = H.n, H.v
-    dtype = _gram_dtype(v ** (n - 1))
     for axis in range(n):
-        # [:, a, :] of this view is the layer with coordinate axis = a
-        blocks = _column_blocks(H.data.reshape(v**axis, v, -1), dtype)
-        hit = _first_violation((y, y.T) for y in blocks)
+        # a stack of one matrix, whose row a is the layer with coordinate
+        # axis = a: [0, a] of this view, read in C order
+        hit = _scan(H.data.reshape(1, v**axis, v, -1).transpose(0, 2, 1, 3))
         if hit is not None:
             _, a, b, dev = hit
             return VerifyReport(False, axis=axis, pair=(a, b), deviation=dev,
@@ -307,30 +339,18 @@ def is_proper(H: SignCube) -> VerifyReport:
     if H.n < 2:
         raise DimensionTooSmall("need n >= 2")
     n, v = H.n, H.v
-    dtype = _gram_dtype(v)
     layers, per_layer = v ** (n - 2), v * (v - 1)
-    cap = max(1, _BUDGET // (3 * v * v * np.dtype(dtype).itemsize))
-    checked = 0
-    for j1, j2 in itertools.combinations(range(n), 2):
+    for i, (j1, j2) in enumerate(itertools.combinations(range(n), 2)):
         # lay[p, r, q] is the layer with rows along j1 and columns along j2;
         # (p, r, q) are the other coordinates, in scan order
         lay = H.data.reshape(v**j1, v, v ** (j2 - j1 - 1), v, -1)
-        lay = lay.transpose(0, 2, 4, 1, 3)
-        for start, stop in _chunks(layers, cap):
-            mats = lay[np.unravel_index(np.arange(start, stop), lay.shape[:3])]
-            # each M beside a copy of Mᵀ in one buffer: measured faster than
-            # M @ Mᵀ as a view, or with the copy of Mᵀ in a buffer of its own
-            x = np.empty((stop - start, 2, v, v), dtype)
-            x[:, 0] = mats
-            x[:, 1] = mats.swapaxes(1, 2)
-            hit = _first_violation([(x[:, 0], x[:, 1])])
-            if hit is not None:
-                k, a, b, dev = hit
-                checked += (start + k) * per_layer + _pair_index(v, a, b) + 1
-                return VerifyReport(False, axis=j1, pair=(a, b), deviation=dev,
-                                    checked_pairs=checked)
-        checked += layers * per_layer
-    return VerifyReport(passed=True, checked_pairs=checked)
+        hit = _scan(lay.transpose(0, 2, 4, 1, 3)[..., None, :])
+        if hit is not None:
+            k, a, b, dev = hit
+            return VerifyReport(False, axis=j1, pair=(a, b), deviation=dev,
+                                checked_pairs=(i * layers + k) * per_layer
+                                + _pair_index(v, a, b) + 1)
+    return VerifyReport(passed=True, checked_pairs=math.comb(n, 2) * layers * per_layer)
 
 
 # -- HDM v1 text format ----------------------------------------------------------
@@ -377,35 +397,49 @@ def read(f) -> SignCube:
     other file raises the ParseError of its first fault, in the order
     listed under parse, which _first_fault finds after the cube is
     dropped, reading blocks of at most _BUDGET bytes and then one row at a
-    time: a malformed file costs no more than a valid one, unless its
-    header line alone is longer than the cube, as that line is read whole.
+    time: a malformed file costs no more than a valid one.
     """
     size = f.seek(0, io.SEEK_END)
-    f.seek(0)
-    head = f.readline()
     try:
-        n, v = _header(head[:-1])
-        if n <= MAX_AXES and size == len(head) + v ** (n - 1) * (v + 1):
+        n, v, start = _read_header(f)
+        if n <= MAX_AXES and size == start + v ** (n - 1) * (v + 1):
             return _read_rows(f, n, v)
     except ValueError:  # a ParseError, or a bad body: reported in fault order
         pass
     raise _first_fault(f, size)
 
 
-def _header(line: bytes) -> tuple[int, int]:
-    """n and v from an HDM header line without its LF, else the ParseError
-    of faults 4 to 6 in parse's list."""
-    fields = line.split(b" ")
-    if len(fields) != 3 or fields[0] != b"HDM" \
-            or not all(x.isdigit() for x in fields[1:]):  # bytes: ASCII digits
+def _read_header(f) -> tuple[int, int, int]:
+    """n, v and the length of the header line at the start of f, which is
+    left just past that line, else the ParseError of faults 4 to 6 in
+    parse's list.
+
+    The line is read in pieces of bounded size.  No valid header is longer
+    than "HDM", two numbers of int()'s digit limit, two spaces and the LF,
+    so only that much of the line is kept; the rest of a longer line is
+    read one piece of at most _BUDGET bytes at a time, only to check the
+    header's grammar: a line that has it holds a number too long (5), any
+    other is fault 4.  With int()'s limit switched off the line is read
+    whole.
+    """
+    f.seek(0)
+    digits = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    line = piece = f.readline(2 * digits + 6 if digits else -1)
+    # the grammar is checked on a sketch of the line, each run of digits cut
+    # to one 0; a sketch longer than "HDM 0 0\n" never shrinks back to it
+    sketch = re.sub(rb"[0-9]+", b"0", line)
+    while piece and not piece.endswith(b"\n") and len(sketch) <= 8:
+        piece = f.readline(_BUDGET)
+        sketch = re.sub(rb"[0-9]+", b"0", sketch + piece)
+    if sketch.rstrip(b"\n") != b"HDM 0 0":
         raise ParseError("header must be 'HDM <n> <v>'", line=1)
-    try:
-        n, v = int(fields[1]), int(fields[2])
+    try:  # a line cut off at the bound holds a number beyond the limit
+        n, v = map(int, line.split()[1:])
     except ValueError:  # more digits than sys.get_int_max_str_digits()
         raise ParseError("header number too long", line=1) from None
     if n < 1 or v < 1:
         raise ParseError(f"invalid dimensions n={n} v={v}", line=1)
-    return n, v
+    return n, v, len(line)
 
 
 def _read_rows(f, n: int, v: int) -> SignCube:
@@ -447,9 +481,8 @@ def _first_fault(f, size: int) -> ParseError:
         return ParseError("empty input", line=1)
     if last != size - 1:
         return ParseError("missing final newline", line=lfs + 1)
-    f.seek(0)
     try:
-        n, v = _header(f.readline()[:-1])
+        n, v, _ = _read_header(f)
     except ParseError as exc:
         return exc
     found = lfs - 1

@@ -12,6 +12,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from hdmkit import ncube
 from hdmkit.cli import main as cli_main
 from hdmkit.constructions import almost_cube, dim_lift, paley2, paley3, yang_product
 from hdmkit.errors import ParseError
@@ -70,9 +71,14 @@ def test_criterion_2_propriety_split_by_q_mod_4():
     bad_proper = [q for q in Q_3MOD4 if not is_proper(p3(q)).passed]
     bad_layer = [q for q in Q_3MOD4 if layer(p3(q), {2: 0}) != p2(q)]
     bad_improper = [q for q in Q_1MOD4 if is_proper(p3(q)).passed]
+    # for q = 1 (mod 4) the z = infinity layer, scanned first, has order
+    # q + 1 = 2 (mod 4), so it cannot be Hadamard: is_proper's report is
+    # that layer's report, an O(v^3) oracle for cubes of any size
+    bad_witness = [q for q in Q_1MOD4
+                   if is_proper(p3(q)) != is_hadamard_naive(layer(p3(q), {2: 0}))]
     ok = report(2, "propriety iff q = 3 (mod 4)",
-                not (bad_proper or bad_layer or bad_improper))
-    assert ok, (bad_proper, bad_layer, bad_improper)
+                not (bad_proper or bad_layer or bad_improper or bad_witness))
+    assert ok, (bad_proper, bad_layer, bad_improper, bad_witness)
 
 
 def test_criterion_3_proof_partial_sums():
@@ -154,7 +160,10 @@ def test_criterion_6_negative_control():
     assert ok, faults
 
 
-def test_criterion_7_verifier_oracle_equivalence():
+@pytest.mark.parametrize("budget", [1, 256, 1 << 20])
+def test_criterion_7_verifier_oracle_equivalence(budget, monkeypatch):
+    """At each budget of test_ncube.BUDGETS: one column per block at 1."""
+    monkeypatch.setattr(ncube, "_BUDGET", budget)
     rng = random.Random(20240601)
     mismatches = 0
     for _ in range(200):
@@ -165,7 +174,7 @@ def test_criterion_7_verifier_oracle_equivalence():
         if is_hadamard(cube) != is_hadamard_naive(cube):
             mismatches += 1
     ok = report(7, "Gram verifier matches naive summation", mismatches == 0,
-                "200 random cubes")
+                f"200 random cubes, budget {budget}")
     assert ok, f"{mismatches} mismatching reports"
 
 

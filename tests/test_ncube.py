@@ -399,6 +399,18 @@ def test_verifier_peak_memory(check, q, factor):
     assert traced_peak(check, cube) <= factor * cube.data.nbytes
 
 
+@pytest.mark.parametrize("check", [is_hadamard, is_proper])
+def test_verifier_peak_memory_from_the_gram_matrix(check):
+    """Beside the cube, a verifier holds the Gram matrix, at most one more
+    v x v product in flight and about one _BUDGET of other temporaries.
+    For a 2-D cube of order 2040 one float32 Gram matrix is 16 MiB, 4x the
+    cube, so this bound comes from v, not from the cube's size."""
+    cube = paley2(Field(2039))
+    v = cube.v
+    gram = v * v * np.dtype(ncube._gram_dtype(v)).itemsize
+    assert traced_peak(check, cube) <= 2 * gram + 2 * ncube._BUDGET
+
+
 def test_serialize_and_parse_peak_memory():
     cube = paley3(Field(251))
     text = serialize(cube)
@@ -454,6 +466,28 @@ def test_read_peak_memory_on_malformed_files(tmp_path, fault):
         finally:
             tracemalloc.stop()
     assert peak <= 1.1 * cube.data.nbytes + ncube._BUDGET
+    assert str(exc.value) == report
+
+
+@pytest.mark.parametrize("raw,report", [
+    (b"+" * (8 << 20) + b"\n", "line 1: header must be 'HDM <n> <v>'"),
+    (b"HDM 2 " + b"9" * (8 << 20) + b"\n", "line 1: header number too long"),
+], ids=["plus-line", "nines-header"])
+def test_read_peak_memory_on_long_header_lines(tmp_path, raw, report):
+    """An 8 MiB first line costs read no more than a malformed file (the
+    bound of test_read_peak_memory_on_malformed_files): it is read in
+    bounded pieces on both paths, never whole."""
+    path = tmp_path / "long.hdm"
+    path.write_bytes(raw)
+    with open(path, "rb") as f:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as exc:
+                read(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 1.1 * len(raw) + ncube._BUDGET
     assert str(exc.value) == report
 
 

@@ -15,6 +15,7 @@ header, inside rows and next to non-ASCII bytes.
 
 import io
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -214,3 +215,40 @@ def parse_error(raw: bytes) -> ParseError:
     with pytest.raises(ParseError) as exc:
         parse(raw)
     return exc.value
+
+
+# header lines longer than any header int() converts: the first five have
+# the header's grammar (a number too long), the others do not
+LONG = "9" * 9000
+LONG_HEADS = ["HDM 2 " + LONG, "HDM " + LONG + " 2", "HDM " + LONG + " " + LONG,
+              "HDM 00002 " + "0" * 9000 + "3", "HDM " + "0" * 4400 + "2 " + "0" * 4400 + "3",
+              "+" * 9000, "HDM " + LONG, "HDM 2 " + LONG + " ", "HDM  " + LONG,
+              "HDM 2 " + LONG + " 3", "HDM 2 " + LONG + "x", "HDM 2 " + LONG + "\r",
+              "hdm 2 " + LONG, "HDM 2" + LONG]
+
+
+@pytest.mark.parametrize("budget", [1, 256, 1 << 20])
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_header_lines_longer_than_int_converts(budget, limit, monkeypatch):
+    """The header line is read in bounded pieces: one longer than any valid
+    header is only checked against the grammar, and must still give the
+    oracle's fault, a number too long (the oracle's int() crash) or a bad
+    header; at int()'s smallest digit limit too."""
+    monkeypatch.setattr(ncube, "_BUDGET", budget)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for head in LONG_HEADS:
+            raw = (head + "\n++\n").encode("ascii")
+            expected = outcome(reference_read, raw)
+            if expected is ValueError:
+                expected = ParseError("header number too long", line=1)
+            got = parse_error(raw)
+            assert (str(got), got.line) == (str(expected), 1), head[:12]
+        # the longest valid header: two numbers of exactly limit digits
+        longest = "HDM " + "0" * (limit - 1) + "1 " + "0" * (limit - 1) + "2\n++\n"
+        assert parse(longest) == SignCube(1, 2, [1, 1])
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert [outcome(reference_read, (h + "\n").encode()) is ValueError
+            for h in LONG_HEADS] == [True] * 5 + [False] * 9
