@@ -106,9 +106,10 @@ class Field:
     """GF(p^k) for an odd prime power q = p^k, elements encoded as 0..q-1.
 
     Construction factors q, picks the canonical irreducible polynomial, and
-    finds the first primitive element g in enumeration order; multiplication,
-    inverses and the quadratic character are then served from discrete exp/log
-    tables of size q.
+    finds the first primitive element g in enumeration order, walking each
+    candidate's powers through a table of multiplication by it that one
+    integer matrix product builds; multiplication, inverses and the quadratic
+    character are then served from discrete exp/log tables of size q.
     """
 
     def __init__(self, q: int):
@@ -119,8 +120,9 @@ class Field:
         self.q = q
         self.irr = canonical_irreducible(self.p, self.k)
         self._weights = [self.p**j for j in range(self.k)]
-        self._digits = [tuple(a // w % self.p for w in self._weights) for a in range(q)]
-        self._build_exp_log()
+        digits = np.arange(q)[:, None] // np.array(self._weights) % self.p
+        self._digits = list(map(tuple, digits.tolist()))
+        self._build_exp_log(digits)
 
     def __repr__(self):
         return f"GF({self.q})"
@@ -169,37 +171,39 @@ class Field:
     # -- multiplicative structure ---------------------------------------------
 
     def _mul_raw(self, a: int, b: int) -> int:
-        """Polynomial product reduced modulo irr; table-free bootstrap path."""
+        """Polynomial product reduced modulo irr, without tables: the
+        bootstrap's k products per candidate, and the tests' oracle."""
         prod = _poly_mul(self._digits[a], self._digits[b], self.p)
         rem = _poly_rem(prod, self.irr, self.p) if self.k > 1 else prod
         return sum(c * w for c, w in zip(rem, self._weights))
 
-    def _pow_raw(self, a: int, e: int) -> int:
-        """a**e by square-and-multiply over _mul_raw."""
-        out = 1
-        while e:
-            if e & 1:
-                out = self._mul_raw(out, a)
-            a = self._mul_raw(a, a)
-            e >>= 1
-        return out
-
-    def _build_exp_log(self):
+    def _build_exp_log(self, digits: np.ndarray):
         """Find the primitive element and fill the exp/log tables from it.
 
-        g has order q - 1 exactly when g**((q-1)/r) != 1 for every prime
-        r | q - 1, so each candidate costs a few square-and-multiply powers
-        and the first candidate in enumeration order that passes is the
-        primitive element.  Only its powers are walked, once, as the exp table.
+        Multiplication by a fixed g is F_p-linear, so one (q x k)(k x k)
+        product mod p gives g * a for every element a at once: digits holds
+        the coefficient vectors of 0..q-1 as rows, and row j of the k x k
+        factor those of g * p**j, g times the basis monomial x**j.  Each
+        candidate g in enumeration order has its powers walked through its
+        table back to 1, and the first walk of q - 1 steps is the primitive
+        element's exp table.  A power of a walked candidate has an order
+        dividing that candidate's, too small, so it is not walked.
         """
-        q = self.q
-        cofactors = [(q - 1) // r for r in _factor(q - 1)]
-        g = next(g for g in range(1, q)
-                 if all(self._pow_raw(g, e) != 1 for e in cofactors))
-        exp, x = [1], g
-        while x != 1:
-            exp.append(x)
-            x = self._mul_raw(x, g)
+        q, p = self.q, self.p
+        weights = np.array(self._weights)
+        walked = set()
+        for g in range(1, q):
+            if g in walked:
+                continue
+            basis = np.array([self._digits[self._mul_raw(g, w)] for w in self._weights])
+            times_g = (digits @ basis % p @ weights).tolist()
+            exp, x = [1], g
+            while x != 1:
+                exp.append(x)
+                x = times_g[x]
+            if len(exp) == q - 1:
+                break
+            walked.update(exp)
         log = [0] * q
         for i, e in enumerate(exp):
             log[e] = i

@@ -13,9 +13,10 @@ cube as a stack of such matrices, one per axis for is_hadamard and the
 2-D layers of each axis pair for is_proper, and one producer (_scan)
 feeds the kernel: it takes the stack in chunks of 1, 2, 4, ... matrices
 and the columns in blocks, through one float buffer of at most _BUDGET
-bytes.  Beside that buffer a check holds the Gram matrices, v*v floats
-each.  A plain summation implementation is kept alongside as an
-independent cross-check.
+bytes.  The one matrix whose rows are contiguous fibres, is_hadamard's
+last axis, is cast as blocks of its transpose's rows instead.  Beside
+that buffer a check holds the Gram matrices, v*v floats each.  A plain
+summation implementation is kept alongside as an independent cross-check.
 
 File format "HDM v1" (ASCII, LF line endings):
   line 1:   "HDM <n> <v>"  with ASCII decimal integers and single spaces;
@@ -177,11 +178,11 @@ def layer(H: SignCube, fixed: dict) -> SignCube:
 # -- verifier ------------------------------------------------------------------
 
 # Cap on the bytes of temporaries one step works on: the float buffer of the
-# verifiers' producer _scan (a column block of one matrix, or a chunk of
-# whole 2-D layers beside their transposes), a block of rows in write and
-# read, a piece of a header line, and a slab of the cube in
-# symmetry._relabels_to.  Beside the cube, a process holds about this much;
-# the verifiers also hold their Gram matrices, v*v floats each.
+# verifiers' producer _scan (a column block of one matrix or a row block of
+# its transpose, or a chunk of whole 2-D layers beside their transposes), a
+# block of rows in write and read, a piece of a header line, and a slab of
+# the cube in symmetry._relabels_to.  Beside the cube, a process holds about
+# this much; the verifiers also hold their Gram matrices, v*v floats each.
 _BUDGET = 1 << 20
 
 
@@ -239,8 +240,12 @@ def _scan(mats: np.ndarray):
     block at a time and its Gram matrix summed as y @ yᵀ; a larger chunk
     holds whole matrices X beside a contiguous copy of Xᵀ, measured faster
     for stacks of small layers than X @ Xᵀ as a view or X and Xᵀ in one
-    interleaved buffer.  Returns (index, a, b, value) as _first_violation
-    does, with index into the whole stack, or None.
+    interleaved buffer.  A single matrix whose rows run along the cube's
+    contiguous fibres (is_hadamard's last axis) is read the other way:
+    as B = Mᵀ, C-contiguous, cast a block y of B's rows at a time and
+    summed as yᵀ @ y, which costs about two thirds of casting a stride-v
+    column block.  Returns (index, a, b, value) as _first_violation does,
+    with index into the whole stack, or None.
     """
     *stack, v, p_total, q_total = mats.shape
     total, cols = math.prod(stack), p_total * q_total
@@ -254,10 +259,16 @@ def _scan(mats: np.ndarray):
         stop = min(total, start + size, start + cap)
         if stop - start == 1:  # a view, no gather, and 2-D products
             m = mats[np.unravel_index(start, stack)]
-            blocks = (_cast(buf, m[:, p:p + p_step, q:q + q_step]).reshape(v, -1)
-                      for p in range(0, p_total, p_step)
-                      for q in range(0, q_total, q_step))
-            hit = _first_violation((y, y.T) for y in blocks)
+            if m.strides[0] == m.itemsize:  # rows along the cube's contiguous fibres
+                b = m.reshape(v, cols).T  # C-contiguous: its rows are the columns of m
+                rows = len(buf) // v
+                blocks = (_cast(buf, b[r:r + rows]) for r in range(0, cols, rows))
+                hit = _first_violation((y.T, y) for y in blocks)
+            else:
+                blocks = (_cast(buf, m[:, p:p + p_step, q:q + q_step]).reshape(v, -1)
+                          for p in range(0, p_total, p_step)
+                          for q in range(0, q_total, q_step))
+                hit = _first_violation((y, y.T) for y in blocks)
         else:
             x = mats[np.unravel_index(np.arange(start, stop), stack)]
             x = _cast(buf, x.reshape(-1, v, cols))
@@ -278,12 +289,14 @@ def is_hadamard(H: SignCube) -> VerifyReport:
     """Are all parallel (n-1)-dimensional layers mutually orthogonal?
 
     The a == b inner product equals v**(n-1) identically for ±1 entries
-    and is not checked.
+    and is not checked.  A 2-D cube is checked on axis 0 only: a square ±1
+    matrix H with H @ Hᵀ = vI has Hᵀ @ H = vI, so axis 1 cannot fail once
+    axis 0 passes.
     """
     if H.n < 2:
         raise DimensionTooSmall("need n >= 2")
     n, v = H.n, H.v
-    for axis in range(n):
+    for axis in range(1 if n == 2 else n):
         # a stack of one matrix, whose row a is the layer with coordinate
         # axis = a: [0, a] of this view, read in C order
         hit = _scan(H.data.reshape(1, v**axis, v, -1).transpose(0, 2, 1, 3))

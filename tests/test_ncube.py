@@ -372,6 +372,46 @@ def test_verifiers_match_oracles_at_shrunken_budgets(budget, monkeypatch):
         assert is_proper(c) == proper_oracle(c)
 
 
+def column_signs(t: np.ndarray) -> SignCube:
+    """The 3-cube S[i, j] * t[j, k] over SYL4 = S: axes 0 and 1 pass
+    (S's rows and columns are orthogonal), and layers k = a, b of axis 2
+    have inner product 4 * (t's columns a and b)."""
+    return SignCube(3, 4, SYL4.array[:, :, None] * t[None, :, :])
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_first_violation_on_the_last_axis(budget, monkeypatch):
+    """Cubes that pass every axis but the last, whose Gram matrix is read
+    from blocks of the cube's contiguous rows: one row per block at budget
+    1, several at 256, all at the default."""
+    monkeypatch.setattr(ncube, "_BUDGET", budget)
+    g = np.array([1, -1, 1, 1], dtype=np.int8)
+    t = SYL4.array.copy()
+    t[:, 3] = -t[:, 2]  # columns 2 and 3 opposite, every other pair orthogonal
+    cases = [
+        (SignCube(3, 4, SYL4.array[:, :, None] * g), 2, (0, 1), -16, 13),
+        (SignCube(4, 4, yang_product(SYL4, 3).array[..., None] * g), 3, (0, 1), -64, 19),
+        (column_signs(t), 2, (2, 3), -16, 18),
+    ]
+    for c, axis, pair, dev, checked in cases:
+        rep = is_hadamard(c)
+        assert rep == is_hadamard_naive(c)
+        assert rep == VerifyReport(False, axis=axis, pair=pair, deviation=dev,
+                                   checked_pairs=checked)
+        assert type(rep.deviation) is int
+    assert is_hadamard(column_signs(SYL4.array)) == VerifyReport(True, checked_pairs=18)
+
+
+def test_two_dimensional_cube_is_checked_on_its_rows_only(monkeypatch):
+    """is_hadamard scans one Gram matrix for a 2-D cube: its columns are
+    orthogonal once its rows are.  The report counts both axes' pairs."""
+    calls = []
+    scan = ncube._scan
+    monkeypatch.setattr(ncube, "_scan", lambda mats: calls.append(mats.shape) or scan(mats))
+    assert is_hadamard(paley2(Field(7))) == VerifyReport(True, checked_pairs=2 * 8 * 7 // 2)
+    assert calls == [(1, 8, 1, 8)]  # axis 0 only
+
+
 def test_gram_dtype_is_exact_up_to_its_bound():
     # float32 holds every integer up to 2**24 and not 2**24 + 1
     assert ncube._gram_dtype(2**24) is np.float32
