@@ -133,13 +133,16 @@ class Field:
         return range(self.q)
 
     def _index(self, a) -> int:
-        """a as an element index: an integer (operator.index) in 0..q-1, else
-        IndexOutOfRange.  The scalar operations call it on their arguments,
-        so a negative index cannot wrap around the tables."""
+        """a as an element index: an integer (operator.index) in 0..q-1, but
+        never a bool, else IndexOutOfRange.  The scalar operations call it
+        on their arguments, so a negative index cannot wrap around the
+        tables, and True cannot stand for the element 1."""
         try:
             i = operator.index(a)
         except TypeError:
-            raise IndexOutOfRange(f"element {a!r} is not an integer") from None
+            i = None
+        if i is None or isinstance(a, bool):
+            raise IndexOutOfRange(f"element {a!r} is not an integer")
         if not 0 <= i < self.q:
             raise IndexOutOfRange(f"element {i} outside [0, {self.q})")
         return i

@@ -7,7 +7,7 @@ order, so point index 0 is infinity and index 1+a is the element a.
 
 from dataclasses import dataclass
 
-from .errors import BadDeterminant, IndexOutOfRange
+from .errors import BadDeterminant
 from .gf import Field
 
 
@@ -52,8 +52,7 @@ class Moebius:
     __slots__ = ("field", "a", "b", "c", "d")
 
     def __init__(self, field: Field, a: int, b: int, c: int, d: int):
-        if not all(0 <= x < field.q for x in (a, b, c, d)):
-            raise IndexOutOfRange(f"coefficients {(a, b, c, d)} outside [0, {field.q})")
+        a, b, c, d = (field._index(x) for x in (a, b, c, d))
         det = field.sub(field.mul(a, d), field.mul(b, c))
         if det != 1:
             raise BadDeterminant(f"ad - bc = {det}, need 1")

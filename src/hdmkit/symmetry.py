@@ -6,13 +6,11 @@ relabelling, and the checks here decide whether the cube is fixed by it.
 Generator invariance extends to the whole generated group, so the full
 group check only runs the three generators, and the cyclic check only
 one coordinate shift (the other is its square).  Every check is one
-relabel-and-compare, _relabels_to; _check_shape raises DimensionMismatch
-unless n = 3 and, given a field, OrderMismatch unless v = q + 1.
+relabel-and-compare, ncube._relabels_to, which the verifiers also run to
+test that shift; _check_shape raises DimensionMismatch unless n = 3 and,
+given a field, OrderMismatch unless v = q + 1.
 """
 
-import numpy as np
-
-from . import ncube
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -21,7 +19,7 @@ from .errors import (
     OrderMismatch,
 )
 from .gf import Field
-from .ncube import SignCube
+from .ncube import SignCube, _index, _relabels_to, _rotation_fixes
 from .projline import Moebius, PPoint, psl_generators
 
 
@@ -33,34 +31,6 @@ def _check_shape(H: SignCube, F: Field | None = None) -> None:
         raise OrderMismatch(f"cube order {H.v} != q+1 = {F.q + 1}")
 
 
-def _relabels_to(src: np.ndarray, dst: np.ndarray, perm=None, axes=None) -> bool:
-    """Does dst equal src with its axes reordered by transpose(axes), then
-    every index i on every axis replaced by perm[i]?
-
-    Walks axis 0 in slabs and stops at the first slab that differs.  A
-    slab's relabelled copy and the comparison's mask, or the copy and one
-    more take, are alive together, so a slab holds at most half of
-    ncube._BUDGET bytes (at least one index of axis 0).
-    """
-    if axes is not None:
-        src = src.transpose(axes)
-    if src.shape != dst.shape:
-        return False
-    index = None if perm is None else np.asarray(perm)
-    step = max(1, ncube._BUDGET // (2 * src[:1].nbytes))
-    for i in range(0, len(src), step):
-        if index is None:
-            slab = src[i:i + step]
-        else:
-            # one gather per axis: measured 2-3x faster than one fancy-index gather
-            slab = src[index[i:i + step]]
-            for axis in range(1, src.ndim):
-                slab = slab.take(index, axis=axis)
-        if not np.array_equal(slab, dst[i:i + step]):
-            return False
-    return True
-
-
 def check_cyclic(H: SignCube) -> bool:
     """Does H(x, y, z) = H(y, z, x) = H(z, x, y) hold everywhere?
 
@@ -68,17 +38,22 @@ def check_cyclic(H: SignCube) -> bool:
     is the other shift, so one comparison decides both equalities.
     """
     _check_shape(H)
-    return _relabels_to(H.array, H.array, axes=(1, 2, 0))
+    return _rotation_fixes(H)
 
 
 def check_permutation_invariance(H: SignCube, perm) -> bool:
     """Is H fixed by relabelling every coordinate with the same point
     permutation (perm[i] = image of point index i)?  Raises OrderMismatch
     unless len(perm) == v, and NotAPermutation unless perm is a
-    permutation of range(v)."""
+    permutation of range(v), each entry an integer by operator.index and
+    not a bool, as ncube._index takes indices."""
     perm = list(perm)
     if len(perm) != H.v:
         raise OrderMismatch(f"permutation length {len(perm)} != order {H.v}")
+    try:
+        perm = [_index(i, H.v, "permutation entry") for i in perm]
+    except IndexOutOfRange as exc:
+        raise NotAPermutation(str(exc)) from None
     if set(perm) != set(range(H.v)):
         raise NotAPermutation(f"perm is not a permutation of range({H.v})")
     return _relabels_to(H.array, H.array, perm)

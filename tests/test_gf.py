@@ -129,6 +129,17 @@ def test_scalar_ops_refuse_indices_outside_the_field(op, args):
         getattr(Field(9), op)(*args)
 
 
+@pytest.mark.parametrize("op,args", [
+    ("mul", (True, 3)), ("add", (1, False)), ("sub", (True, True)), ("neg", (True,)),
+    ("inv", (True,)), ("chi", (True,)), ("coeffs", (False,)), ("mul", (np.True_, 3)),
+])
+def test_scalar_ops_refuse_bools(op, args):
+    """True is an int to operator.index, and mul(True, 3) used to return 3;
+    a bool is refused as ncube refuses it for a cube index."""
+    with pytest.raises(IndexOutOfRange):
+        getattr(Field(7), op)(*args)
+
+
 def test_scalar_ops_take_numpy_integers():
     F = Field(9)
     assert F.mul(np.int64(2), np.int16(8)) == F.mul(2, 8)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hdmkit import ncube
-from hdmkit.constructions import dim_lift, paley2, paley3, yang_product
+from hdmkit.constructions import almost_cube, dim_lift, paley2, paley3, yang_product
 from hdmkit.errors import (
     DimensionTooSmall,
     EmptyFix,
@@ -410,6 +410,89 @@ def test_two_dimensional_cube_is_checked_on_its_rows_only(monkeypatch):
     monkeypatch.setattr(ncube, "_scan", lambda mats: calls.append(mats.shape) or scan(mats))
     assert is_hadamard(paley2(Field(7))) == VerifyReport(True, checked_pairs=2 * 8 * 7 // 2)
     assert calls == [(1, 8, 1, 8)]  # axis 0 only
+
+
+def ring_product(h: SignCube, n: int) -> SignCube:
+    """H(x) = prod_j h[x_j, x_(j+1 mod n)], fixed by the rotation of its
+    coordinates when h is symmetric.  For n = 3 every pair of axes is
+    adjacent in the ring, so it is yang_product(h, 3); for n >= 4 over
+    SYL4 it is Hadamard but not proper, failing first in pair (0, 2)."""
+    out = np.ones((h.v,) * n, dtype=np.int8)
+    for j in range(n):
+        k = (j + 1) % n
+        shape = [1] * n
+        shape[j] = shape[k] = h.v
+        out = out * (h.array if j < k else h.array.T).reshape(shape)
+    return SignCube(n, h.v, out)
+
+
+def rotation_invariant_cube(rng: np.random.Generator, n: int, v: int) -> SignCube:
+    """A random cube fixed by the rotation of its coordinates: each entry is
+    a seeded sign read at the first flat index of its rotation orbit."""
+    idx = np.indices((v,) * n).reshape(n, -1)
+    weights = v ** np.arange(n - 1, -1, -1)
+    first = np.min([weights @ np.roll(idx, k, axis=0) for k in range(n)], axis=0)
+    signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=v**n)
+    return SignCube(n, v, signs[first])
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_verifiers_match_oracles_on_rotation_invariant_cubes(budget, monkeypatch):
+    """Cubes fixed by the rotation of their coordinates, which the verifiers
+    check on axis 0 and on the pairs (0, d), d <= n // 2, alone once those
+    pass: ring and pairwise products of the symmetric SYL4, paley3 for
+    q = 1 (mod 4), which is Hadamard but not proper, and random invariant
+    cubes, some of which pass."""
+    monkeypatch.setattr(ncube, "_BUDGET", budget)
+    cubes = [ring_product(SYL4, n) for n in range(3, 7)]
+    cubes += [yang_product(SYL4, 4), yang_product(SYL4, 5)]
+    cubes += [paley3(Field(q)) for q in (5, 9, 13)]
+    rng = np.random.default_rng(20261019)
+    cubes += [rotation_invariant_cube(rng, int(rng.choice([3, 4])), int(rng.choice([2, 3, 4])))
+              for _ in range(200)]
+    passed = set()
+    for c in cubes:
+        assert ncube._rotation_fixes(c)
+        hadamard, proper = is_hadamard(c), is_proper(c)
+        assert hadamard == is_hadamard_naive(c)
+        assert proper == proper_oracle(c)
+        passed.add((hadamard.passed, proper.passed))
+    assert passed == {(True, True), (True, False), (False, False)}
+    assert is_proper(ring_product(SYL4, 4)) == VerifyReport(False, 0, (0, 1), 4, 193)
+
+
+def scan_counts(monkeypatch, check, cube) -> tuple[int, int]:
+    """(_scan calls, rotation tests) made by check(cube)."""
+    scans, rotations = [], []
+    scan, fixes = ncube._scan, ncube._rotation_fixes
+    monkeypatch.setattr(ncube, "_scan", lambda mats: scans.append(1) or scan(mats))
+    monkeypatch.setattr(ncube, "_rotation_fixes",
+                        lambda H: rotations.append(1) or fixes(H))
+    check(cube)
+    monkeypatch.undo()
+    return len(scans), len(rotations)
+
+
+def test_rotation_invariant_cubes_are_scanned_once_per_orbit(monkeypatch):
+    """A cube fixed by the rotation is scanned on one axis and on the pairs
+    (0, 1) ... (0, n // 2); any other cube on every axis and pair.  The
+    rotation is tested once, and only after those first families pass:
+    a cube that fails earlier does no more than the scan up to it."""
+    F = Field(7)
+    skew = yang_product(paley2(F), 4)  # paley2(GF(7)) is not symmetric
+    assert not ncube._rotation_fixes(skew)
+    flipped = flip_in_layer(paley3(F), 3, random.Random(7))
+    cases = [
+        (paley3(F), (1, 1), (1, 1)),
+        (yang_product(SYL4, 4), (1, 1), (2, 1)),
+        (skew, (4, 1), (6, 1)),
+        (flipped, (1, 0), (1, 0)),
+        (almost_cube(F, 4), (1, 0), (1, 0)),
+        (dim_lift(paley3(F)), (4, 1), (6, 1)),
+    ]
+    for cube, hadamard, proper in cases:
+        assert scan_counts(monkeypatch, is_hadamard, cube) == hadamard
+        assert scan_counts(monkeypatch, is_proper, cube) == proper
 
 
 def test_gram_dtype_is_exact_up_to_its_bound():

@@ -1,5 +1,6 @@
 from collections import deque
 
+import numpy as np
 import pytest
 
 from hdmkit.errors import BadDeterminant, IndexOutOfRange
@@ -97,6 +98,19 @@ def test_moebius_new_rejects_indices_outside_the_field():
             Moebius(F, *coeffs)
     shift = Moebius(F, 1, F.neg(1), 0, 1)  # x -> x - 1, given by its index
     assert shift.perm()[pg_index(PPoint(1))] == pg_index(PPoint(0))
+
+
+def test_moebius_new_takes_coefficients_through_the_field_gate():
+    """Moebius(F, True, 0, 0, True) used to build the identity, and a str
+    coefficient ended in a bare TypeError; numpy integers are taken and
+    stored as ints."""
+    F = Field(7)
+    for coeffs in ((True, 0, 0, True), (1, False, 0, 1), ("1", 0, 0, 1), (1.0, 0, 0, 1)):
+        with pytest.raises(IndexOutOfRange):
+            Moebius(F, *coeffs)
+    m = Moebius(F, np.int64(1), np.uint8(1), 0, 1)
+    assert (m.a, m.b) == (1, 1) and type(m.a) is int
+    assert m.same_action(Moebius(F, 1, 1, 0, 1))
 
 
 @pytest.mark.parametrize("e", [-1, -9, 9, 20])

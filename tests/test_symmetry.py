@@ -235,7 +235,9 @@ def layer_witness_by_copies(F, H, c):
 def test_relabels_to_finds_a_difference_in_the_first_or_last_slab(budget, monkeypatch):
     """_relabels_to against the whole-cube relabelling
     arr.transpose(axes)[np.ix_(perm, ..., perm)], with one entry of it
-    flipped in the first or the last index of axis 0."""
+    flipped in the first or the last index of axis 0, or on either side
+    of the edges of the growing slabs 1, 2, 4, ..., which start at 0, 1,
+    3 and 7."""
     monkeypatch.setattr(ncube, "_BUDGET", budget)
     rng = np.random.default_rng(budget)
     for n in (1, 2, 3):
@@ -247,11 +249,28 @@ def test_relabels_to_finds_a_difference_in_the_first_or_last_slab(budget, monkey
                 if p is not None:
                     whole = whole[np.ix_(*[p] * n)]
                 assert _relabels_to(arr, whole, p, a)
-                for first in (0, v - 1):
+                for first in {i for i in (0, 1, 2, 3, 6, 7) if i < v} | {v - 1}:
                     bad = whole.copy()
                     bad[(first, *rng.integers(v, size=n - 1))] *= -1
                     assert not _relabels_to(arr, bad, p, a)
             assert not _relabels_to(arr, arr[:-1], perm, axes)
+
+
+def test_relabels_to_rejects_from_a_small_first_slab():
+    """The slab walk grows from one index of axis 0, so a cube that differs
+    from its rotation early, as the product of the skew paley2(GF(23)) in
+    four dimensions does, is rejected holding about one 24**3 slice of its
+    24**4 entries, not a slab of half the budget (the whole cube here)."""
+    cube = yang_product(paley2(Field(23)), 4)
+    tracemalloc.start()
+    try:
+        assert not _relabels_to(cube.array, cube.array, axes=(1, 2, 3, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    layer = cube.data.nbytes // cube.v
+    assert ncube._BUDGET // (2 * layer) >= cube.v  # half the budget holds the cube
+    assert peak <= 3 * layer
 
 
 def test_symmetry_checks_peak_memory():
@@ -305,6 +324,11 @@ def test_symmetry_checks_reject_bad_permutations_and_points():
             check_permutation_invariance(ones, perm)
     with pytest.raises(OrderMismatch):
         check_permutation_invariance(ones, range(7))
+    # a float used to end in numpy's IndexError, and True to stand for 1
+    for bad in (1.0, True, np.True_, "1", None):
+        with pytest.raises(NotAPermutation):
+            check_permutation_invariance(ones, [bad, 0, *range(2, 8)])
+    assert check_permutation_invariance(ones, [np.int64(1), np.uint8(0), *range(2, 8)])
     cube = paley3(F)
     for c in (PPoint(20), PPoint(7), PPoint(-1)):
         with pytest.raises(IndexOutOfRange):
