@@ -52,6 +52,17 @@ def _diff_chi(F: Field) -> np.ndarray:
     return D
 
 
+def _translations(F: Field) -> tuple:
+    """The Paley cubes' candidate relabellings (ncube.SignCube._adopt): over
+    a prime field, x -> x + 1 on every coordinate, which fixes infinity and
+    every difference, as the point permutation [0, 2, 3, ..., q, 1]; its
+    orbits {inf} and GF(q) let the verifiers scan two rows or layers and
+    compare once.  None over GF(p**k), k > 1: its translations need k
+    generators, and k compares were measured to cost more than they save at
+    every such order tried but q = 243 (README)."""
+    return (np.r_[0, 2:F.q + 1, 1],) if F.k == 1 else ()
+
+
 def paley2(F: Field) -> SignCube:
     """2-D quadratic-residue matrix of order q+1: -1 at (inf, inf), +1 on
     the rest of the diagonal and the infinity row/column, chi(y - x)
@@ -64,7 +75,7 @@ def paley2(F: Field) -> SignCube:
     h = _diff_chi(F)
     h[1:] *= h[0, 0]  # the diagonal holds chi(-1)
     h[0, 0] = -1
-    return SignCube._adopt(2, v, h)
+    return SignCube._adopt(2, v, h, _translations(F))
 
 
 def paley3(F: Field) -> SignCube:
@@ -86,12 +97,14 @@ def paley3(F: Field) -> SignCube:
     H *= D.T[:, None, :]
     i = np.arange(v)
     H[i, i, i] = -1
-    return SignCube._adopt(3, v, H)
+    return SignCube._adopt(3, v, H, _translations(F))
 
 
 def yang_product(h: SignCube, dim: int) -> SignCube:
     """Entrywise product of a 2-D Hadamard matrix over all coordinate
-    pairs; yields a proper dim-dimensional Hadamard matrix."""
+    pairs; yields a proper dim-dimensional Hadamard matrix.  A relabelling
+    of the points that fixes h fixes the product, so h's candidate
+    relabellings are the product's."""
     if h.n != 2:
         raise DimensionMismatch(f"input must be 2-dimensional, got n={h.n}")
     if dim < 2:
@@ -106,7 +119,7 @@ def yang_product(h: SignCube, dim: int) -> SignCube:
             shape = [1] * dim
             shape[j] = shape[k] = v
             out *= h.array.reshape(shape)
-    return SignCube._adopt(dim, v, out)
+    return SignCube._adopt(dim, v, out, h._perms)
 
 
 def dim_lift(h: SignCube) -> SignCube:

@@ -31,6 +31,28 @@ which also serves the symmetry module) decides whether the rest may be
 skipped; a cube that fails earlier never pays for it, and a report never
 depends on it.
 
+A cube may also carry candidate relabellings of its points, permutations
+g of range(v) that its construction expects to fix it on every coordinate
+at once: paley2 and paley3 over a prime field attach x -> x + 1, and
+yang_product passes on its input's.  If every candidate fixes H, so does
+the group G they generate, and g maps the layers of axis j at a and b onto
+those at g(a) and g(b), with the same inner product, and the 2-D layer at
+fixed values c onto the one at g(c), its rows and columns relabelled
+alike.  Let r be one more than the largest least point of an orbit of G
+(_orbit_head; 2 for the translation, whose orbits are {inf} and GF(q)).
+Every violation then has an image in Gram rows [0, r) of its axis, or in
+the layers of its pair whose first fixed coordinate is below r; both are
+prefixes of the scan, so they are scanned first, the candidates are
+compared (_fixes) only once they pass, and the rest is skipped only if
+every candidate fixes H.  Otherwise the whole axis or pair is scanned.
+The full scan's first violation lies in the prefix, so no report depends
+on the candidates, and a cube without them is scanned as before.  Paley
+cubes over GF(p**k), k > 1, carry none: their translations need k
+generators, and k compares were measured to cost more than they save at
+every such order tried but q = 243 (README).  Every compare's verdict
+is memoized on the cube, whose entries never change, so each relabelling
+is decided once per cube, for the verifiers and the symmetry module alike.
+
 File format "HDM v1" (ASCII, LF line endings):
   line 1:   "HDM <n> <v>"  with ASCII decimal integers and single spaces;
   then exactly v**(n-1) lines of exactly v characters from {+, -}, the
@@ -105,7 +127,9 @@ def _index(i, bound: int, what: str) -> int:
 class SignCube:
     """Immutable n-dimensional order-v array with entries in {-1, +1}."""
 
-    __slots__ = ("n", "v", "data")
+    # _fixed memoizes _fixes verdicts; _perms holds candidate point
+    # relabellings, which the verifiers test through _fixes before use
+    __slots__ = ("n", "v", "data", "_fixed", "_perms")
 
     def __init__(self, n: int, v: int, entries):
         entries = np.asarray(entries)
@@ -115,21 +139,29 @@ class SignCube:
         self._init(n, v, entries.astype(np.int8, order="C"))
 
     @classmethod
-    def _adopt(cls, n: int, v: int, data: np.ndarray) -> "SignCube":
+    def _adopt(cls, n: int, v: int, data: np.ndarray, perms=()) -> "SignCube":
         """Wrap a freshly built C-order int8 array without copying it, after
         the same checks as the constructor; the caller hands it over and
-        must not write to it afterwards."""
+        must not write to it afterwards, which the memo of _fixes relies on.
+        perms are candidate relabellings of the points (index permutations
+        of range(v)) that the caller expects to fix the cube; the verifiers
+        test each through _fixes before they skip any work for it."""
         _check_entries(n, v, data)
+        perms = tuple(tuple(map(operator.index, p)) for p in perms)
+        if any(sorted(p) != list(range(v)) for p in perms):
+            raise ValueError(f"candidates must be permutations of range({v})")
         cube = cls.__new__(cls)
-        cube._init(n, v, data)
+        cube._init(n, v, data, perms)
         return cube
 
-    def _init(self, n: int, v: int, data: np.ndarray) -> None:
+    def _init(self, n: int, v: int, data: np.ndarray, perms=()) -> None:
         data = data.ravel()
         data.flags.writeable = False
         self.n = n
         self.v = v
         self.data = data
+        self._fixed = {}
+        self._perms = perms
 
     def __repr__(self):
         return f"SignCube(n={self.n}, v={self.v})"
@@ -213,25 +245,26 @@ def _gram_dtype(m: int) -> type:
 def _first_violation(blocks):
     """First nonzero entry above the diagonal of a stack of Gram matrices.
 
-    blocks yields pairs (X, Xt): X is a float column block of a stack of
-    ±1 matrices, its leading axes indexing the stack and its last two
-    (v, c); Xt holds X with its last two axes swapped, in any layout.  The
-    Gram matrices are the sum of X @ Xt over the blocks.  Entries are
-    scanned by flat stack index, then row a, then column b > a.  Returns
-    (index, a, b, value) with value an int, or None if every entry above
-    the diagonal is 0.
+    blocks yields pairs (X, Xt): X is a float column block of the first r
+    rows of a stack of ±1 matrices, its leading axes indexing the stack and
+    its last two (r, c); Xt holds the same block of all v rows with its last
+    two axes swapped, (c, v), in any layout.  The r x v Gram rows are the
+    sum of X @ Xt over the blocks.  Entries are scanned by flat stack index,
+    then row a, then column b > a.  Returns (index, a, b, value) with value
+    an int, or None if every entry above the diagonal is 0.
 
     A Gram matrix is symmetric, so once its diagonal is zeroed its first
     nonzero entry in row-major order lies above the diagonal: an entry
-    (a, b) with b < a would follow its mirror (b, a).  No mask is needed.
+    (a, b) with b < a < r would follow its mirror (b, a), which is among
+    the first r rows too.  No mask is needed.
     """
     gram = None
     for x, xt in blocks:  # summed in place: a 2-D cube's Gram matrix is 4x its size
         gram = x @ xt if gram is None else np.add(gram, x @ xt, out=gram)
-    v = gram.shape[-1]
-    gram.reshape(-1, v * v)[:, ::v + 1] = 0
+    r, v = gram.shape[-2:]
+    gram.reshape(-1, r * v)[:, ::v + 1] = 0
     i = int((gram != 0).argmax())
-    k, ab = divmod(i, v * v)
+    k, ab = divmod(i, r * v)
     return (k, *divmod(ab, v), int(gram.flat[i])) if gram.flat[i] else None
 
 
@@ -241,12 +274,15 @@ def _pair_index(v: int, a: int, b: int) -> int:
     return a * (v - 1) - a * (a - 1) // 2 + b - a - 1
 
 
-def _scan(mats: np.ndarray):
+def _scan(mats: np.ndarray, rows: int | None = None):
     """_first_violation over a stack of ±1 matrices, in budgeted blocks.
 
     mats is a view of the cube shaped stack + (v, P, Q): matrix k, a flat
     C-order index into the stack, has v rows, row a being mats[k][a] read
-    in C order.  The stack is taken in chunks of 1, 2, 4, ... matrices, so
+    in C order.  With rows = r, only the first r rows of each Gram matrix
+    are formed and scanned, which is a prefix of the full scan's order;
+    every column is still cast, as the rows' inner products with all v
+    rows need them.  The stack is taken in chunks of 1, 2, 4, ... matrices, so
     an early violation costs at most about twice the work up to it.  One
     float buffer of at most _BUDGET bytes (one column, if that is larger)
     is reused for every block: a chunk of one matrix is cast a column
@@ -262,6 +298,7 @@ def _scan(mats: np.ndarray):
     """
     *stack, v, p_total, q_total = mats.shape
     total, cols = math.prod(stack), p_total * q_total
+    r = v if rows is None else rows
     dtype = _gram_dtype(cols)
     # the one float buffer: _BUDGET bytes, or one column if that is more
     buf = np.empty(min(max(v, _BUDGET // dtype().itemsize), 2 * total * v * cols), dtype)
@@ -274,18 +311,18 @@ def _scan(mats: np.ndarray):
             m = mats[np.unravel_index(start, stack)]
             if m.strides[0] == m.itemsize:  # rows along the cube's contiguous fibres
                 b = m.reshape(v, cols).T  # C-contiguous: its rows are the columns of m
-                rows = len(buf) // v
-                blocks = (_cast(buf, b[r:r + rows]) for r in range(0, cols, rows))
-                hit = _first_violation((y.T, y) for y in blocks)
+                step = len(buf) // v
+                blocks = (_cast(buf, b[s:s + step]) for s in range(0, cols, step))
+                hit = _first_violation((y.T[:r], y) for y in blocks)
             else:
                 blocks = (_cast(buf, m[:, p:p + p_step, q:q + q_step]).reshape(v, -1)
                           for p in range(0, p_total, p_step)
                           for q in range(0, q_total, q_step))
-                hit = _first_violation((y, y.T) for y in blocks)
+                hit = _first_violation((y[:r], y.T) for y in blocks)
         else:
             x = mats[np.unravel_index(np.arange(start, stop), stack)]
             x = _cast(buf, x.reshape(-1, v, cols))
-            hit = _first_violation([(x, _cast(buf[x.size:], x.swapaxes(1, 2)))])
+            hit = _first_violation([(x[:, :r], _cast(buf[x.size:], x.swapaxes(1, 2)))])
         if hit is not None:
             return (start + hit[0], *hit[1:])
         start, size = stop, size * 2
@@ -330,9 +367,43 @@ def _relabels_to(src: np.ndarray, dst: np.ndarray, perm=None, axes=None) -> bool
     return True
 
 
+def _fixes(H: SignCube, perm=None, axes=None) -> bool:
+    """_relabels_to(H.array, H.array, perm, axes), decided once per cube:
+    a SignCube's entries never change, so the verdict is kept in H._fixed,
+    a bool under the axes and the perm's bytes."""
+    key = (axes, None if perm is None else np.asarray(perm, dtype=np.intp).tobytes())
+    if key not in H._fixed:
+        H._fixed[key] = _relabels_to(H.array, H.array, perm, axes)
+    return H._fixed[key]
+
+
 def _rotation_fixes(H: SignCube) -> bool:
     """Is H(x_1, ..., x_n) = H(x_2, ..., x_n, x_1) everywhere?"""
-    return _relabels_to(H.array, H.array, axes=(*range(1, H.n), 0))
+    return _fixes(H, axes=(*range(1, H.n), 0))
+
+
+def _orbit_head(H: SignCube) -> int:
+    """r such that every orbit of the group generated by H's candidate
+    relabellings meets range(r): one more than the largest least point of
+    an orbit.  v when H has no candidates, every point being its own orbit."""
+    if not H._perms:
+        return H.v
+    seen, r = bytearray(H.v), 0
+    for s in range(H.v):
+        if not seen[s]:  # s is the least point of a new orbit
+            r, seen[s], todo = s + 1, 1, [s]
+            while todo:  # a permutation's inverse is one of its powers
+                x = todo.pop()
+                for p in H._perms:
+                    if not seen[p[x]]:
+                        seen[p[x]] = 1
+                        todo.append(p[x])
+    return r
+
+
+def _candidates_fix(H: SignCube) -> bool:
+    """Does every candidate relabelling of H fix it?"""
+    return all(_fixes(H, p) for p in H._perms)
 
 
 def is_hadamard(H: SignCube) -> VerifyReport:
@@ -344,14 +415,27 @@ def is_hadamard(H: SignCube) -> VerifyReport:
     axis 0 passes.  Nor can any other axis once axis 0 passes if H is fixed
     by the rotation of its coordinates, which maps the layers of each axis
     onto those of the axis before it; that is tested only then.
+
+    A cube with candidate relabellings (see SignCube._adopt) is scanned on
+    Gram rows [0, r) of each axis first, r from _orbit_head.  A relabelling
+    g of the points that fixes H gives Gram[g(a), g(b)] = Gram[a, b] on
+    every axis, so if the candidates all fix H, every nonzero entry has an
+    image in a row below r: once those rows pass, the axis passes, and the
+    candidates are tested only then.  Otherwise the whole axis is scanned.
+    The rows below r come first in scan order, so a report never depends
+    on the candidates.
     """
     if H.n < 2:
         raise DimensionTooSmall("need n >= 2")
     n, v = H.n, H.v
+    r = _orbit_head(H)
     for axis in range(n):
         # a stack of one matrix, whose row a is the layer with coordinate
         # axis = a: [0, a] of this view, read in C order
-        hit = _scan(H.data.reshape(1, v**axis, v, -1).transpose(0, 2, 1, 3))
+        mats = H.data.reshape(1, v**axis, v, -1).transpose(0, 2, 1, 3)
+        hit = _scan(mats, rows=r)
+        if hit is None and r < v and not _candidates_fix(H):
+            hit = _scan(mats)
         if hit is not None:
             _, a, b, dev = hit
             return VerifyReport(False, axis=axis, pair=(a, b), deviation=dev,
@@ -408,16 +492,29 @@ def is_proper(H: SignCube) -> VerifyReport:
     pair wraps past axis 0, so the pairs (0, d), d <= n // 2, which come
     first, meet every rotation orbit and decide the rest.  The rotation is
     tested only once they have passed.
+
+    A cube (n >= 3) with candidate relabellings is scanned first on the
+    layers of each pair whose first fixed coordinate is below r, a prefix
+    of the pair's scan, r from _orbit_head.  A relabelling g that fixes H
+    maps the layer at fixed values c onto the one at g(c), with its rows
+    and columns relabelled alike, so if the candidates all fix H, every
+    failing layer has an image in that prefix: once it passes, the pair
+    passes, and the candidates are tested only then.  Otherwise the whole
+    pair is scanned, and a report never depends on the candidates.
     """
     if H.n < 2:
         raise DimensionTooSmall("need n >= 2")
     n, v = H.n, H.v
     layers, per_layer = v ** (n - 2), v * (v - 1)
+    r = _orbit_head(H) if n > 2 else v  # a 2-D cube's one layer fixes no coordinate
     for i, (j1, j2) in enumerate(itertools.combinations(range(n), 2)):
-        # lay[p, r, q] is the layer with rows along j1 and columns along j2;
-        # (p, r, q) are the other coordinates, in scan order
-        lay = H.data.reshape(v**j1, v, v ** (j2 - j1 - 1), v, -1)
-        hit = _scan(lay.transpose(0, 2, 4, 1, 3)[..., None, :])
+        # lay[c] is the layer with rows along j1 and columns along j2 at the
+        # other coordinates c, in scan order
+        others = [j for j in range(n) if j not in (j1, j2)]
+        lay = H.array.transpose(*others, j1, j2)[..., None, :]
+        hit = _scan(lay[:r])
+        if hit is None and r < v and not _candidates_fix(H):
+            hit = _scan(lay)
         if hit is not None:
             k, a, b, dev = hit
             return VerifyReport(False, axis=j1, pair=(a, b), deviation=dev,

@@ -6,9 +6,12 @@ relabelling, and the checks here decide whether the cube is fixed by it.
 Generator invariance extends to the whole generated group, so the full
 group check only runs the three generators, and the cyclic check only
 one coordinate shift (the other is its square).  Every check is one
-relabel-and-compare, ncube._relabels_to, which the verifiers also run to
-test that shift; _check_shape raises DimensionMismatch unless n = 3 and,
-given a field, OrderMismatch unless v = q + 1.
+relabel-and-compare, ncube._relabels_to; a cube's own relabellings go
+through ncube._fixes, which decides each once per cube, for these checks
+and the verifiers alike, so the verifiers' rotation test answers
+check_cyclic and a repeated check compares nothing.  _check_shape raises
+DimensionMismatch unless n = 3 and, given a field, OrderMismatch unless
+v = q + 1.
 """
 
 from .errors import (
@@ -19,7 +22,7 @@ from .errors import (
     OrderMismatch,
 )
 from .gf import Field
-from .ncube import SignCube, _index, _relabels_to, _rotation_fixes
+from .ncube import SignCube, _fixes, _index, _relabels_to, _rotation_fixes
 from .projline import Moebius, PPoint, psl_generators
 
 
@@ -56,7 +59,7 @@ def check_permutation_invariance(H: SignCube, perm) -> bool:
         raise NotAPermutation(str(exc)) from None
     if set(perm) != set(range(H.v)):
         raise NotAPermutation(f"perm is not a permutation of range({H.v})")
-    return _relabels_to(H.array, H.array, perm)
+    return _fixes(H, perm)
 
 
 def check_moebius_invariance(H: SignCube, F: Field, m: Moebius) -> bool:

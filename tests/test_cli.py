@@ -1,6 +1,6 @@
 import pytest
 
-from hdmkit import constructions, gf
+from hdmkit import constructions, gf, ncube
 from hdmkit.cli import main
 from hdmkit.constructions import almost_cube, paley2, paley3
 from hdmkit.gf import Field
@@ -175,6 +175,22 @@ def test_verify_all_flags(tmp_path, capsys):
         "cyclic: PASS",
         "psl: PASS",
     ]
+
+
+def test_verify_makes_each_relabelling_compare_once(tmp_path, monkeypatch, capsys):
+    """is_hadamard, is_proper and check_cyclic all ask whether the cube is
+    fixed by the rotation of its coordinates; the cube is compared with its
+    rotation once, and the PSL generators once each."""
+    path = write_cube(tmp_path / "m.hdm", paley3(Field(19)))
+    calls, relabels = [], ncube._relabels_to
+    monkeypatch.setattr(ncube, "_relabels_to", lambda src, dst, perm=None, axes=None:
+                        calls.append(axes) or relabels(src, dst, perm, axes))
+    assert main(["verify", path, "--proper", "--cyclic"]) == 0
+    assert calls == [(1, 2, 0)]
+    assert main(["verify", path, "--proper", "--cyclic", "--psl", "--q", "19"]) == 0
+    assert calls[1:] == [(1, 2, 0), None, None, None]  # a new file is a new cube
+    out = "hadamard: PASS\nproper: PASS\ncyclic: PASS\n"
+    assert capsys.readouterr().out == out + out + "psl: PASS\n"
 
 
 def test_verify_symmetry_failure_lines(tmp_path, capsys):

@@ -2,6 +2,7 @@ import hashlib
 import io
 import itertools
 import json
+import functools
 import random
 import time
 import tracemalloc
@@ -34,6 +35,7 @@ from hdmkit.ncube import (
     serialize,
     write,
 )
+from hdmkit.symmetry import check_cyclic, check_psl_invariance
 
 PINS = Path(__file__).resolve().parents[1] / "bench" / "pins.json"
 # ncube._BUDGET values for the multi-block paths: one row, column or layer
@@ -154,9 +156,55 @@ def test_constructor_copies_once_and_adopt_does_not_copy():
 
 
 def test_data_is_immutable():
-    c = SignCube(2, 2, [1, 1, 1, -1])
-    with pytest.raises(ValueError):
-        c.data[0] = -1
+    """The memo of relabelling verdicts (ncube._fixes) holds only while the
+    entries cannot change: no cube, built or adopted, takes a write."""
+    for c in (SignCube(2, 2, [1, 1, 1, -1]), paley3(Field(7))):
+        with pytest.raises(ValueError):
+            c.data[0] = -1
+        with pytest.raises(ValueError):
+            c.array[(0,) * c.n] = -1
+
+
+def test_constructor_starts_without_candidates_or_verdicts():
+    """SignCube(...) copies its input, has no candidate relabellings and an
+    empty memo, whatever cube its entries come from."""
+    src = paley3(Field(7))
+    assert is_hadamard(src).passed and src._fixed and src._perms
+    for entries in (src.array, src.data, src.array.astype(np.int64)):
+        c = SignCube(3, 8, entries)
+        assert not np.shares_memory(c.data, entries)
+        assert c == src and c._perms == () and c._fixed == {}
+
+
+def test_only_prime_paley_cubes_and_their_products_carry_candidates(tmp_path):
+    shift = (0, *range(2, 8), 1)  # x -> x + 1 on PG(1, 7), infinity first
+    h, cube = paley2(Field(7)), paley3(Field(7))
+    assert h._perms == cube._perms == yang_product(h, 4)._perms == (shift,)
+    assert paley3(Field(9))._perms == paley2(Field(27))._perms == ()
+    assert yang_product(SYL4, 3)._perms == ()
+    with open(tmp_path / "c.hdm", "wb") as f:
+        write(cube, f)
+    with open(tmp_path / "c.hdm", "rb") as f:
+        from_file = read(f)
+    for c in (layer(cube, {2: 0}), from_file, parse(serialize(cube)), dim_lift(h),
+              almost_cube(Field(7), 3)):
+        assert c._perms == ()
+    with pytest.raises(ValueError):  # a candidate must be a permutation of the points
+        SignCube._adopt(3, 8, cube.array.copy(), [(0,) * 8])
+
+
+def test_memo_holds_small_boolean_verdicts():
+    F = Field(13)
+    cube = paley3(F)
+    assert is_hadamard(cube).passed and not is_proper(cube).passed
+    assert check_psl_invariance(cube, F) and check_cyclic(cube)
+    # the rotation and the three PSL generators, the first of which is the
+    # translation candidate
+    assert len(cube._fixed) == 4
+    for (axes, perm), verdict in cube._fixed.items():
+        assert type(verdict) is bool
+        assert axes is None or type(axes) is tuple
+        assert perm is None or (type(perm) is bytes and len(perm) <= 8 * cube.v)
 
 
 def test_flat_order_last_index_fastest():
@@ -407,7 +455,8 @@ def test_two_dimensional_cube_is_checked_on_its_rows_only(monkeypatch):
     orthogonal once its rows are.  The report counts both axes' pairs."""
     calls = []
     scan = ncube._scan
-    monkeypatch.setattr(ncube, "_scan", lambda mats: calls.append(mats.shape) or scan(mats))
+    monkeypatch.setattr(ncube, "_scan",
+                        lambda mats, **kw: calls.append(mats.shape) or scan(mats, **kw))
     assert is_hadamard(paley2(Field(7))) == VerifyReport(True, checked_pairs=2 * 8 * 7 // 2)
     assert calls == [(1, 8, 1, 8)]  # axis 0 only
 
@@ -465,7 +514,7 @@ def scan_counts(monkeypatch, check, cube) -> tuple[int, int]:
     """(_scan calls, rotation tests) made by check(cube)."""
     scans, rotations = [], []
     scan, fixes = ncube._scan, ncube._rotation_fixes
-    monkeypatch.setattr(ncube, "_scan", lambda mats: scans.append(1) or scan(mats))
+    monkeypatch.setattr(ncube, "_scan", lambda mats, **kw: scans.append(1) or scan(mats, **kw))
     monkeypatch.setattr(ncube, "_rotation_fixes",
                         lambda H: rotations.append(1) or fixes(H))
     check(cube)
@@ -493,6 +542,179 @@ def test_rotation_invariant_cubes_are_scanned_once_per_orbit(monkeypatch):
     for cube, hadamard, proper in cases:
         assert scan_counts(monkeypatch, is_hadamard, cube) == hadamard
         assert scan_counts(monkeypatch, is_proper, cube) == proper
+
+
+# -- candidate relabellings ----------------------------------------------------------
+
+PRIMES_LE_31 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def shift(v: int) -> tuple:
+    """x -> x + 1 on PG(1, v - 1), infinity first: paley3's candidate."""
+    return (0, *range(2, v), 1)
+
+
+def cube_of(key: tuple) -> SignCube:
+    kind, q, *dim = key
+    return paley3(Field(q)) if kind == "paley3" else yang_product(paley2(Field(q)), *dim)
+
+
+@functools.cache
+def oracle_reports(key: tuple) -> tuple:
+    """(is_hadamard_naive, proper_oracle) of cube_of(key), computed once
+    for all budgets."""
+    c = cube_of(key)
+    return is_hadamard_naive(c), proper_oracle(c)
+
+
+def relabel_calls(monkeypatch) -> list:
+    """Appends the (axes, perm) of every _relabels_to call from now on."""
+    calls, relabels = [], ncube._relabels_to
+
+    def counted(src, dst, perm=None, axes=None):
+        calls.append((axes, None if perm is None else tuple(int(i) for i in perm)))
+        return relabels(src, dst, perm, axes)
+    monkeypatch.setattr(ncube, "_relabels_to", counted)
+    return calls
+
+
+def adopt(arr: np.ndarray, *perms) -> SignCube:
+    return SignCube._adopt(arr.ndim, len(arr), np.ascontiguousarray(arr, dtype=np.int8), perms)
+
+
+def invariant_under(arr: np.ndarray, perm) -> np.ndarray:
+    """arr made fixed by perm on every coordinate, perm an involution: each
+    entry pair {x, perm(x)} takes the entry at x."""
+    moved = arr[np.ix_(*[np.asarray(perm)] * arr.ndim)]
+    out = arr.copy()
+    idx = np.indices(arr.shape).reshape(arr.ndim, -1)
+    later = np.ravel_multi_index(np.asarray(perm)[idx], arr.shape) < np.arange(arr.size)
+    out.flat[later] = moved.flat[later]
+    return out
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_prime_paley_cubes_and_products_match_the_oracles(budget, monkeypatch):
+    """Cubes that carry the translation are scanned on two rows or layers
+    and one compare, with the full scan's reports: paley3 for every prime
+    q <= 31, of both residues mod 4, and products of paley2."""
+    monkeypatch.setattr(ncube, "_BUDGET", budget)
+    keys = [("paley3", q) for q in PRIMES_LE_31]
+    keys += [("product", q, d) for q in (3, 7, 11) for d in (3, 4)]
+    for key in keys:
+        c = cube_of(key)
+        assert c._perms == (shift(c.v),) and ncube._orbit_head(c) == 2
+        assert (is_hadamard(c), is_proper(c)) == oracle_reports(key), key
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_a_candidate_that_does_not_fix_the_cube_is_dropped(budget, monkeypatch):
+    """paley3(GF(11)) with one entry flipped in the layer z = 7 of pair
+    (0, 1), adopted with the translation: axis 0 fails in its two-row
+    prefix before any compare, and pair (0, 1)'s prefix, the layers z = 0
+    and 1, passes, the translation is found not to fix the cube, and the
+    whole pair is scanned for the full scan's report."""
+    monkeypatch.setattr(ncube, "_BUDGET", budget)
+    arr = paley3(Field(11)).array.copy()
+    arr[5, 3, 7] *= -1
+    bad = adopt(arr, shift(12))
+    calls = relabel_calls(monkeypatch)
+    rep = is_hadamard(bad)
+    assert not calls and rep == is_hadamard_naive(bad) and rep.pair[0] < 2
+    rep = is_proper(bad)
+    assert calls == [(None, shift(12))]
+    assert rep == proper_oracle(bad) and (rep.checked_pairs - 1) // (12 * 11) == 7
+    assert not ncube._fixes(bad, shift(12))
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_a_failing_cube_that_the_candidate_fixes_fails_in_the_prefix(budget, monkeypatch):
+    """paley3 negated on translation orbits of triples is fixed by the
+    translation but is not Hadamard; its first violation lies in the
+    prefix, as the witness argument says, and the reports are the
+    oracles'.  The orbits of (0, 1, 3) and (0, 1, 2) over GF(7) leave the
+    inner products with the layer x = inf unchanged, so that cube fails
+    first in row 1, the least point of the finite orbit."""
+    monkeypatch.setattr(ncube, "_BUDGET", budget)
+    cases = [(7, [(3, 4, 6)]), (11, [(2, 5, 9)]), (11, [(0, 4, 7)]), (7, [(1, 2, 4), (1, 2, 3)])]
+    for q, triples in cases:
+        arr, v, t = paley3(Field(q)).array.copy(), q + 1, np.asarray(shift(q + 1))
+        for x in map(np.asarray, triples):
+            for _ in range(q):
+                arr[tuple(x)] *= -1
+                x = t[x]
+        c = adopt(arr, shift(v))
+        assert ncube._fixes(c, shift(v))
+        rep = is_hadamard(c)
+        assert not rep.passed and rep == is_hadamard_naive(c) and rep.pair[0] < 2
+        rep = is_proper(c)
+        assert not rep.passed and rep == proper_oracle(c)
+        assert (rep.checked_pairs - 1) % (v**2 * (v - 1)) // (v * (v - 1)) < 2  # layer
+    assert is_hadamard(c) == VerifyReport(False, 0, (1, 2), 4, 8)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_non_transitive_candidates_give_longer_prefixes(budget, monkeypatch):
+    """Candidates whose orbits have least points beyond 1: x -> 2x on
+    PG(1, 7) and x -> 4x on PG(1, 13), squares that fix paley3 with the
+    orbits {inf}, {0}, the squares and the non-squares; and a transposition
+    of two points, fixing the product of a relabelled Sylvester matrix,
+    that product with entry pairs flipped everywhere, and random cubes."""
+    monkeypatch.setattr(ncube, "_BUDGET", budget)
+    cubes = []
+    for q, g, r in ((7, 2, 5), (13, 4, 4)):
+        F = Field(q)
+        scale = (0, *(1 + F.mul(g, e) for e in F.elems))
+        cubes.append((adopt(paley3(F).array, scale), r))
+    swap = (0, 1, 3, 2)  # the transposition of points 2 and 3
+    syl = SYL4.array[np.ix_((0, 3, 1, 2), (0, 3, 1, 2))]  # fixed by swap
+    base = yang_product(SignCube(2, 4, syl), 3).array
+    cubes.append((adopt(base, swap), 3))
+    for pos in itertools.product(range(4), repeat=3):
+        arr = base.copy()
+        arr[pos] *= -1
+        cubes.append((adopt(invariant_under(arr, swap), swap), 3))
+    rng = np.random.default_rng(20261020)
+    for n, v in ((3, 4), (3, 5), (4, 4)):
+        perm = (*range(v - 2), v - 1, v - 2)
+        for _ in range(20):
+            arr = rng.choice(np.array([-1, 1], dtype=np.int8), size=(v,) * n)
+            cubes.append((adopt(invariant_under(arr, perm), perm), v - 1))
+    passed = set()
+    for c, r in cubes:
+        assert ncube._orbit_head(c) == r and ncube._candidates_fix(c)
+        hadamard, proper = is_hadamard(c), is_proper(c)
+        assert hadamard == is_hadamard_naive(c)
+        assert proper == proper_oracle(c)
+        passed.add((hadamard.passed, proper.passed))
+    assert passed == {(True, True), (True, False), (False, False)}
+
+
+def test_prime_paley3_is_certified_by_a_prefix_and_two_compares(monkeypatch):
+    """paley3(GF(107)) through is_hadamard and is_proper: 2 Gram rows of
+    axis 0 and the 2 layers z = inf, 0 of pair (0, 1), then one translation
+    compare and one rotation compare, each made once."""
+    cube, v = paley3(Field(107)), 108
+    scans, scan = [], ncube._scan
+    monkeypatch.setattr(ncube, "_scan", lambda mats, **kw:
+                        scans.append((mats.shape, kw.get("rows"))) or scan(mats, **kw))
+    calls = relabel_calls(monkeypatch)
+    assert is_hadamard(cube) == VerifyReport(True, checked_pairs=3 * v * (v - 1) // 2)
+    assert scans == [((1, v, 1, v * v), 2)]
+    assert is_proper(cube) == VerifyReport(True, checked_pairs=3 * v**2 * (v - 1))
+    assert scans[1:] == [((2, v, 1, v), None)]
+    assert calls == [(None, shift(v)), ((1, 2, 0), None)]
+
+
+def test_a_cube_that_fails_in_the_prefix_makes_no_compare(monkeypatch):
+    """paley3(GF(13)) is not proper: its layer z = inf fails, inside the
+    prefix, so is_proper makes no compare; nor does a cube without
+    candidates beyond the rotation rule's."""
+    calls = relabel_calls(monkeypatch)
+    cube = paley3(Field(13))
+    assert is_proper(cube) == VerifyReport(False, 0, (1, 2), 2, 14)
+    assert calls == []
+    assert is_hadamard(cube).passed and len(calls) == 2
 
 
 def test_gram_dtype_is_exact_up_to_its_bound():

@@ -34,11 +34,16 @@ BUDGETS = (1, 256, 1 << 20)
 
 
 def under_budgets(check, *args):
-    """check(*args) at each budget in BUDGETS; the verdicts must agree."""
+    """check(*args) at each budget in BUDGETS; the verdicts must agree.
+    The cubes' memoized verdicts are dropped before each call, so that
+    every budget walks the cube."""
     verdicts = set()
     with pytest.MonkeyPatch.context() as mp:
         for budget in BUDGETS:
             mp.setattr(ncube, "_BUDGET", budget)
+            for a in args:
+                if isinstance(a, SignCube):
+                    a._fixed.clear()
             verdicts.add(check(*args))
     assert len(verdicts) == 1, verdicts
     return verdicts.pop()
@@ -286,6 +291,39 @@ def test_symmetry_checks_peak_memory():
     finally:
         tracemalloc.stop()
     assert cube.data.nbytes + peak <= 1.1 * cube.data.nbytes + ncube._BUDGET
+
+
+def compare_calls(monkeypatch) -> list:
+    """Appends one entry per _relabels_to call made through ncube."""
+    calls, relabels = [], ncube._relabels_to
+    monkeypatch.setattr(ncube, "_relabels_to", lambda *a, **kw: calls.append(1) or relabels(*a, **kw))
+    return calls
+
+
+def test_psl_and_cyclic_verdicts_are_decided_once_per_cube(monkeypatch):
+    """A cube's relabelling verdicts are memoized on it: the PSL check
+    twice makes its three compares once, and the rotation compare behind
+    check_cyclic and the verifiers is made once.  Bad permutations are
+    still refused on every call."""
+    F = Field(13)
+    cube = SignCube(3, 14, paley3(F).array)  # no candidates, an empty memo
+    calls = compare_calls(monkeypatch)
+    assert check_psl_invariance(cube, F) and check_psl_invariance(cube, F)
+    assert len(calls) == 3
+    assert check_cyclic(cube) and is_hadamard(cube).passed and check_cyclic(cube)
+    assert len(calls) == 4
+    for _ in range(2):
+        with pytest.raises(OrderMismatch):
+            check_psl_invariance(cube, Field(11))
+        with pytest.raises(OrderMismatch):
+            check_permutation_invariance(cube, range(13))
+        with pytest.raises(NotAPermutation):
+            check_permutation_invariance(cube, [0] * 14)
+    assert len(calls) == 4
+    # a failing verdict is kept as well
+    almost = almost_cube(F, 3)
+    assert not check_psl_invariance(almost, F) and not check_psl_invariance(almost, F)
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
