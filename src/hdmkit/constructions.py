@@ -94,7 +94,8 @@ def paley3(F: Field) -> SignCube:
     D = _diff_chi(F)
     H = np.empty((v, v, v), dtype=np.int8)
     np.multiply(D[:, :, None], D[None], out=H)
-    H *= D.T[:, None, :]
+    # D.T as a view would be read by column in the innermost loop
+    H *= np.ascontiguousarray(D.T)[:, None, :]
     i = np.arange(v)
     H[i, i, i] = -1
     return SignCube._adopt(3, v, H, _translations(F))

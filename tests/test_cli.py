@@ -183,8 +183,8 @@ def test_verify_makes_each_relabelling_compare_once(tmp_path, monkeypatch, capsy
     rotation once, and the PSL generators once each."""
     path = write_cube(tmp_path / "m.hdm", paley3(Field(19)))
     calls, relabels = [], ncube._relabels_to
-    monkeypatch.setattr(ncube, "_relabels_to", lambda src, dst, perm=None, axes=None:
-                        calls.append(axes) or relabels(src, dst, perm, axes))
+    monkeypatch.setattr(ncube, "_relabels_to", lambda src, dst, perm=None, axes=None, **kw:
+                        calls.append(axes) or relabels(src, dst, perm, axes, **kw))
     assert main(["verify", path, "--proper", "--cyclic"]) == 0
     assert calls == [(1, 2, 0)]
     assert main(["verify", path, "--proper", "--cyclic", "--psl", "--q", "19"]) == 0

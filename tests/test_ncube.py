@@ -2,6 +2,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import functools
 import random
 import time
@@ -567,13 +568,16 @@ def oracle_reports(key: tuple) -> tuple:
     return is_hadamard_naive(c), proper_oracle(c)
 
 
-def relabel_calls(monkeypatch) -> list:
-    """Appends the (axes, perm) of every _relabels_to call from now on."""
+def relabel_calls(monkeypatch, keywords=None) -> list:
+    """Appends the (axes, perm) of every _relabels_to call from now on, and
+    the call's keyword arguments to the list keywords, if given."""
     calls, relabels = [], ncube._relabels_to
 
-    def counted(src, dst, perm=None, axes=None):
+    def counted(src, dst, perm=None, axes=None, **kw):
         calls.append((axes, None if perm is None else tuple(int(i) for i in perm)))
-        return relabels(src, dst, perm, axes)
+        if keywords is not None:
+            keywords.append(kw)
+        return relabels(src, dst, perm, axes, **kw)
     monkeypatch.setattr(ncube, "_relabels_to", counted)
     return calls
 
@@ -698,12 +702,15 @@ def test_prime_paley3_is_certified_by_a_prefix_and_two_compares(monkeypatch):
     scans, scan = [], ncube._scan
     monkeypatch.setattr(ncube, "_scan", lambda mats, **kw:
                         scans.append((mats.shape, kw.get("rows"))) or scan(mats, **kw))
-    calls = relabel_calls(monkeypatch)
+    keywords = []
+    calls = relabel_calls(monkeypatch, keywords)
     assert is_hadamard(cube) == VerifyReport(True, checked_pairs=3 * v * (v - 1) // 2)
     assert scans == [((1, v, 1, v * v), 2)]
     assert is_proper(cube) == VerifyReport(True, checked_pairs=3 * v**2 * (v - 1))
     assert scans[1:] == [((2, v, 1, v), None)]
     assert calls == [(None, shift(v)), ((1, 2, 0), None)]
+    # the rotation is compared on the layers x = inf, 0 of the rotated cube
+    assert [kw.get("rows") for kw in keywords] == [None, 2]
 
 
 def test_a_cube_that_fails_in_the_prefix_makes_no_compare(monkeypatch):
@@ -715,6 +722,100 @@ def test_a_cube_that_fails_in_the_prefix_makes_no_compare(monkeypatch):
     assert is_proper(cube) == VerifyReport(False, 0, (1, 2), 2, 14)
     assert calls == []
     assert is_hadamard(cube).passed and len(calls) == 2
+
+
+def test_check_cyclic_on_a_fresh_prime_paley3_compares_a_prefix(monkeypatch):
+    """check_cyclic on a fresh paley3(GF(19)) compares the translation, then
+    indices 0 and 1 of axis 0 of the rotated cube; the verifiers then find
+    both verdicts kept and compare nothing."""
+    cube, v = paley3(Field(19)), 20
+    keywords = []
+    calls = relabel_calls(monkeypatch, keywords)
+    assert check_cyclic(cube)
+    assert calls == [(None, shift(v)), ((1, 2, 0), None)]
+    assert [kw.get("rows") for kw in keywords] == [None, 2]
+    assert is_hadamard(cube).passed and len(calls) == 2
+
+
+def translation_fixed_cube(rng: np.random.Generator, n: int, q: int, rotate: bool) -> SignCube:
+    """A random cube on PG(1, q), q prime, adopted with its candidate
+    x -> x + 1, which fixes it, as does the rotation of its coordinates if
+    rotate: each entry is a seeded sign read at the least flat index of
+    its orbit under those maps."""
+    v, t = q + 1, np.asarray(shift(q + 1))
+    idx = np.indices((v,) * n).reshape(n, -1)
+    weights = v ** np.arange(n - 1, -1, -1)
+    images = []
+    for _ in range(q):
+        images += [weights @ np.roll(idx, k, axis=0) for k in range(n if rotate else 1)]
+        idx = t[idx]
+    signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=v**n)
+    return adopt(signs[np.min(images, axis=0)].reshape((v,) * n), shift(v))
+
+
+def prefix_verdicts(c: SignCube) -> set:
+    """_fixes(c, axes=sigma) for every coordinate permutation sigma, each
+    against the whole-cube compare; the set of verdicts."""
+    verdicts = set()
+    for sigma in itertools.permutations(range(c.n)):
+        whole = ncube._relabels_to(c.array, c.array, axes=sigma)
+        assert ncube._fixes(c, axes=sigma) == whole, (c, sigma)
+        verdicts.add(whole)
+    return verdicts
+
+
+def test_prefix_rotation_verdicts_match_the_whole_compare(monkeypatch):
+    """Cubes whose candidates fix them are compared with a coordinate
+    permutation of themselves on the first r indices of axis 0 (rows=r);
+    the verdict is the whole compare's for every permutation: prime
+    paley3, products of prime paley2, and random translation-fixed cubes
+    with and without the rotation symmetry."""
+    keywords = []
+    relabel_calls(monkeypatch, keywords)
+    cubes = [paley3(Field(q)) for q in PRIMES_LE_31]
+    cubes += [yang_product(paley2(Field(q)), d) for q in (3, 7, 11) for d in (3, 4, 5)]
+    rng = np.random.default_rng(20261021)
+    cubes += [translation_fixed_cube(rng, n, q, rotate)
+              for n, q in ((2, 3), (2, 7), (3, 3), (3, 5), (4, 3)) for rotate in (False, True)
+              for _ in range(8)]
+    # paley3 negated on the translation orbit of a triple of field elements:
+    # it differs from its rotations only where no coordinate is infinity, so
+    # a prefix of the index inf alone would miss it
+    for q, x in ((7, (1, 2, 4)), (11, (1, 4, 9)), (11, (1, 1, 3))):
+        arr, t, x = paley3(Field(q)).array.copy(), np.asarray(shift(q + 1)), np.asarray(x)
+        for _ in range(q):
+            arr[tuple(x)] *= -1
+            x = t[x]
+        cubes.append(adopt(arr, shift(q + 1)))
+    verdicts = set()
+    for c in cubes:
+        assert ncube._orbit_head(c) == 2 and ncube._candidates_fix(c)
+        verdicts |= prefix_verdicts(c)
+    assert verdicts == {True, False}
+    # every verdict of _fixes came from a prefix
+    assert sum(kw.get("rows") == 2 for kw in keywords) == sum(math.factorial(c.n) for c in cubes)
+
+
+def test_prefix_rotation_needs_fixing_candidates_with_short_orbit_heads(monkeypatch):
+    """A candidate that does not fix its cube leaves the rotation to the
+    whole compare, as do candidates whose orbits give r = v, which are not
+    compared at all."""
+    arr = paley3(Field(11)).array.copy()
+    arr[5, 3, 7] *= -1
+    rng = np.random.default_rng(20261022)
+    unfixed = rng.choice(np.array([-1, 1], dtype=np.int8), size=(8,) * 3)
+    swap = (1, 0, *range(2, 12))  # orbits {0, 1}, {2}, ..., {11}: r = 12
+    cases = [(adopt(arr, shift(12)), [(None, shift(12)), ((1, 2, 0), None)]),
+             (adopt(unfixed, shift(8)), [(None, shift(8)), ((1, 2, 0), None)]),
+             (adopt(paley3(Field(11)).array, swap), [((1, 2, 0), None)])]
+    for c, expected in cases:
+        keywords = []
+        calls = relabel_calls(monkeypatch, keywords)
+        verdict = ncube._fixes(c, axes=(1, 2, 0))
+        assert calls == expected and all(kw.get("rows") is None for kw in keywords)
+        monkeypatch.undo()
+        assert verdict == ncube._relabels_to(c.array, c.array, axes=(1, 2, 0))
+        assert prefix_verdicts(c) == {True, False}
 
 
 def test_gram_dtype_is_exact_up_to_its_bound():

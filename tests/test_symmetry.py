@@ -236,29 +236,49 @@ def layer_witness_by_copies(F, H, c):
     return bool(np.array_equal(fixed_inf[np.ix_(perm, perm)], fixed_c))
 
 
+def few_run_perms(v: int) -> list:
+    """Permutations of range(v) with few runs of consecutive images, which
+    _relabels_to copies run by run once a slab is large enough: x -> x + 1
+    on PG(1, v - 1) (3 runs), rotations of range(v), the identity, and a
+    swap of two blocks."""
+    swap = np.arange(v)
+    k = v // 4
+    swap[1:1 + k], swap[v - k:] = swap[v - k:].copy(), swap[1:1 + k].copy()
+    return [np.r_[0, 2:v, 1][:v], np.roll(np.arange(v), 1), np.roll(np.arange(v), v // 3),
+            np.arange(v), swap]
+
+
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_relabels_to_finds_a_difference_in_the_first_or_last_slab(budget, monkeypatch):
     """_relabels_to against the whole-cube relabelling
     arr.transpose(axes)[np.ix_(perm, ..., perm)], with one entry of it
     flipped in the first or the last index of axis 0, or on either side
     of the edges of the growing slabs 1, 2, 4, ..., which start at 0, 1,
-    3 and 7."""
+    3 and 7.  The perms are a random one and few_run_perms, for n = 1 to 5
+    (n = 1, whose one axis is relabelled by the slab's gather alone, and
+    the shapes whose larger slabs take the run-by-run copy).  With rows = r
+    only indices [0, r) of axis 0 are compared: a flip below r is found,
+    one at r or above is not."""
     monkeypatch.setattr(ncube, "_BUDGET", budget)
     rng = np.random.default_rng(budget)
-    for n in (1, 2, 3):
-        for v in (1, 2, 5, 8, 13):
-            arr = rng.choice(np.array([-1, 1], dtype=np.int8), size=(v,) * n)
-            perm, axes = rng.permutation(v), tuple(rng.permutation(n))
-            for p, a in ((perm, axes), (perm, None), (None, axes)):
-                whole = arr if a is None else arr.transpose(a)
-                if p is not None:
-                    whole = whole[np.ix_(*[p] * n)]
-                assert _relabels_to(arr, whole, p, a)
-                for first in {i for i in (0, 1, 2, 3, 6, 7) if i < v} | {v - 1}:
-                    bad = whole.copy()
-                    bad[(first, *rng.integers(v, size=n - 1))] *= -1
-                    assert not _relabels_to(arr, bad, p, a)
-            assert not _relabels_to(arr, arr[:-1], perm, axes)
+    shapes = [(n, v) for n in (1, 2, 3) for v in (1, 2, 5, 8, 13, 40)]
+    shapes += [(2, 200), (4, 5), (4, 16), (5, 4), (5, 8)]
+    for n, v in shapes:
+        arr = rng.choice(np.array([-1, 1], dtype=np.int8), size=(v,) * n)
+        perm, axes = rng.permutation(v), tuple(rng.permutation(n))
+        cases = [(None, axes)] + [(p, a) for p in (perm, *few_run_perms(v)) for a in (axes, None)]
+        for p, a in cases:
+            whole = arr if a is None else arr.transpose(a)
+            if p is not None:
+                whole = whole[np.ix_(*[p] * n)]
+            assert _relabels_to(arr, whole, p, a)
+            for first in {i for i in (0, 1, 2, 3, 6, 7) if i < v} | {v - 1}:
+                bad = whole.copy()
+                bad[(first, *rng.integers(v, size=n - 1))] *= -1
+                assert not _relabels_to(arr, bad, p, a)
+                for rows in {1, (v + 1) // 2, v}:
+                    assert _relabels_to(arr, bad, p, a, rows=rows) == (first >= rows)
+        assert not _relabels_to(arr, arr[:-1], perm, axes)
 
 
 def test_relabels_to_rejects_from_a_small_first_slab():
