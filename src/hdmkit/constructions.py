@@ -11,7 +11,15 @@ chi is multiplicative, the 3-cube is D[x, y] * D[y, z] * D[z, x], two
 in-place int8 products of broadcast views of D, and the 2-D matrix is its
 z = infinity layer.  The other constructions work on a given cube or on
 the coordinate-sum index.
+
+A construction hands its cube over with no claim about its symmetry.  The
+verifiers test for themselves the one relabelling they use to skip work,
+the index shift x -> x + 1 (ncube._shift_fixes), which fixes the Paley
+cubes over a prime field and their products but not those over GF(p**k),
+k > 1, nor the lifts.
 """
+
+import operator
 
 import numpy as np
 
@@ -35,6 +43,21 @@ def _check_size(n: int, v: int) -> None:
                        f"{MAX_ENTRIES} entries or {MAX_AXES} axes")
 
 
+def _dim(dim) -> int:
+    """dim as an int >= 2, else DimensionTooSmall before any size is
+    computed: an integer by operator.index, and never a bool, as
+    ncube._index takes indices."""
+    try:
+        d = operator.index(dim)
+    except TypeError:
+        d = None
+    if d is None or isinstance(dim, bool):
+        raise DimensionTooSmall(f"dim {dim!r} is not an integer")
+    if d < 2:
+        raise DimensionTooSmall("need dim >= 2")
+    return d
+
+
 def _diff_chi(F: Field) -> np.ndarray:
     """D[a, b] = chi(a - b) on PG(1, q), int8 of shape (q+1, q+1), with
     chi(inf - b) = 1, chi(a - inf) = chi(-1), and chi(-1) on the whole
@@ -52,17 +75,6 @@ def _diff_chi(F: Field) -> np.ndarray:
     return D
 
 
-def _translations(F: Field) -> tuple:
-    """The Paley cubes' candidate relabellings (ncube.SignCube._adopt): over
-    a prime field, x -> x + 1 on every coordinate, which fixes infinity and
-    every difference, as the point permutation [0, 2, 3, ..., q, 1]; its
-    orbits {inf} and GF(q) let the verifiers scan two rows or layers and
-    compare once.  None over GF(p**k), k > 1: its translations need k
-    generators, and k compares were measured to cost more than they save at
-    every such order tried but q = 243 (README)."""
-    return (np.r_[0, 2:F.q + 1, 1],) if F.k == 1 else ()
-
-
 def paley2(F: Field) -> SignCube:
     """2-D quadratic-residue matrix of order q+1: -1 at (inf, inf), +1 on
     the rest of the diagonal and the infinity row/column, chi(y - x)
@@ -75,7 +87,7 @@ def paley2(F: Field) -> SignCube:
     h = _diff_chi(F)
     h[1:] *= h[0, 0]  # the diagonal holds chi(-1)
     h[0, 0] = -1
-    return SignCube._adopt(2, v, h, _translations(F))
+    return SignCube._adopt(2, v, h)
 
 
 def paley3(F: Field) -> SignCube:
@@ -98,18 +110,15 @@ def paley3(F: Field) -> SignCube:
     H *= np.ascontiguousarray(D.T)[:, None, :]
     i = np.arange(v)
     H[i, i, i] = -1
-    return SignCube._adopt(3, v, H, _translations(F))
+    return SignCube._adopt(3, v, H)
 
 
 def yang_product(h: SignCube, dim: int) -> SignCube:
     """Entrywise product of a 2-D Hadamard matrix over all coordinate
-    pairs; yields a proper dim-dimensional Hadamard matrix.  A relabelling
-    of the points that fixes h fixes the product, so h's candidate
-    relabellings are the product's."""
+    pairs; yields a proper dim-dimensional Hadamard matrix."""
     if h.n != 2:
         raise DimensionMismatch(f"input must be 2-dimensional, got n={h.n}")
-    if dim < 2:
-        raise DimensionTooSmall("need dim >= 2")
+    dim = _dim(dim)
     _check_size(dim, h.v)
     if not is_hadamard(h).passed:
         raise NotHadamardInput("product construction needs a Hadamard input")
@@ -120,7 +129,7 @@ def yang_product(h: SignCube, dim: int) -> SignCube:
             shape = [1] * dim
             shape[j] = shape[k] = v
             out *= h.array.reshape(shape)
-    return SignCube._adopt(dim, v, out, h._perms)
+    return SignCube._adopt(dim, v, out)
 
 
 def dim_lift(h: SignCube) -> SignCube:
@@ -154,9 +163,8 @@ def almost_cube(F: Field, dim: int, chi0: int = -1) -> SignCube:
         Hadamard if and only if q = 3 (mod 4); for q = 1 (mod 4),
         chi(-1) = +1 and no chi0 makes them Hadamard.
     """
-    if dim < 2:
-        raise DimensionTooSmall("need dim >= 2")
-    if chi0 not in (-1, 1):
+    dim = _dim(dim)
+    if isinstance(chi0, (bool, np.bool_)) or chi0 not in (-1, 1):
         raise ValueError("chi0 must be +1 or -1")
     v = F.q + 1
     _check_size(dim, v)

@@ -31,33 +31,30 @@ which also serves the symmetry module) decides whether the rest may be
 skipped; a cube that fails earlier never pays for it, and a report never
 depends on it.
 
-A cube may also carry candidate relabellings of its points, permutations
-g of range(v) that its construction expects to fix it on every coordinate
-at once: paley2 and paley3 over a prime field attach x -> x + 1, and
-yang_product passes on its input's.  If every candidate fixes H, so does
-the group G they generate, and g maps the layers of axis j at a and b onto
-those at g(a) and g(b), with the same inner product, and the 2-D layer at
-fixed values c onto the one at g(c), its rows and columns relabelled
-alike.  Let r be one more than the largest least point of an orbit of G
-(_orbit_head; 2 for the translation, whose orbits are {inf} and GF(q)).
-Every violation then has an image in Gram rows [0, r) of its axis, or in
-the layers of its pair whose first fixed coordinate is below r; both are
-prefixes of the scan, so they are scanned first, the candidates are
-compared (_fixes) only once they pass, and the rest is skipped only if
-every candidate fixes H.  Otherwise the whole axis or pair is scanned.
-The full scan's first violation lies in the prefix, so no report depends
-on the candidates, and a cube without them is scanned as before.  Paley
-cubes over GF(p**k), k > 1, carry none: their translations need k
-generators, and k compares were measured to cost more than they save at
-every such order tried but q = 243 (README).  Once the candidates fix
-H, a permutation of its coordinates, such as the rotation, is compared
-with H on indices [0, r) of axis 0 alone: the candidates relabel every
-coordinate alike, so they commute with it, and H with its coordinates
-permuted is fixed by G as H is; two G-fixed cubes that agree on a set of
-n-tuples meeting every G-orbit agree everywhere, and the tuples whose
-first coordinate is below r meet every orbit.  Every compare's verdict
-is memoized on the cube, whose entries never change, so each relabelling
-is decided once per cube, for the verifiers and the symmetry module alike.
+The verifiers also test one relabelling of the points on every cube of
+order v > 2, however it was made: the index shift s = [0, 2, 3, ..., v-1, 1],
+which is x -> x + 1 on the projective line over a prime field (infinity
+first), and so fixes the prime-field Paley cubes and their products.  A
+relabelling g that fixes H on every coordinate at once maps the layers of
+axis j at a and b onto those at g(a) and g(b), with the same inner
+product, and the 2-D layer at fixed values c onto the one at g(c), its
+rows and columns relabelled alike.  The orbits of s are {0} and
+{1, ..., v-1}, so if s fixes H, every violation has an image in Gram rows
+[0, 2) of its axis, or in the layers of its pair whose first fixed
+coordinate is below 2.  Both are prefixes of the scan, so they are scanned
+first, s is compared (_shift_fixes) only once they pass, and the rest is
+skipped only if s fixes H; otherwise that axis or pair and every later one
+are scanned whole.  The full scan's first violation lies in the prefix, so
+no report depends on s.  Once s fixes H, a permutation of its coordinates,
+such as the rotation, is compared with H on indices [0, 2) of axis 0
+alone: s relabels every coordinate alike, so it commutes with the
+permutation, and H with its coordinates permuted is fixed by s as H is;
+two s-fixed cubes that agree on a set of n-tuples meeting every orbit of s
+agree everywhere, and the tuples whose first coordinate is below 2 meet
+every orbit.  Every compare's verdict is memoized on the cube, whose
+entries never change, so each relabelling is decided once per cube, for
+the verifiers and the symmetry module alike; PSL(2, p)'s translation has
+the bytes of s and is served from the memo.
 
 File format "HDM v1" (ASCII, LF line endings):
   line 1:   "HDM <n> <v>"  with ASCII decimal integers and single spaces;
@@ -133,9 +130,8 @@ def _index(i, bound: int, what: str) -> int:
 class SignCube:
     """Immutable n-dimensional order-v array with entries in {-1, +1}."""
 
-    # _fixed memoizes _fixes verdicts; _perms holds candidate point
-    # relabellings, which the verifiers test through _fixes before use
-    __slots__ = ("n", "v", "data", "_fixed", "_perms")
+    # _fixed memoizes _fixes verdicts
+    __slots__ = ("n", "v", "data", "_fixed")
 
     def __init__(self, n: int, v: int, entries):
         entries = np.asarray(entries)
@@ -145,29 +141,24 @@ class SignCube:
         self._init(n, v, entries.astype(np.int8, order="C"))
 
     @classmethod
-    def _adopt(cls, n: int, v: int, data: np.ndarray, perms=()) -> "SignCube":
+    def _adopt(cls, n: int, v: int, data: np.ndarray) -> "SignCube":
         """Wrap a freshly built C-order int8 array without copying it, after
         the same checks as the constructor; the caller hands it over and
         must not write to it afterwards, which the memo of _fixes relies on.
-        perms are candidate relabellings of the points (index permutations
-        of range(v)) that the caller expects to fix the cube; the verifiers
-        test each through _fixes before they skip any work for it."""
+        The cube is verified as any other: whatever symmetry its builder
+        knows it has, the verifiers test for themselves."""
         _check_entries(n, v, data)
-        perms = tuple(tuple(map(operator.index, p)) for p in perms)
-        if any(sorted(p) != list(range(v)) for p in perms):
-            raise ValueError(f"candidates must be permutations of range({v})")
         cube = cls.__new__(cls)
-        cube._init(n, v, data, perms)
+        cube._init(n, v, data)
         return cube
 
-    def _init(self, n: int, v: int, data: np.ndarray, perms=()) -> None:
+    def _init(self, n: int, v: int, data: np.ndarray) -> None:
         data = data.ravel()
         data.flags.writeable = False
         self.n = n
         self.v = v
         self.data = data
         self._fixed = {}
-        self._perms = perms
 
     def __repr__(self):
         return f"SignCube(n={self.n}, v={self.v})"
@@ -413,20 +404,18 @@ def _fixes(H: SignCube, perm=None, axes=None) -> bool:
     a SignCube's entries never change, so the verdict is kept in H._fixed,
     a bool under the axes and the perm's bytes.
 
-    A pure coordinate permutation (perm None) of a cube whose candidate
-    relabellings all fix it is compared on indices [0, r) of axis 0 only,
-    r from _orbit_head, when r < v.  The candidates relabel every
-    coordinate alike, so they commute with the transpose: H.transpose(axes)
-    is fixed by the group G they generate, as H is.  Two G-fixed cubes are
-    equal if they agree on a set of n-tuples that meets every G-orbit, and
-    the tuples whose first coordinate is below r do: a g in G takes any
-    tuple's first coordinate to the least point of its orbit.  In every
-    other case the whole cube is compared.
+    A pure coordinate permutation (perm None) is compared on indices
+    [0, 2) of axis 0 only if the shift fixes H (_shift_fixes, asked
+    first).  The shift relabels every coordinate alike, so it commutes with
+    the transpose: H.transpose(axes) is fixed by it, as H is.  Two
+    shift-fixed cubes are equal if they agree on a set of n-tuples that
+    meets every orbit of the shift, and the tuples whose first coordinate
+    is below 2 do: a power of the shift takes any tuple's first coordinate
+    to 0 or 1.  In every other case the whole cube is compared.
     """
     key = (axes, None if perm is None else np.asarray(perm, dtype=np.intp).tobytes())
     if key not in H._fixed:
-        r = _orbit_head(H) if perm is None and axes is not None else H.v
-        rows = r if r < H.v and _candidates_fix(H) else None
+        rows = 2 if perm is None and axes is not None and _shift_fixes(H) else None
         H._fixed[key] = _relabels_to(H.array, H.array, perm, axes, rows=rows)
     return H._fixed[key]
 
@@ -436,28 +425,11 @@ def _rotation_fixes(H: SignCube) -> bool:
     return _fixes(H, axes=(*range(1, H.n), 0))
 
 
-def _orbit_head(H: SignCube) -> int:
-    """r such that every orbit of the group generated by H's candidate
-    relabellings meets range(r): one more than the largest least point of
-    an orbit.  v when H has no candidates, every point being its own orbit."""
-    if not H._perms:
-        return H.v
-    seen, r = bytearray(H.v), 0
-    for s in range(H.v):
-        if not seen[s]:  # s is the least point of a new orbit
-            r, seen[s], todo = s + 1, 1, [s]
-            while todo:  # a permutation's inverse is one of its powers
-                x = todo.pop()
-                for p in H._perms:
-                    if not seen[p[x]]:
-                        seen[p[x]] = 1
-                        todo.append(p[x])
-    return r
-
-
-def _candidates_fix(H: SignCube) -> bool:
-    """Does every candidate relabelling of H fix it?"""
-    return all(_fixes(H, p) for p in H._perms)
+def _shift_fixes(H: SignCube) -> bool:
+    """Is H fixed by the index shift [0, 2, 3, ..., v-1, 1] on every
+    coordinate?  False for v <= 2, with no compare: the shift is then the
+    identity, or (v = 1) not a permutation, and leaves no prefix to skip."""
+    return H.v > 2 and _fixes(H, np.r_[0, 2:H.v, 1])
 
 
 def is_hadamard(H: SignCube) -> VerifyReport:
@@ -470,26 +442,26 @@ def is_hadamard(H: SignCube) -> VerifyReport:
     by the rotation of its coordinates, which maps the layers of each axis
     onto those of the axis before it; that is tested only then.
 
-    A cube with candidate relabellings (see SignCube._adopt) is scanned on
-    Gram rows [0, r) of each axis first, r from _orbit_head.  A relabelling
-    g of the points that fixes H gives Gram[g(a), g(b)] = Gram[a, b] on
-    every axis, so if the candidates all fix H, every nonzero entry has an
-    image in a row below r: once those rows pass, the axis passes, and the
-    candidates are tested only then.  Otherwise the whole axis is scanned.
-    The rows below r come first in scan order, so a report never depends
-    on the candidates.
+    A cube of order v > 2 is scanned on Gram rows [0, 2) of an axis first.
+    A relabelling g of the points that fixes H gives Gram[g(a), g(b)] =
+    Gram[a, b] on every axis, and the shift [0, 2, ..., v-1, 1] has the
+    orbits {0} and {1, ..., v-1}, so if it fixes H, every nonzero entry has
+    an image in those rows: once they pass, the axis passes, and the shift
+    is tested only then.  If it does not fix H, this axis and every later
+    one are scanned whole.  The rows below 2 come first in scan order, so a
+    report never depends on the shift.
     """
     if H.n < 2:
         raise DimensionTooSmall("need n >= 2")
     n, v = H.n, H.v
-    r = _orbit_head(H)
+    r = 2 if v > 2 else None  # Gram rows [0, r) first; None: the whole axis
     for axis in range(n):
         # a stack of one matrix, whose row a is the layer with coordinate
         # axis = a: [0, a] of this view, read in C order
         mats = H.data.reshape(1, v**axis, v, -1).transpose(0, 2, 1, 3)
         hit = _scan(mats, rows=r)
-        if hit is None and r < v and not _candidates_fix(H):
-            hit = _scan(mats)
+        if hit is None and r and not _shift_fixes(H):
+            r, hit = None, _scan(mats)
         if hit is not None:
             _, a, b, dev = hit
             return VerifyReport(False, axis=axis, pair=(a, b), deviation=dev,
@@ -547,28 +519,31 @@ def is_proper(H: SignCube) -> VerifyReport:
     first, meet every rotation orbit and decide the rest.  The rotation is
     tested only once they have passed.
 
-    A cube (n >= 3) with candidate relabellings is scanned first on the
-    layers of each pair whose first fixed coordinate is below r, a prefix
-    of the pair's scan, r from _orbit_head.  A relabelling g that fixes H
-    maps the layer at fixed values c onto the one at g(c), with its rows
-    and columns relabelled alike, so if the candidates all fix H, every
-    failing layer has an image in that prefix: once it passes, the pair
-    passes, and the candidates are tested only then.  Otherwise the whole
-    pair is scanned, and a report never depends on the candidates.
+    A cube (n >= 3) of order v > 2 is scanned first on the layers of each
+    pair whose first fixed coordinate is below 2, a prefix of the pair's
+    scan.  A relabelling g that fixes H maps the layer at fixed values c
+    onto the one at g(c), with its rows and columns relabelled alike, so
+    if the shift [0, 2, ..., v-1, 1], whose orbits are {0} and
+    {1, ..., v-1}, fixes H, every failing layer has an image in that
+    prefix: once it passes, the pair passes, and the shift is tested only
+    then.  If it does not fix H, this pair and every later one are scanned
+    whole, and a report never depends on the shift.
     """
     if H.n < 2:
         raise DimensionTooSmall("need n >= 2")
     n, v = H.n, H.v
     layers, per_layer = v ** (n - 2), v * (v - 1)
-    r = _orbit_head(H) if n > 2 else v  # a 2-D cube's one layer fixes no coordinate
+    # layers whose first fixed coordinate is below r first; None: the whole
+    # pair, as for a 2-D cube, whose one layer fixes no coordinate
+    r = 2 if n > 2 and v > 2 else None
     for i, (j1, j2) in enumerate(itertools.combinations(range(n), 2)):
         # lay[c] is the layer with rows along j1 and columns along j2 at the
         # other coordinates c, in scan order
         others = [j for j in range(n) if j not in (j1, j2)]
         lay = H.array.transpose(*others, j1, j2)[..., None, :]
         hit = _scan(lay[:r])
-        if hit is None and r < v and not _candidates_fix(H):
-            hit = _scan(lay)
+        if hit is None and r and not _shift_fixes(H):
+            r, hit = None, _scan(lay)
         if hit is not None:
             k, a, b, dev = hit
             return VerifyReport(False, axis=j1, pair=(a, b), deviation=dev,

@@ -245,6 +245,31 @@ def test_yang_rejects_bad_input():
         almost_cube(Field(3), 1)
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: almost_cube(Field(3), 2.5), id="almost-float"),
+    pytest.param(lambda: almost_cube(Field(3), True), id="almost-bool"),
+    pytest.param(lambda: almost_cube(Field(3), None), id="almost-none"),
+    pytest.param(lambda: yang_product(H2, 3.0), id="product-float"),
+    pytest.param(lambda: yang_product(H2, "3"), id="product-str"),
+    pytest.param(lambda: yang_product(H2, np.True_), id="product-numpy-bool"),
+])
+def test_constructions_refuse_a_dim_that_is_not_an_integer(build):
+    """dim is read by operator.index, never from a bool, and refused with
+    a typed error before any size is computed: a float used to end in a
+    TypeError from the size guard, and a str in one from the comparison."""
+    with pytest.raises(DimensionTooSmall, match="is not an integer"):
+        build()
+
+
+def test_constructions_take_numpy_integer_dims_and_refuse_a_bool_chi0():
+    F = Field(3)
+    assert yang_product(H2, np.int64(3)) == yang_product(H2, 3)
+    assert almost_cube(F, np.int8(3), chi0=np.int8(1)) == almost_cube(F, 3, chi0=1)
+    for chi0 in (True, False, np.True_, 0, 2):  # True used to be taken as +1
+        with pytest.raises(ValueError, match="chi0 must be"):
+            almost_cube(F, 3, chi0=chi0)
+
+
 def test_size_guard_refuses_before_allocating():
     # 2**60 and 2**70 entries; 4**40 for almost_cube at q = 3
     for build in (lambda: yang_product(H2, 60), lambda: yang_product(H2, 70),

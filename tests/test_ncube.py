@@ -167,31 +167,38 @@ def test_data_is_immutable():
 
 
 def test_constructor_starts_without_candidates_or_verdicts():
-    """SignCube(...) copies its input, has no candidate relabellings and an
-    empty memo, whatever cube its entries come from."""
+    """SignCube(...) copies its input and starts with an empty memo,
+    whatever cube its entries come from: no verdict carries over from a
+    cube that was verified, and no cube brings relabellings of its own."""
     src = paley3(Field(7))
-    assert is_hadamard(src).passed and src._fixed and src._perms
+    assert is_hadamard(src).passed and src._fixed
     for entries in (src.array, src.data, src.array.astype(np.int64)):
         c = SignCube(3, 8, entries)
         assert not np.shares_memory(c.data, entries)
-        assert c == src and c._perms == () and c._fixed == {}
+        assert c == src and c._fixed == {}
 
 
-def test_only_prime_paley_cubes_and_their_products_carry_candidates(tmp_path):
-    shift = (0, *range(2, 8), 1)  # x -> x + 1 on PG(1, 7), infinity first
+def test_the_shift_fixes_prime_paley_cubes_and_their_products_only(tmp_path):
+    """_shift_fixes accepts the Paley cubes over a prime field and their
+    products however they reach a verifier: built, written and read back,
+    parsed, sliced by layer at z = infinity, or copied by SignCube(...).
+    It rejects the Paley cubes over GF(9) and GF(27), lifts, almost cubes
+    and the products of a Sylvester matrix, and, without a compare, every
+    cube of order 1 or 2."""
     h, cube = paley2(Field(7)), paley3(Field(7))
-    assert h._perms == cube._perms == yang_product(h, 4)._perms == (shift,)
-    assert paley3(Field(9))._perms == paley2(Field(27))._perms == ()
-    assert yang_product(SYL4, 3)._perms == ()
     with open(tmp_path / "c.hdm", "wb") as f:
         write(cube, f)
     with open(tmp_path / "c.hdm", "rb") as f:
         from_file = read(f)
-    for c in (layer(cube, {2: 0}), from_file, parse(serialize(cube)), dim_lift(h),
-              almost_cube(Field(7), 3)):
-        assert c._perms == ()
-    with pytest.raises(ValueError):  # a candidate must be a permutation of the points
-        SignCube._adopt(3, 8, cube.array.copy(), [(0,) * 8])
+    accepted = [h, cube, paley3(Field(13)), yang_product(h, 4),
+                yang_product(paley2(Field(11)), 3), from_file, parse(serialize(cube)),
+                layer(cube, {2: 0}), SignCube(3, 8, cube.array)]
+    rejected = [paley3(Field(9)), paley2(Field(27)), paley3(Field(27)), dim_lift(h),
+                dim_lift(cube), almost_cube(Field(7), 3), yang_product(SYL4, 3)]
+    assert all(ncube._shift_fixes(c) for c in accepted)
+    assert not any(ncube._shift_fixes(c) for c in rejected)
+    small = [H2, product_cube(H2, 3), SignCube(2, 1, [1]), SignCube(3, 1, [-1])]
+    assert not any(ncube._shift_fixes(c) or c._fixed for c in small)
 
 
 def test_memo_holds_small_boolean_verdicts():
@@ -199,8 +206,8 @@ def test_memo_holds_small_boolean_verdicts():
     cube = paley3(F)
     assert is_hadamard(cube).passed and not is_proper(cube).passed
     assert check_psl_invariance(cube, F) and check_cyclic(cube)
-    # the rotation and the three PSL generators, the first of which is the
-    # translation candidate
+    # the rotation and the three PSL generators, the first of which, the
+    # translation, is the shift that is_hadamard tested
     assert len(cube._fixed) == 4
     for (axes, perm), verdict in cube._fixed.items():
         assert type(verdict) is bool
@@ -527,31 +534,37 @@ def test_rotation_invariant_cubes_are_scanned_once_per_orbit(monkeypatch):
     """A cube fixed by the rotation is scanned on one axis and on the pairs
     (0, 1) ... (0, n // 2); any other cube on every axis and pair.  The
     rotation is tested once, and only after those first families pass:
-    a cube that fails earlier does no more than the scan up to it."""
+    a cube that fails earlier does no more than the scan up to it.  A cube
+    that the shift does not fix scans the two-row or two-layer prefix of
+    its first axis or pair, then that axis or pair whole: one scan more
+    than the families (the Sylvester product, the lift, and the flip whose
+    layer z = 3 lies past the prefix); the other cubes are fixed by the
+    shift, or fail inside the prefix."""
     F = Field(7)
     skew = yang_product(paley2(F), 4)  # paley2(GF(7)) is not symmetric
     assert not ncube._rotation_fixes(skew)
     flipped = flip_in_layer(paley3(F), 3, random.Random(7))
     cases = [
         (paley3(F), (1, 1), (1, 1)),
-        (yang_product(SYL4, 4), (1, 1), (2, 1)),
+        (yang_product(SYL4, 4), (2, 1), (3, 1)),
         (skew, (4, 1), (6, 1)),
-        (flipped, (1, 0), (1, 0)),
+        (flipped, (1, 0), (2, 0)),
         (almost_cube(F, 4), (1, 0), (1, 0)),
-        (dim_lift(paley3(F)), (4, 1), (6, 1)),
+        (dim_lift(paley3(F)), (5, 1), (7, 1)),
     ]
     for cube, hadamard, proper in cases:
         assert scan_counts(monkeypatch, is_hadamard, cube) == hadamard
         assert scan_counts(monkeypatch, is_proper, cube) == proper
 
 
-# -- candidate relabellings ----------------------------------------------------------
+# -- the shift x -> x + 1 ------------------------------------------------------------
 
 PRIMES_LE_31 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
 def shift(v: int) -> tuple:
-    """x -> x + 1 on PG(1, v - 1), infinity first: paley3's candidate."""
+    """x -> x + 1 on PG(1, v - 1), infinity first: the relabelling that the
+    verifiers test on every cube of order v > 2."""
     return (0, *range(2, v), 1)
 
 
@@ -582,8 +595,16 @@ def relabel_calls(monkeypatch, keywords=None) -> list:
     return calls
 
 
-def adopt(arr: np.ndarray, *perms) -> SignCube:
-    return SignCube._adopt(arr.ndim, len(arr), np.ascontiguousarray(arr, dtype=np.int8), perms)
+def scan_calls(monkeypatch) -> list:
+    """Appends the (stack shape, rows) of every _scan call from now on."""
+    scans, scan = [], ncube._scan
+    monkeypatch.setattr(ncube, "_scan", lambda mats, **kw:
+                        scans.append((mats.shape, kw.get("rows"))) or scan(mats, **kw))
+    return scans
+
+
+def adopt(arr: np.ndarray) -> SignCube:
+    return SignCube._adopt(arr.ndim, len(arr), np.ascontiguousarray(arr, dtype=np.int8))
 
 
 def invariant_under(arr: np.ndarray, perm) -> np.ndarray:
@@ -599,46 +620,46 @@ def invariant_under(arr: np.ndarray, perm) -> np.ndarray:
 
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_prime_paley_cubes_and_products_match_the_oracles(budget, monkeypatch):
-    """Cubes that carry the translation are scanned on two rows or layers
-    and one compare, with the full scan's reports: paley3 for every prime
+    """Cubes that the shift fixes are scanned on two rows or layers and
+    one compare, with the full scan's reports: paley3 for every prime
     q <= 31, of both residues mod 4, and products of paley2."""
     monkeypatch.setattr(ncube, "_BUDGET", budget)
     keys = [("paley3", q) for q in PRIMES_LE_31]
     keys += [("product", q, d) for q in (3, 7, 11) for d in (3, 4)]
     for key in keys:
         c = cube_of(key)
-        assert c._perms == (shift(c.v),) and ncube._orbit_head(c) == 2
         assert (is_hadamard(c), is_proper(c)) == oracle_reports(key), key
+        assert ncube._shift_fixes(c)
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_a_candidate_that_does_not_fix_the_cube_is_dropped(budget, monkeypatch):
     """paley3(GF(11)) with one entry flipped in the layer z = 7 of pair
-    (0, 1), adopted with the translation: axis 0 fails in its two-row
-    prefix before any compare, and pair (0, 1)'s prefix, the layers z = 0
-    and 1, passes, the translation is found not to fix the cube, and the
-    whole pair is scanned for the full scan's report."""
+    (0, 1): axis 0 fails in its two-row prefix before any compare, and pair
+    (0, 1)'s prefix, the layers z = 0 and 1, passes, the shift is found not
+    to fix the cube, and the whole pair is scanned for the full scan's
+    report."""
     monkeypatch.setattr(ncube, "_BUDGET", budget)
     arr = paley3(Field(11)).array.copy()
     arr[5, 3, 7] *= -1
-    bad = adopt(arr, shift(12))
+    bad = adopt(arr)
     calls = relabel_calls(monkeypatch)
     rep = is_hadamard(bad)
     assert not calls and rep == is_hadamard_naive(bad) and rep.pair[0] < 2
     rep = is_proper(bad)
     assert calls == [(None, shift(12))]
     assert rep == proper_oracle(bad) and (rep.checked_pairs - 1) // (12 * 11) == 7
-    assert not ncube._fixes(bad, shift(12))
+    assert not ncube._shift_fixes(bad)
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_a_failing_cube_that_the_candidate_fixes_fails_in_the_prefix(budget, monkeypatch):
-    """paley3 negated on translation orbits of triples is fixed by the
-    translation but is not Hadamard; its first violation lies in the
-    prefix, as the witness argument says, and the reports are the
-    oracles'.  The orbits of (0, 1, 3) and (0, 1, 2) over GF(7) leave the
-    inner products with the layer x = inf unchanged, so that cube fails
-    first in row 1, the least point of the finite orbit."""
+    """paley3 negated on orbits of triples under the shift is fixed by the
+    shift but is not Hadamard; its first violation lies in the prefix, as
+    the witness argument says, and the reports are the oracles'.  The
+    orbits of (0, 1, 3) and (0, 1, 2) over GF(7) leave the inner products
+    with the layer x = inf unchanged, so that cube fails first in row 1,
+    the least point of the finite orbit."""
     monkeypatch.setattr(ncube, "_BUDGET", budget)
     cases = [(7, [(3, 4, 6)]), (11, [(2, 5, 9)]), (11, [(0, 4, 7)]), (7, [(1, 2, 4), (1, 2, 3)])]
     for q, triples in cases:
@@ -647,8 +668,8 @@ def test_a_failing_cube_that_the_candidate_fixes_fails_in_the_prefix(budget, mon
             for _ in range(q):
                 arr[tuple(x)] *= -1
                 x = t[x]
-        c = adopt(arr, shift(v))
-        assert ncube._fixes(c, shift(v))
+        c = adopt(arr)
+        assert ncube._shift_fixes(c)
         rep = is_hadamard(c)
         assert not rep.passed and rep == is_hadamard_naive(c) and rep.pair[0] < 2
         rep = is_proper(c)
@@ -658,35 +679,36 @@ def test_a_failing_cube_that_the_candidate_fixes_fails_in_the_prefix(budget, mon
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
-def test_non_transitive_candidates_give_longer_prefixes(budget, monkeypatch):
-    """Candidates whose orbits have least points beyond 1: x -> 2x on
-    PG(1, 7) and x -> 4x on PG(1, 13), squares that fix paley3 with the
-    orbits {inf}, {0}, the squares and the non-squares; and a transposition
-    of two points, fixing the product of a relabelled Sylvester matrix,
-    that product with entry pairs flipped everywhere, and random cubes."""
+def test_verifiers_match_oracles_on_cubes_with_other_point_symmetries(budget, monkeypatch):
+    """Cubes fixed by relabellings of their points other than the shift,
+    whose orbits have least points beyond 1: x -> 2x on PG(1, 7) and
+    x -> 4x on PG(1, 13), squares that fix paley3 with the orbits {inf},
+    {0}, the squares and the non-squares; and a transposition of two
+    points, fixing the product of a relabelled Sylvester matrix, that
+    product with entry pairs flipped everywhere, and random cubes."""
     monkeypatch.setattr(ncube, "_BUDGET", budget)
     cubes = []
-    for q, g, r in ((7, 2, 5), (13, 4, 4)):
+    for q, g in ((7, 2), (13, 4)):
         F = Field(q)
         scale = (0, *(1 + F.mul(g, e) for e in F.elems))
-        cubes.append((adopt(paley3(F).array, scale), r))
+        cubes.append((paley3(F), scale))
     swap = (0, 1, 3, 2)  # the transposition of points 2 and 3
     syl = SYL4.array[np.ix_((0, 3, 1, 2), (0, 3, 1, 2))]  # fixed by swap
     base = yang_product(SignCube(2, 4, syl), 3).array
-    cubes.append((adopt(base, swap), 3))
+    cubes.append((adopt(base), swap))
     for pos in itertools.product(range(4), repeat=3):
         arr = base.copy()
         arr[pos] *= -1
-        cubes.append((adopt(invariant_under(arr, swap), swap), 3))
+        cubes.append((adopt(invariant_under(arr, swap)), swap))
     rng = np.random.default_rng(20261020)
     for n, v in ((3, 4), (3, 5), (4, 4)):
         perm = (*range(v - 2), v - 1, v - 2)
         for _ in range(20):
             arr = rng.choice(np.array([-1, 1], dtype=np.int8), size=(v,) * n)
-            cubes.append((adopt(invariant_under(arr, perm), perm), v - 1))
+            cubes.append((adopt(invariant_under(arr, perm)), perm))
     passed = set()
-    for c, r in cubes:
-        assert ncube._orbit_head(c) == r and ncube._candidates_fix(c)
+    for c, perm in cubes:
+        assert ncube._fixes(c, perm)
         hadamard, proper = is_hadamard(c), is_proper(c)
         assert hadamard == is_hadamard_naive(c)
         assert proper == proper_oracle(c)
@@ -696,12 +718,10 @@ def test_non_transitive_candidates_give_longer_prefixes(budget, monkeypatch):
 
 def test_prime_paley3_is_certified_by_a_prefix_and_two_compares(monkeypatch):
     """paley3(GF(107)) through is_hadamard and is_proper: 2 Gram rows of
-    axis 0 and the 2 layers z = inf, 0 of pair (0, 1), then one translation
+    axis 0 and the 2 layers z = inf, 0 of pair (0, 1), then one shift
     compare and one rotation compare, each made once."""
     cube, v = paley3(Field(107)), 108
-    scans, scan = [], ncube._scan
-    monkeypatch.setattr(ncube, "_scan", lambda mats, **kw:
-                        scans.append((mats.shape, kw.get("rows"))) or scan(mats, **kw))
+    scans = scan_calls(monkeypatch)
     keywords = []
     calls = relabel_calls(monkeypatch, keywords)
     assert is_hadamard(cube) == VerifyReport(True, checked_pairs=3 * v * (v - 1) // 2)
@@ -713,19 +733,77 @@ def test_prime_paley3_is_certified_by_a_prefix_and_two_compares(monkeypatch):
     assert [kw.get("rows") for kw in keywords] == [None, 2]
 
 
+def test_a_cube_the_shift_does_not_fix_pays_one_prefix_and_one_compare(monkeypatch):
+    """paley3(GF(27)) and the lift of paley3(GF(7)) pass the two-row prefix
+    of axis 0, fail the one shift compare, and are scanned whole from
+    there: axis 0 again, then every later axis with no rows.  is_proper
+    asks the kept verdict after the two-layer prefix of pair (0, 1) and
+    scans that pair and the rest whole.  The rotation is compared whole."""
+    v = 28
+    cube = paley3(Field(27))
+    scans = scan_calls(monkeypatch)
+    keywords = []
+    calls = relabel_calls(monkeypatch, keywords)
+    assert is_hadamard(cube).passed and is_proper(cube).passed
+    assert scans == [((1, v, 1, v * v), 2), ((1, v, 1, v * v), None),
+                     ((2, v, 1, v), None), ((v, v, 1, v), None)]
+    assert calls == [(None, shift(v)), ((1, 2, 0), None)]
+    assert [kw.get("rows") for kw in keywords] == [None, None]
+    monkeypatch.undo()
+
+    v, lifted = 8, dim_lift(paley3(Field(7)))
+    scans = scan_calls(monkeypatch)
+    keywords = []
+    calls = relabel_calls(monkeypatch, keywords)
+    assert is_hadamard(lifted) == is_hadamard_naive(lifted)
+    axes = [(1, v, 1, v**3)] + [(1, v, v**j, v ** (3 - j)) for j in range(1, 4)]
+    assert scans == [(axes[0], 2)] + [(a, None) for a in axes]
+    assert calls == [(None, shift(v)), ((1, 2, 3, 0), None)]
+    del scans[:]
+    assert is_proper(lifted) == proper_oracle(lifted)
+    assert scans == [((2, v, v, 1, v), None)] + [((v, v, v, 1, v), None)] * 6
+    assert [kw.get("rows") for kw in keywords] == [None, None]
+    assert len(calls) == 2
+
+
 def test_a_cube_that_fails_in_the_prefix_makes_no_compare(monkeypatch):
     """paley3(GF(13)) is not proper: its layer z = inf fails, inside the
-    prefix, so is_proper makes no compare; nor does a cube without
-    candidates beyond the rotation rule's."""
+    prefix, so is_proper makes no compare; nor do the verifiers on an
+    almost cube, nor is_hadamard on a cube with one entry flipped, whose
+    layer meets row 0 or 1 of axis 0's Gram matrix."""
     calls = relabel_calls(monkeypatch)
     cube = paley3(Field(13))
     assert is_proper(cube) == VerifyReport(False, 0, (1, 2), 2, 14)
     assert calls == []
     assert is_hadamard(cube).passed and len(calls) == 2
+    del calls[:]
+    almost = almost_cube(Field(7), 4)
+    assert not is_hadamard(almost).passed and not is_proper(almost).passed
+    rng = random.Random(13)
+    for q in (7, 11, 19):
+        flipped = flip_in_layer(paley3(Field(q)), rng.randrange(q + 1), rng)
+        assert is_hadamard(flipped) == is_hadamard_naive(flipped)
+    assert calls == []
+
+
+def test_cubes_of_order_one_and_two_have_no_prefix(monkeypatch):
+    """At v <= 2 the verifiers scan every axis and pair whole, with no
+    rows, and make no shift compare: the shift would be the identity, or
+    at v = 1 not a permutation.  Only the rotation may be compared."""
+    rng = random.Random(12)
+    cubes = [H2, product_cube(H2, 3), SignCube(3, 2, [1] * 8), SignCube(2, 1, [1]),
+             SignCube(3, 1, [-1])] + [random_cube(rng, n, 2) for n in (2, 3, 4) for _ in range(4)]
+    scans = scan_calls(monkeypatch)
+    calls = relabel_calls(monkeypatch)
+    for c in cubes:
+        assert is_hadamard(c) == is_hadamard_naive(c)
+        assert is_proper(c) == proper_oracle(c)
+    assert {rows for _, rows in scans} == {None}
+    assert calls and all(perm is None for _, perm in calls)
 
 
 def test_check_cyclic_on_a_fresh_prime_paley3_compares_a_prefix(monkeypatch):
-    """check_cyclic on a fresh paley3(GF(19)) compares the translation, then
+    """check_cyclic on a fresh paley3(GF(19)) compares the shift, then
     indices 0 and 1 of axis 0 of the rotated cube; the verifiers then find
     both verdicts kept and compare nothing."""
     cube, v = paley3(Field(19)), 20
@@ -737,11 +815,11 @@ def test_check_cyclic_on_a_fresh_prime_paley3_compares_a_prefix(monkeypatch):
     assert is_hadamard(cube).passed and len(calls) == 2
 
 
-def translation_fixed_cube(rng: np.random.Generator, n: int, q: int, rotate: bool) -> SignCube:
-    """A random cube on PG(1, q), q prime, adopted with its candidate
-    x -> x + 1, which fixes it, as does the rotation of its coordinates if
-    rotate: each entry is a seeded sign read at the least flat index of
-    its orbit under those maps."""
+def shift_fixed_cube(rng: np.random.Generator, n: int, q: int, rotate: bool) -> SignCube:
+    """A random cube on PG(1, q), q prime, fixed by the shift x -> x + 1,
+    and by the rotation of its coordinates if rotate: each entry is a
+    seeded sign read at the least flat index of its orbit under those
+    maps."""
     v, t = q + 1, np.asarray(shift(q + 1))
     idx = np.indices((v,) * n).reshape(n, -1)
     weights = v ** np.arange(n - 1, -1, -1)
@@ -750,7 +828,7 @@ def translation_fixed_cube(rng: np.random.Generator, n: int, q: int, rotate: boo
         images += [weights @ np.roll(idx, k, axis=0) for k in range(n if rotate else 1)]
         idx = t[idx]
     signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=v**n)
-    return adopt(signs[np.min(images, axis=0)].reshape((v,) * n), shift(v))
+    return adopt(signs[np.min(images, axis=0)].reshape((v,) * n))
 
 
 def prefix_verdicts(c: SignCube) -> set:
@@ -765,31 +843,31 @@ def prefix_verdicts(c: SignCube) -> set:
 
 
 def test_prefix_rotation_verdicts_match_the_whole_compare(monkeypatch):
-    """Cubes whose candidates fix them are compared with a coordinate
-    permutation of themselves on the first r indices of axis 0 (rows=r);
+    """Cubes that the shift fixes are compared with a coordinate
+    permutation of themselves on the first 2 indices of axis 0 (rows=2);
     the verdict is the whole compare's for every permutation: prime
-    paley3, products of prime paley2, and random translation-fixed cubes
-    with and without the rotation symmetry."""
+    paley3, products of prime paley2, and random shift-fixed cubes with
+    and without the rotation symmetry."""
     keywords = []
     relabel_calls(monkeypatch, keywords)
     cubes = [paley3(Field(q)) for q in PRIMES_LE_31]
     cubes += [yang_product(paley2(Field(q)), d) for q in (3, 7, 11) for d in (3, 4, 5)]
     rng = np.random.default_rng(20261021)
-    cubes += [translation_fixed_cube(rng, n, q, rotate)
+    cubes += [shift_fixed_cube(rng, n, q, rotate)
               for n, q in ((2, 3), (2, 7), (3, 3), (3, 5), (4, 3)) for rotate in (False, True)
               for _ in range(8)]
-    # paley3 negated on the translation orbit of a triple of field elements:
-    # it differs from its rotations only where no coordinate is infinity, so
+    # paley3 negated on the shift orbit of a triple of field elements: it
+    # differs from its rotations only where no coordinate is infinity, so
     # a prefix of the index inf alone would miss it
     for q, x in ((7, (1, 2, 4)), (11, (1, 4, 9)), (11, (1, 1, 3))):
         arr, t, x = paley3(Field(q)).array.copy(), np.asarray(shift(q + 1)), np.asarray(x)
         for _ in range(q):
             arr[tuple(x)] *= -1
             x = t[x]
-        cubes.append(adopt(arr, shift(q + 1)))
+        cubes.append(adopt(arr))
     verdicts = set()
     for c in cubes:
-        assert ncube._orbit_head(c) == 2 and ncube._candidates_fix(c)
+        assert ncube._shift_fixes(c)
         verdicts |= prefix_verdicts(c)
     assert verdicts == {True, False}
     # every verdict of _fixes came from a prefix
@@ -797,17 +875,17 @@ def test_prefix_rotation_verdicts_match_the_whole_compare(monkeypatch):
 
 
 def test_prefix_rotation_needs_fixing_candidates_with_short_orbit_heads(monkeypatch):
-    """A candidate that does not fix its cube leaves the rotation to the
-    whole compare, as do candidates whose orbits give r = v, which are not
-    compared at all."""
+    """The rotation is compared on a prefix only if the shift fixes the
+    cube and v > 2.  A shift that does not fix its cube leaves the rotation
+    to the whole compare, and at v = 2, whose shift is the identity, the
+    shift is not compared at all."""
     arr = paley3(Field(11)).array.copy()
     arr[5, 3, 7] *= -1
     rng = np.random.default_rng(20261022)
     unfixed = rng.choice(np.array([-1, 1], dtype=np.int8), size=(8,) * 3)
-    swap = (1, 0, *range(2, 12))  # orbits {0, 1}, {2}, ..., {11}: r = 12
-    cases = [(adopt(arr, shift(12)), [(None, shift(12)), ((1, 2, 0), None)]),
-             (adopt(unfixed, shift(8)), [(None, shift(8)), ((1, 2, 0), None)]),
-             (adopt(paley3(Field(11)).array, swap), [((1, 2, 0), None)])]
+    cases = [(adopt(arr), [(None, shift(12)), ((1, 2, 0), None)]),
+             (adopt(unfixed), [(None, shift(8)), ((1, 2, 0), None)]),
+             (SignCube(3, 2, [1, 1, 1, 1, 1, 1, -1, -1]), [((1, 2, 0), None)])]
     for c, expected in cases:
         keywords = []
         calls = relabel_calls(monkeypatch, keywords)
