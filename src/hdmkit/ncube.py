@@ -14,9 +14,13 @@ cube as a stack of such matrices, one per axis for is_hadamard and the
 feeds the kernel: it takes the stack in chunks of 1, 2, 4, ... matrices
 and the columns in blocks, through one float buffer of at most _BUDGET
 bytes.  The one matrix whose rows are contiguous fibres, is_hadamard's
-last axis, is cast as blocks of its transpose's rows instead.  Beside
-that buffer a check holds the Gram matrices, v*v floats each.  A plain
-summation implementation is kept alongside as an independent cross-check.
+last axis, is cast as blocks of its transpose's rows instead.  That
+buffer, the slabs of _relabels_to and the row blocks of write and read
+are views of one scratch buffer per thread (_scratch), at most _BUDGET
+bytes, which is kept between calls, so a check does not fault in fresh
+pages for its temporaries each time.  Beside the scratch a check holds
+the Gram matrices, v*v floats each.  A plain summation implementation is
+kept alongside as an independent cross-check.
 
 A cube fixed by the rotation of its coordinates, H(x_1, ..., x_n) =
 H(x_2, ..., x_n, x_1), as the Paley 3-cube and the product of a symmetric
@@ -44,14 +48,15 @@ rows and columns relabelled alike.  The orbits of s are {0} and
 coordinate is below 2.  Both are prefixes of the scan, so they are scanned
 first, s is compared (_shift_fixes) only once they pass, and the rest is
 skipped only if s fixes H; otherwise that axis or pair and every later one
-are scanned whole.  The full scan's first violation lies in the prefix, so
-no report depends on s.  Once s fixes H, a permutation of its coordinates,
-such as the rotation, is compared with H on indices [0, 2) of axis 0
-alone: s relabels every coordinate alike, so it commutes with the
-permutation, and H with its coordinates permuted is fixed by s as H is;
-two s-fixed cubes that agree on a set of n-tuples meeting every orbit of s
-agree everywhere, and the tuples whose first coordinate is below 2 meet
-every orbit.  Every compare's verdict is memoized on the cube, whose
+are scanned whole, as is_proper scans every pair from the start once a
+verdict that s does not fix H is kept.  The full scan's first violation
+lies in the prefix, so no report depends on s.  Once s fixes H, a permutation of
+its coordinates, such as the rotation, is compared with H on indices
+[0, 2) of axis 0 alone: s relabels every coordinate alike, so it commutes
+with the permutation, and H with its coordinates permuted is fixed by s
+as H is; two s-fixed cubes that agree on a set of n-tuples meeting every
+orbit of s agree everywhere, and the tuples whose first coordinate is
+below 2 meet every orbit.  Every compare's verdict is memoized on the cube, whose
 entries never change, so each relabelling is decided once per cube, for
 the verifiers and the symmetry module alike; PSL(2, p)'s translation has
 the bytes of s and is served from the memo.
@@ -62,8 +67,8 @@ File format "HDM v1" (ASCII, LF line endings):
   rows being the flat data in storage order; '+' is +1 and '-' is -1;
   no trailing whitespace, and the file ends with a final LF.
 write and read stream it to and from a binary file one block of rows (at
-most _BUDGET bytes) at a time, so a process holds the cube and one block;
-the header line is read in bounded pieces too.
+most _BUDGET bytes, in the scratch) at a time, so a process holds the cube
+and one block; the header line is read in bounded pieces too.
 read is the one decoder: parse is read over an in-memory stream of a str
 or of ASCII bytes, and serialize is write's output as str.  A file that
 read cannot accept is read again in blocks and lines, after the cube is
@@ -77,6 +82,7 @@ import math
 import operator
 import re
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,10 +228,35 @@ def layer(H: SignCube, fixed: dict) -> SignCube:
 # Cap on the bytes of temporaries one step works on: the float buffer of the
 # verifiers' producer _scan (a column block of one matrix or a row block of
 # its transpose, or a chunk of whole 2-D layers beside their transposes), a
-# block of rows in write and read, a piece of a header line, and a slab of
-# the cube in _relabels_to.  Beside the cube, a process holds about
-# this much; the verifiers also hold their Gram matrices, v*v floats each.
+# block of rows in write and read, a piece of a header line or of a file
+# searched for its first fault, and a slab of the cube in _relabels_to with
+# its relabelled copy or mask.  The float buffer, the row blocks and the
+# slabs are views of one scratch buffer per thread (_scratch), kept between
+# calls, so they cost a thread at most this much in all; the verifiers also
+# hold their Gram matrices, v*v floats each.
 _BUDGET = 1 << 20
+
+_held = threading.local()  # .buf: this thread's scratch, if it has made one
+
+
+def _scratch(count: int, dtype) -> np.ndarray:
+    """count items of dtype, uninitialised: the front of this thread's
+    scratch buffer if they fit in _BUDGET bytes, else a fresh array.
+
+    The buffer is grown to the largest request of at most _BUDGET bytes and
+    kept, so a call reuses pages the last one faulted in; a larger request
+    (one column or row longer than _BUDGET) is not kept.  A caller must be
+    done with one request's view before it, or any function it calls,
+    makes the next: every request starts at the buffer's front.
+    """
+    nbytes = count * np.dtype(dtype).itemsize
+    if nbytes > _BUDGET:
+        return np.empty(count, dtype)
+    buf = getattr(_held, "buf", None)
+    if buf is None or len(buf) < nbytes:
+        _held.buf = None  # the old buffer is freed before the new one is made
+        buf = _held.buf = np.empty(nbytes, np.uint8)
+    return buf[:nbytes].view(dtype)
 
 
 def _gram_dtype(m: int) -> type:
@@ -281,9 +312,10 @@ def _scan(mats: np.ndarray, rows: int | None = None):
     every column is still cast, as the rows' inner products with all v
     rows need them.  The stack is taken in chunks of 1, 2, 4, ... matrices, so
     an early violation costs at most about twice the work up to it.  One
-    float buffer of at most _BUDGET bytes (one column, if that is larger)
-    is reused for every block: a chunk of one matrix is cast a column
-    block at a time and its Gram matrix summed as y @ yᵀ; a larger chunk
+    float buffer of at most _BUDGET bytes (one column, if that is larger),
+    the thread's _scratch, is reused for every block and kept between
+    calls: a chunk of one matrix is cast a column block at a time and its
+    Gram matrix summed as y @ yᵀ; a larger chunk
     holds whole matrices X beside a contiguous copy of Xᵀ, measured faster
     for stacks of small layers than X @ Xᵀ as a view or X and Xᵀ in one
     interleaved buffer.  A single matrix whose rows run along the cube's
@@ -298,7 +330,7 @@ def _scan(mats: np.ndarray, rows: int | None = None):
     r = v if rows is None else rows
     dtype = _gram_dtype(cols)
     # the one float buffer: _BUDGET bytes, or one column if that is more
-    buf = np.empty(min(max(v, _BUDGET // dtype().itemsize), 2 * total * v * cols), dtype)
+    buf = _scratch(min(max(v, _BUDGET // dtype().itemsize), 2 * total * v * cols), dtype)
     cap = max(1, len(buf) // (2 * v * cols))  # matrices per chunk, beside Xᵀ
     p_step, q_step = max(1, len(buf) // (v * q_total)), min(q_total, len(buf) // v)
     start, size = 0, 1
@@ -336,16 +368,19 @@ def _relabels_to(src: np.ndarray, dst: np.ndarray, perm=None, axes=None,
                  rows: int | None = None) -> bool:
     """Does dst equal src with its axes reordered by transpose(axes), then
     every index i on every axis replaced by perm[i]?  With rows = r, only
-    indices [0, r) of axis 0 are compared.
+    indices [0, min(r, len)) of axis 0 are compared.  src holds 1-byte
+    entries, as a cube does.  perm must be a permutation of range(len(src)),
+    which every caller checks or builds: the gathers clip an index out of
+    range instead of raising.
 
     Walks axis 0 in slabs of 1, 2, 4, ... indices and stops at the first
     slab that differs, so a difference near the start costs a small slab.
-    The leading axes are relabelled by gathers, which move whole rows, and
-    the last axis by _relabel_last: one slice per run of consecutive
-    images when perm has few runs, else a gather.  A slab's relabelled
-    copy and the comparison's mask, or the copy and the next axis's copy,
-    are alive together, so a slab holds at most half of _BUDGET bytes (at
-    least one index of axis 0).
+    A slab holds at most half of _BUDGET bytes (at least one index of axis
+    0), and the thread's _scratch holds two slabs: axis 0 is relabelled by
+    a gather from src into one half, each later leading axis by a gather,
+    which moves whole rows, into the other half, and the last axis by
+    _relabel_last; the comparison's mask is then written over the half the
+    slab is not in.
     """
     if axes is not None:
         src = src.transpose(axes)
@@ -355,28 +390,37 @@ def _relabels_to(src: np.ndarray, dst: np.ndarray, perm=None, axes=None,
     if index is not None:
         # where the maximal runs of consecutive images, perm[i + 1] == perm[i] + 1, start
         starts = np.r_[0, np.flatnonzero(np.diff(index) != 1) + 1]
-    cap = max(1, _BUDGET // (2 * src[:1].nbytes))
-    start, size, end = 0, 1, len(src) if rows is None else rows
+    cap, row = max(1, _BUDGET // (2 * src[:1].nbytes)), src[:1].size
+    start, size, end = 0, 1, len(src) if rows is None else min(rows, len(src))
     while start < end:
         stop = min(end, start + size, start + cap)
+        shape, count = (stop - start, *src.shape[1:]), (stop - start) * row
+        buf = _scratch(2 * count, src.dtype)
+        # each relabelling writes the slab into the spare half b of the
+        # scratch, which the old slab then becomes; mode="clip" writes
+        # straight into out, where the default mode would buffer it
+        b = buf[count:].reshape(shape)
         if index is None:
             slab = src[start:stop]
         else:
+            slab = src.take(index[start:stop], axis=0, out=buf[:count].reshape(shape),
+                            mode="clip")
             # one gather per axis: measured 2-3x faster than one fancy-index gather
-            slab = src[index[start:stop]]
             for axis in range(1, src.ndim - 1):
-                slab = slab.take(index, axis=axis)
+                slab, b = slab.take(index, axis=axis, out=b, mode="clip"), slab
             if src.ndim > 1:  # a 1-D slab's one axis is relabelled already
-                slab = _relabel_last(slab, index, starts)
-        if not np.array_equal(slab, dst[start:stop]):
+                slab, b = _relabel_last(slab, index, starts, b), slab
+        if np.not_equal(slab, dst[start:stop], out=b.view(bool)).any():
             return False
         start, size = stop, size * 2
     return True
 
 
-def _relabel_last(slab: np.ndarray, index: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """slab with index i of its last axis replaced by index[i], starts
-    being where index's maximal runs of consecutive images start.
+def _relabel_last(slab: np.ndarray, index: np.ndarray, starts: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """slab with index i of its last axis replaced by index[i], written to
+    out, of slab's shape and dtype and not overlapping it; starts is where
+    index's maximal runs of consecutive images start.
 
     take gathers the last axis one entry at a time, at about 25x the cost
     of a copy; a run is one slice copy, which costs about 2 us per run and
@@ -392,8 +436,7 @@ def _relabel_last(slab: np.ndarray, index: np.ndarray, starts: np.ndarray) -> np
     runs against 5.5 us by take, and 32 indices 18 against 41 us.
     """
     if 8 * len(starts) > len(index) or slab.size < 2048 * len(starts):
-        return slab.take(index, axis=-1)
-    out = np.empty_like(slab)
+        return slab.take(index, axis=-1, out=out, mode="clip")
     for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(index)]):
         out[..., lo:hi] = slab[..., index[lo]:index[lo] + hi - lo]
     return out
@@ -413,11 +456,16 @@ def _fixes(H: SignCube, perm=None, axes=None) -> bool:
     is below 2 do: a power of the shift takes any tuple's first coordinate
     to 0 or 1.  In every other case the whole cube is compared.
     """
-    key = (axes, None if perm is None else np.asarray(perm, dtype=np.intp).tobytes())
+    key = _memo_key(perm, axes)
     if key not in H._fixed:
         rows = 2 if perm is None and axes is not None and _shift_fixes(H) else None
         H._fixed[key] = _relabels_to(H.array, H.array, perm, axes, rows=rows)
     return H._fixed[key]
+
+
+def _memo_key(perm=None, axes=None) -> tuple:
+    """The key of H._fixed under which _fixes keeps a verdict."""
+    return axes, None if perm is None else np.asarray(perm, dtype=np.intp).tobytes()
 
 
 def _rotation_fixes(H: SignCube) -> bool:
@@ -429,7 +477,12 @@ def _shift_fixes(H: SignCube) -> bool:
     """Is H fixed by the index shift [0, 2, 3, ..., v-1, 1] on every
     coordinate?  False for v <= 2, with no compare: the shift is then the
     identity, or (v = 1) not a permutation, and leaves no prefix to skip."""
-    return H.v > 2 and _fixes(H, np.r_[0, 2:H.v, 1])
+    return H.v > 2 and _fixes(H, _shift(H.v))
+
+
+def _shift(v: int) -> np.ndarray:
+    """The index shift [0, 2, 3, ..., v-1, 1]."""
+    return np.r_[0, 2:v, 1]
 
 
 def is_hadamard(H: SignCube) -> VerifyReport:
@@ -449,7 +502,11 @@ def is_hadamard(H: SignCube) -> VerifyReport:
     an image in those rows: once they pass, the axis passes, and the shift
     is tested only then.  If it does not fix H, this axis and every later
     one are scanned whole.  The rows below 2 come first in scan order, so a
-    report never depends on the shift.
+    report never depends on the shift.  They are scanned first even when
+    H._fixed already holds that the shift does not fix H: they cost 2/v of
+    the axis's product, and a violation that involves layer 0 or 1, as
+    every one made by flipping one entry of a Hadamard cube does, shows
+    there, while a miss costs one more cast of the axis.
     """
     if H.n < 2:
         raise DimensionTooSmall("need n >= 2")
@@ -527,15 +584,20 @@ def is_proper(H: SignCube) -> VerifyReport:
     {1, ..., v-1}, fixes H, every failing layer has an image in that
     prefix: once it passes, the pair passes, and the shift is tested only
     then.  If it does not fix H, this pair and every later one are scanned
-    whole, and a report never depends on the shift.
+    whole, and a report never depends on the shift.  If H._fixed already
+    holds that verdict (kept by is_hadamard, say), every pair is scanned
+    whole from the start: the whole scan takes the prefix's layers first,
+    in chunks of 1 and 2, so the prefix would only be scanned twice.
     """
     if H.n < 2:
         raise DimensionTooSmall("need n >= 2")
     n, v = H.n, H.v
     layers, per_layer = v ** (n - 2), v * (v - 1)
     # layers whose first fixed coordinate is below r first; None: the whole
-    # pair, as for a 2-D cube, whose one layer fixes no coordinate
-    r = 2 if n > 2 and v > 2 else None
+    # pair, as for a 2-D cube, whose one layer fixes no coordinate, or once
+    # the shift is known not to fix H, which is read with no compare
+    known_unfixed = H._fixed.get(_memo_key(_shift(v))) is False
+    r = 2 if n > 2 and v > 2 and not known_unfixed else None
     for i, (j1, j2) in enumerate(itertools.combinations(range(n), 2)):
         # lay[c] is the layer with rows along j1 and columns along j2 at the
         # other coordinates c, in scan order
@@ -566,12 +628,14 @@ def write(H: SignCube, out) -> None:
     """Write H in HDM v1 to the binary stream out.
 
     The rows are converted one block at a time into one reused uint8
-    buffer of at most _BUDGET bytes (one row if a row is longer), whose
-    last column is LF, so writing holds nothing the size of the cube.
+    buffer of at most _BUDGET bytes (one row if a row is longer), the
+    thread's _scratch, whose last column is set to LF on every call, so
+    writing holds nothing the size of the cube.
     """
     rows, v = H.v ** (H.n - 1), H.v
     grid = H.data.view(np.uint8).reshape(rows, v)
-    buf = np.empty((min(rows, _block_rows(v)), v + 1), dtype=np.uint8)
+    block_rows = min(rows, _block_rows(v))
+    buf = _scratch(block_rows * (v + 1), np.uint8).reshape(block_rows, v + 1)
     buf[:, v] = ord("\n")
     out.write(f"HDM {H.n} {H.v}\n".encode("ascii"))
     for start in range(0, rows, len(buf)):
@@ -593,7 +657,7 @@ def read(f) -> SignCube:
 
     The header line is read and checked, and the stream's size against
     it, before the cube is allocated; the rows are then read one block of
-    at most _BUDGET bytes at a time into one reused buffer and converted
+    at most _BUDGET bytes at a time into the thread's _scratch and converted
     into the cube, so a valid file costs the cube and one block.  Any
     other file raises the ParseError of its first fault, in the order
     listed under parse, which _first_fault finds after the cube is
@@ -649,7 +713,8 @@ def _read_rows(f, n: int, v: int) -> SignCube:
     or an entry is not '+' or '-'."""
     rows = v ** (n - 1)
     cube = np.empty((rows, v), dtype=np.uint8)
-    buf = np.empty((min(rows, _block_rows(v)), v + 1), dtype=np.uint8)
+    block_rows = min(rows, _block_rows(v))
+    buf = _scratch(block_rows * (v + 1), np.uint8).reshape(block_rows, v + 1)
     for start in range(0, rows, len(buf)):
         block = buf[:min(len(buf), rows - start)]
         if f.readinto(block) != block.nbytes or not (block[:, v] == ord("\n")).all():

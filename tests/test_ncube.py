@@ -1,10 +1,13 @@
+import concurrent.futures
 import hashlib
 import io
 import itertools
 import json
 import math
 import functools
+import os
 import random
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -36,7 +39,7 @@ from hdmkit.ncube import (
     serialize,
     write,
 )
-from hdmkit.symmetry import check_cyclic, check_psl_invariance
+from hdmkit.symmetry import check_cyclic, check_permutation_invariance, check_psl_invariance
 
 PINS = Path(__file__).resolve().parents[1] / "bench" / "pins.json"
 # ncube._BUDGET values for the multi-block paths: one row, column or layer
@@ -537,20 +540,22 @@ def test_rotation_invariant_cubes_are_scanned_once_per_orbit(monkeypatch):
     a cube that fails earlier does no more than the scan up to it.  A cube
     that the shift does not fix scans the two-row or two-layer prefix of
     its first axis or pair, then that axis or pair whole: one scan more
-    than the families (the Sylvester product, the lift, and the flip whose
-    layer z = 3 lies past the prefix); the other cubes are fixed by the
-    shift, or fail inside the prefix."""
+    than the families (is_hadamard on the Sylvester product and the lift,
+    and is_proper on the flip whose layer z = 3 lies past the prefix); once
+    is_hadamard has kept that verdict, is_proper scans its pairs whole with
+    no prefix (the Sylvester product and the lift).  The other cubes are
+    fixed by the shift, or fail inside the prefix."""
     F = Field(7)
     skew = yang_product(paley2(F), 4)  # paley2(GF(7)) is not symmetric
     assert not ncube._rotation_fixes(skew)
     flipped = flip_in_layer(paley3(F), 3, random.Random(7))
     cases = [
         (paley3(F), (1, 1), (1, 1)),
-        (yang_product(SYL4, 4), (2, 1), (3, 1)),
+        (yang_product(SYL4, 4), (2, 1), (2, 1)),
         (skew, (4, 1), (6, 1)),
         (flipped, (1, 0), (2, 0)),
         (almost_cube(F, 4), (1, 0), (1, 0)),
-        (dim_lift(paley3(F)), (5, 1), (7, 1)),
+        (dim_lift(paley3(F)), (5, 1), (6, 1)),
     ]
     for cube, hadamard, proper in cases:
         assert scan_counts(monkeypatch, is_hadamard, cube) == hadamard
@@ -737,8 +742,8 @@ def test_a_cube_the_shift_does_not_fix_pays_one_prefix_and_one_compare(monkeypat
     """paley3(GF(27)) and the lift of paley3(GF(7)) pass the two-row prefix
     of axis 0, fail the one shift compare, and are scanned whole from
     there: axis 0 again, then every later axis with no rows.  is_proper
-    asks the kept verdict after the two-layer prefix of pair (0, 1) and
-    scans that pair and the rest whole.  The rotation is compared whole."""
+    reads the kept verdict before any scan and scans every pair whole from
+    the start, with no prefix.  The rotation is compared whole."""
     v = 28
     cube = paley3(Field(27))
     scans = scan_calls(monkeypatch)
@@ -746,7 +751,7 @@ def test_a_cube_the_shift_does_not_fix_pays_one_prefix_and_one_compare(monkeypat
     calls = relabel_calls(monkeypatch, keywords)
     assert is_hadamard(cube).passed and is_proper(cube).passed
     assert scans == [((1, v, 1, v * v), 2), ((1, v, 1, v * v), None),
-                     ((2, v, 1, v), None), ((v, v, 1, v), None)]
+                     ((v, v, 1, v), None)]
     assert calls == [(None, shift(v)), ((1, 2, 0), None)]
     assert [kw.get("rows") for kw in keywords] == [None, None]
     monkeypatch.undo()
@@ -761,9 +766,30 @@ def test_a_cube_the_shift_does_not_fix_pays_one_prefix_and_one_compare(monkeypat
     assert calls == [(None, shift(v)), ((1, 2, 3, 0), None)]
     del scans[:]
     assert is_proper(lifted) == proper_oracle(lifted)
-    assert scans == [((2, v, v, 1, v), None)] + [((v, v, v, 1, v), None)] * 6
+    assert scans == [((v, v, v, 1, v), None)] * 6
     assert [kw.get("rows") for kw in keywords] == [None, None]
     assert len(calls) == 2
+
+
+def test_a_kept_shift_verdict_is_read_before_any_prefix(monkeypatch):
+    """is_proper on a paley3(GF(27)) whose shift verdict
+    check_permutation_invariance kept scans every pair whole from the
+    start, with no compare.  is_hadamard keeps its two-row prefix even
+    then: on a cube with one entry flipped, whose verdict is kept too, the
+    prefix alone finds the violation."""
+    v = 28
+    cube = paley3(Field(27))
+    assert not check_permutation_invariance(cube, shift(v))
+    scans = scan_calls(monkeypatch)
+    calls = relabel_calls(monkeypatch)
+    assert is_proper(cube).passed
+    assert scans == [((v, v, 1, v), None)]
+    assert calls == [((1, 2, 0), None)]
+    flipped = flip_in_layer(cube, 9, random.Random(27))
+    assert not check_permutation_invariance(flipped, shift(v))
+    del scans[:]
+    assert is_hadamard(flipped) == is_hadamard_naive(flipped)
+    assert scans == [((1, v, 1, v * v), 2)]
 
 
 def test_a_cube_that_fails_in_the_prefix_makes_no_compare(monkeypatch):
@@ -1021,6 +1047,119 @@ def test_parse_peak_memory(as_bytes, factor):
     text = serialize(cube)
     source = text.encode("ascii") if as_bytes else text
     assert traced_peak(parse, source) <= factor * cube.data.nbytes
+
+
+# -- the per-thread scratch ------------------------------------------------------
+
+def in_a_new_thread(fn):
+    """fn() run in a thread of its own, which starts with no scratch; its
+    result, or its exception raised here."""
+    out = {}
+
+    def body():
+        try:
+            out["value"] = fn()
+        except BaseException as exc:  # re-raised in the calling thread
+            out["error"] = exc
+    t = threading.Thread(target=body)
+    t.start()
+    t.join()
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+def test_scratch_keeps_requests_up_to_the_budget_only(monkeypatch):
+    """A thread's scratch grows to its largest request of at most _BUDGET
+    bytes and serves every request from its front; a larger request gets
+    a fresh array, which is not kept."""
+    monkeypatch.setattr(ncube, "_BUDGET", 4096)
+
+    def requests():
+        ncube._scratch(100, np.uint8)
+        assert ncube._held.buf.nbytes == 100
+        full = ncube._scratch(1024, np.float32)  # 4096 bytes: grown to the budget
+        held = ncube._held.buf
+        assert held.nbytes == 4096 and np.shares_memory(full, held)
+        assert full.dtype == np.float32 and full.shape == (1024,)
+        again = ncube._scratch(10, np.float64)
+        assert np.shares_memory(again, held) and again.ctypes.data == held.ctypes.data
+        big = ncube._scratch(1025, np.float32)
+        assert big.shape == (1025,) and not np.shares_memory(big, held)
+        assert ncube._held.buf is held and ncube._scratch(4096, np.uint8).base is held
+    in_a_new_thread(requests)
+    assert in_a_new_thread(lambda: getattr(ncube._held, "buf", None)) is None
+
+
+def test_a_warm_scratch_keeps_a_second_check_under_the_budget():
+    """After one warm call, is_hadamard on a copy of paley3(GF(59)), which
+    scans its prefix and makes its shift and rotation compares again,
+    allocates a small fraction of _BUDGET: its float buffer and its slabs
+    are views of the thread's scratch.  With buffers made on every call it
+    peaked at about 1.05 MB."""
+    cube = paley3(Field(59))
+    assert is_hadamard(cube).passed
+    copy = SignCube(3, 60, cube.array)
+    assert traced_peak(is_hadamard, copy) < ncube._BUDGET / 16
+    assert copy._fixed == cube._fixed
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_threads_verifying_at_once_give_the_serial_reports(budget, monkeypatch):
+    """Two threads (at most one per CPU) verify paley3 over GF(47), GF(59)
+    and GF(71), each whole and with one entry flipped, at the same time and
+    in opposite orders, each on cubes of its own, so each makes every scan
+    and compare through its own scratch; their reports and _relabels_to
+    verdicts are those of the same calls made serially."""
+    monkeypatch.setattr(ncube, "_BUDGET", budget)
+    arrays = []
+    for q in (47, 59, 71):
+        arr = paley3(Field(q)).array
+        flipped = arr.copy()
+        flipped[5, 3, 7] *= -1
+        arrays += [arr, flipped]
+
+    def results(order):
+        out = {}
+        for i in order:
+            c = SignCube(3, arrays[i].shape[0], arrays[i])  # an empty memo
+            out[i] = (is_hadamard(c), is_proper(c),
+                      ncube._relabels_to(c.array, c.array, shift(c.v)),
+                      ncube._relabels_to(c.array, c.array, axes=(1, 2, 0)))
+        return out
+    forward = list(range(len(arrays)))
+    serial = results(forward)
+    assert {v[2] for v in serial.values()} == {True, False}
+    workers = min(2, os.cpu_count() or 1)
+    start = threading.Barrier(workers)
+
+    def at_once(order):
+        start.wait()
+        return results(order)
+    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+        runs = [pool.submit(at_once, order) for order in (forward, forward[::-1])[:workers]]
+        assert [run.result() for run in runs] == [serial] * workers
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_relabels_to_with_rows_past_the_end_compares_every_index(budget, monkeypatch):
+    """rows beyond the length of axis 0 compares every index, as rows=None
+    does: a difference in the last index is found, with and without a
+    perm and a transpose."""
+    monkeypatch.setattr(ncube, "_BUDGET", budget)
+    rng = np.random.default_rng(20261019)
+    for n, v in ((1, 6), (2, 7), (3, 6), (4, 5)):
+        arr = rng.choice(np.array([-1, 1], dtype=np.int8), size=(v,) * n)
+        axes = (*range(1, n), 0)
+        for perm, a in ((None, axes), (shift(v), None), (shift(v), axes)):
+            whole = arr if a is None else arr.transpose(a)
+            if perm is not None:
+                whole = whole[np.ix_(*[perm] * n)]
+            bad = whole.copy()
+            bad[(v - 1,) * n] *= -1
+            for rows in (v, v + 1, 10 * v):
+                assert ncube._relabels_to(arr, whole, perm, a, rows=rows)
+                assert not ncube._relabels_to(arr, bad, perm, a, rows=rows)
 
 
 def test_verify_report_shape():

@@ -374,12 +374,16 @@ def test_layer_witness_rejects_wrong_order_or_dimension():
                 check_layer_witness(F, H, c)
 
 
-def test_symmetry_checks_reject_bad_permutations_and_points():
+def test_symmetry_checks_reject_bad_permutations_and_points(monkeypatch):
+    """Bad permutations are refused before any compare: _relabels_to would
+    clip an out-of-range index, not raise."""
     F = Field(7)
     ones = SignCube(3, 8, [1] * 512)
+    calls = compare_calls(monkeypatch)
     for perm in ([9] * 8, [0] * 8):  # out of range; in range but not a permutation
         with pytest.raises(NotAPermutation):
             check_permutation_invariance(ones, perm)
+    assert calls == []
     with pytest.raises(OrderMismatch):
         check_permutation_invariance(ones, range(7))
     # a float used to end in numpy's IndexError, and True to stand for 1
@@ -393,6 +397,21 @@ def test_symmetry_checks_reject_bad_permutations_and_points():
             layer_equiv_witness(F, c)
         with pytest.raises(IndexOutOfRange):
             check_layer_witness(F, cube, c)
+
+
+def test_relabelling_callers_build_permutations():
+    """_relabels_to clips an index out of range instead of raising, so it
+    must be handed a permutation of range(v).  check_permutation_invariance
+    checks the perms it is given
+    (test_symmetry_checks_reject_bad_permutations_and_points); the perms
+    that the other callers build, the shift, the PSL generators and the
+    layer witnesses, are permutations."""
+    for q in (3, 7, 9, 11):
+        F = Field(q)
+        perms = [ncube._shift(q + 1), *(g.perm() for g in psl_generators(F)),
+                 *(layer_equiv_witness(F, PPoint(c)).perm() for c in F.elems)]
+        for perm in perms:
+            assert sorted(np.asarray(perm).tolist()) == list(range(q + 1))
 
 
 @pytest.mark.parametrize("q", [3, 7])
