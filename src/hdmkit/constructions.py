@@ -13,12 +13,13 @@ z = infinity layer.  The other constructions work on a given cube or on
 the coordinate-sum index.
 
 A construction hands its cube over with no claim about its symmetry.  The
-verifiers test for themselves the one relabelling they use to skip work,
-the index shift x -> x + 1 (ncube._shift_fixes), which fixes the Paley
-cubes over a prime field and their products but not those over GF(p**k),
-k > 1, nor the lifts.
+verifiers test for themselves the relabellings they use to skip work, the
+index shift x -> x + 1 and the scaling x -> g^2 x (ncube._group), which
+fix the Paley cubes over a prime field and their products but not those
+over GF(p**k), k > 1, nor the lifts.
 """
 
+import itertools
 import operator
 
 import numpy as np
@@ -115,20 +116,38 @@ def paley3(F: Field) -> SignCube:
 
 def yang_product(h: SignCube, dim: int) -> SignCube:
     """Entrywise product of a 2-D Hadamard matrix over all coordinate
-    pairs; yields a proper dim-dimensional Hadamard matrix."""
+    pairs; yields a proper dim-dimensional Hadamard matrix.
+
+    The last two axes are read as one of v*v entries, so that every pass
+    multiplies runs of v*v contiguous entries, not of v.  The pairs
+    (j, dim-2) and (j, dim-1) take one pass together, by the table
+    T[x, (y, z)] = h(x, y) * h(x, z) of v**3 entries (at dim 3 the cube
+    itself, built in place); the pair (dim-2, dim-1) is h read flat, and
+    each pair of the other axes is h broadcast over those runs."""
     if h.n != 2:
         raise DimensionMismatch(f"input must be 2-dimensional, got n={h.n}")
     dim = _dim(dim)
     _check_size(dim, h.v)
     if not is_hadamard(h).passed:
         raise NotHadamardInput("product construction needs a Hadamard input")
-    v = h.v
-    out = np.ones((v,) * dim, dtype=np.int8)
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            shape = [1] * dim
-            shape[j] = shape[k] = v
-            out *= h.array.reshape(shape)
+    v, a = h.v, h.array
+    out = np.empty((v,) * (dim - 2) + (v * v,), dtype=np.int8)
+
+    def along(*axes, last=1):  # a factor's shape over out's axes
+        return [v if i in axes else 1 for i in range(dim - 2)] + [last]
+    if dim == 2:
+        out[...] = a.reshape(-1)
+    else:
+        t = out.reshape(v, -1, v, v)[:, 0] if dim == 3 else np.empty((v, v, v), np.int8)
+        np.multiply(a[:, :, None], a[:, None, :], out=t)
+        t = t.reshape(v, v * v)
+        if dim > 3:
+            out.reshape(v, -1, v * v)[...] = t[:, None]
+        for j in range(1, dim - 2):
+            out *= t.reshape(along(j, last=v * v))
+        out *= a.reshape(-1)
+        for j, k in itertools.combinations(range(dim - 2), 2):
+            out *= a.reshape(along(j, k))
     return SignCube._adopt(dim, v, out)
 
 

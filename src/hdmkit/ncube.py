@@ -11,9 +11,11 @@ kernel forms with float BLAS products (exact; see _gram_dtype) and scans
 for the first nonzero entry above the diagonal.  Both checks view the
 cube as a stack of such matrices, one per axis for is_hadamard and the
 2-D layers of each axis pair for is_proper, and one producer (_scan)
-feeds the kernel: it takes the stack in chunks of 1, 2, 4, ... matrices
-and the columns in blocks, through one float buffer of at most _BUDGET
-bytes.  The one matrix whose rows are contiguous fibres, is_hadamard's
+feeds the kernel: it takes the stack in chunks that double in size, the
+first of one matrix or of about _BUDGET // 256 entries of small ones, and
+the columns in blocks, through one float buffer of at most _BUDGET bytes;
+a rule that skips work hands it fewer rows or matrices, gathered in index
+order.  The one matrix whose rows are contiguous fibres, is_hadamard's
 last axis, is cast as blocks of its transpose's rows instead.  That
 buffer, the slabs of _relabels_to and the row blocks of write and read
 are views of one scratch buffer per thread (_scratch), at most _BUDGET
@@ -61,6 +63,27 @@ entries never change, so each relabelling is decided once per cube, for
 the verifiers and the symmetry module alike; PSL(2, p)'s translation has
 the bytes of s and is served from the memo.
 
+When p = v - 1 is an odd prime, the verifiers go one step further, to the
+affine group B = <s, sigma> of the maps x -> a*x + b with a a non-zero
+square, where sigma is x -> g²x for g the least primitive root mod p
+(_group).  It is PSL(2, p)'s stabilizer of infinity, and its scaling has
+the bytes of PSL's, so the PSL check reads that verdict from the memo too.
+sigma normalizes A = <s>: sigma(x + 1) = sigma(x) + g².  So once s has
+passed whole, H relabelled by sigma is fixed by A as H is, and sigma is
+compared on indices [0, 2) of axis 0 alone, as the coordinate
+permutations are.  A fixing group maps a violation onto violations of the
+same value, so the full scan's first violation is the lex-least of its
+orbit, and a scan kept to the lex-least elements of B's orbits, in index
+order, reports it.  For is_hadamard those are Gram entries among the
+layers {0, 1, 2}, and 1 + nu when p = 1 (mod 4), nu the least non-square
+(_heads); for is_proper, the layers whose fixed coordinates are in
+canonical form (_representatives): 6 of the 576 layers of a pair at order
+24 in 4 dimensions.  The head layers of axis 0 are scanned before any
+compare; a hit at (0, 1) or (0, 2) is reported at once, as it is the full
+scan's first violation whatever the group.  A cube that B does not fix
+makes at most that one head scan and the shift compare, and is then
+scanned as above.
+
 File format "HDM v1" (ASCII, LF line endings):
   line 1:   "HDM <n> <v>"  with ASCII decimal integers and single spaces;
   then exactly v**(n-1) lines of exactly v characters from {+, -}, the
@@ -76,6 +99,7 @@ dropped, for the ParseError of its first fault; parse's docstring lists
 the order in which faults are reported.
 """
 
+import functools
 import io
 import itertools
 import math
@@ -96,6 +120,7 @@ from .errors import (
     ShapeMismatch,
     TooLarge,
 )
+from .gf import _factor
 
 # Most axes a cube may have: numpy 1.x's limit on array dimensions.  Only
 # order 1 comes near it: at order 2, 33 axes already make 2**33 entries.
@@ -107,15 +132,26 @@ def _check_entries(n: int, v: int, data: np.ndarray) -> None:
     cube: n >= 1 and v >= 1, n <= MAX_AXES (TooLarge), v**n entries
     (ShapeMismatch), and integer entries that are all +1 or -1.  The
     entries are checked as given, before any int8 cast, so no value can
-    wrap or truncate onto ±1; reductions only, so the check allocates
-    nothing the size of the cube."""
+    wrap or truncate onto ±1.  C-contiguous int8 data, which every
+    construction and read hands over, is read once, in slabs of _BUDGET
+    bytes (at least 4 KiB) through the thread's _scratch: x is ±1 exactly when
+    (x + 1) & ~2 is 0 as uint8, since x + 1 is then 0 or 2 mod 256.  Any
+    other data is checked by reductions (min, max, count_nonzero).
+    Neither way allocates anything the size of the cube."""
     if n < 1 or v < 1:
         raise ValueError(f"need n >= 1 and v >= 1, got n={n} v={v}")
     if n > MAX_AXES:
         raise TooLarge(f"dimension n={n} exceeds {MAX_AXES} axes")
     if data.size != v**n:
         raise ShapeMismatch(f"expected {v**n} entries, got {data.size}")
-    if not np.issubdtype(data.dtype, np.integer) or data.min() < -1 \
+    if data.dtype == np.int8 and data.flags.c_contiguous:
+        u, step = data.reshape(-1).view(np.uint8), max(_BUDGET, 4096)
+        for start in range(0, u.size, step):
+            slab = _scratch(min(step, u.size - start), np.uint8)
+            np.add(u[start:start + len(slab)], 1, out=slab)
+            if np.bitwise_and(slab, 0xFD, out=slab).max():  # max: faster than any
+                raise ValueError("entries must be +1 or -1")
+    elif not np.issubdtype(data.dtype, np.integer) or data.min() < -1 \
             or data.max() > 1 or np.count_nonzero(data) != data.size:
         raise ValueError("entries must be +1 or -1")
 
@@ -302,65 +338,100 @@ def _pair_index(v: int, a: int, b: int) -> int:
     return a * (v - 1) - a * (a - 1) // 2 + b - a - 1
 
 
-def _scan(mats: np.ndarray, rows: int | None = None):
+def _scan(mats: np.ndarray, rows: int | None = None, pick=None, at=None):
     """_first_violation over a stack of ±1 matrices, in budgeted blocks.
 
     mats is a view of the cube shaped stack + (v, P, Q): matrix k, a flat
     C-order index into the stack, has v rows, row a being mats[k][a] read
-    in C order.  With rows = r, only the first r rows of each Gram matrix
-    are formed and scanned, which is a prefix of the full scan's order;
-    every column is still cast, as the rows' inner products with all v
-    rows need them.  The stack is taken in chunks of 1, 2, 4, ... matrices, so
-    an early violation costs at most about twice the work up to it.  One
-    float buffer of at most _BUDGET bytes (one column, if that is larger),
-    the thread's _scratch, is reused for every block and kept between
-    calls: a chunk of one matrix is cast a column block at a time and its
-    Gram matrix summed as y @ yᵀ; a larger chunk
-    holds whole matrices X beside a contiguous copy of Xᵀ, measured faster
-    for stacks of small layers than X @ Xᵀ as a view or X and Xᵀ in one
-    interleaved buffer.  A single matrix whose rows run along the cube's
-    contiguous fibres (is_hadamard's last axis) is read the other way:
-    as B = Mᵀ, C-contiguous, cast a block y of B's rows at a time and
-    summed as yᵀ @ y, which costs about two thirds of casting a stride-v
-    column block.  Returns (index, a, b, value) as _first_violation does,
-    with index into the whole stack, or None.
+    in C order.  Three arguments shrink the work, each to a sub-scan kept
+    in the full scan's order:
+
+      rows = r: only the first r rows of each Gram matrix are formed and
+        scanned, a prefix of the full scan's order; every column is still
+        cast, as the rows' inner products with all v rows need them;
+      pick, a sequence of (start, stop) spans of rows in index order: only
+        those rows are cast, a gathered sub-stack whose Gram matrix alone
+        is formed, each span one slice copy; its entries are those of the
+        full Gram matrix at the picked rows, in the same order;
+      at, a sequence of (start, stop) spans of flat stack indices in index
+        order: only those matrices are scanned, gathered chunk by chunk.
+
+    The stack is taken in chunks that double in size, so an early violation
+    costs at most about twice the work up to it.  The first chunk holds
+    one matrix, or as many as make _BUDGET // 256 entries (4096 at the
+    default budget) if the matrices are smaller: a stack of tiny layers
+    then goes in one or two chunks rather than in one call per matrix.
+    One float buffer of at most _BUDGET bytes (one column, if that is
+    larger), the thread's _scratch, is reused for every block and kept
+    between calls: a chunk of one matrix is cast a column block at a time
+    and its Gram matrix summed as y @ yᵀ; a larger chunk holds whole
+    matrices X beside a contiguous copy of Xᵀ, measured faster for stacks
+    of small layers than X @ Xᵀ as a view or X and Xᵀ in one interleaved
+    buffer.  A single matrix whose rows run along the cube's contiguous
+    fibres (is_hadamard's last axis) is read the other way: as B = Mᵀ,
+    C-contiguous, cast a block y of B's rows at a time and summed as
+    yᵀ @ y, which costs about two thirds of casting a stride-v column
+    block.  Returns (index, a, b, value) as _first_violation does, with
+    index into the whole stack and a, b row indices of the matrix, or None.
     """
     *stack, v, p_total, q_total = mats.shape
-    total, cols = math.prod(stack), p_total * q_total
-    r = v if rows is None else rows
+    cols = p_total * q_total
+    kept = np.concatenate([np.arange(lo, hi) for lo, hi in pick or ((0, v),)])
+    k = len(kept)  # rows cast per matrix
+    r = k if rows is None else rows
+    total = math.prod(stack)
+    if at is not None:  # scan position i is flat index i + shift[its span]
+        spans = np.array(at, dtype=np.intp).reshape(-1, 2)
+        ends = np.cumsum(spans[:, 1] - spans[:, 0])
+        total, shift = int(ends[-1]), spans[:, 1] - ends
     dtype = _gram_dtype(cols)
     # the one float buffer: _BUDGET bytes, or one column if that is more
-    buf = _scratch(min(max(v, _BUDGET // dtype().itemsize), 2 * total * v * cols), dtype)
-    cap = max(1, len(buf) // (2 * v * cols))  # matrices per chunk, beside Xᵀ
-    p_step, q_step = max(1, len(buf) // (v * q_total)), min(q_total, len(buf) // v)
-    start, size = 0, 1
+    buf = _scratch(min(max(k, _BUDGET // dtype().itemsize), 2 * total * k * cols), dtype)
+    cap = max(1, len(buf) // (2 * k * cols))  # matrices per chunk, beside Xᵀ
+    p_step, q_step = max(1, len(buf) // (k * q_total)), min(q_total, len(buf) // k)
+    start, size = 0, max(1, -(-(_BUDGET // 256) // (k * cols)))
     while start < total:
         stop = min(total, start + size, start + cap)
+        flat = np.arange(start, stop)
+        if at is not None:
+            flat += shift[np.searchsorted(ends, flat, side="right")]
         if stop - start == 1:  # a view, no gather, and 2-D products
-            m = mats[np.unravel_index(start, stack)]
+            m = mats[np.unravel_index(flat[0], stack)]
             if m.strides[0] == m.itemsize:  # rows along the cube's contiguous fibres
                 b = m.reshape(v, cols).T  # C-contiguous: its rows are the columns of m
-                step = len(buf) // v
-                blocks = (_cast(buf, b[s:s + step]) for s in range(0, cols, step))
+                step = len(buf) // k
+                blocks = (_cast(buf, b[s:s + step], pick, axis=1) for s in range(0, cols, step))
                 hit = _first_violation((y.T[:r], y) for y in blocks)
             else:
-                blocks = (_cast(buf, m[:, p:p + p_step, q:q + q_step]).reshape(v, -1)
+                blocks = (_cast(buf, m[:, p:p + p_step, q:q + q_step], pick).reshape(k, -1)
                           for p in range(0, p_total, p_step)
                           for q in range(0, q_total, q_step))
                 hit = _first_violation((y[:r], y.T) for y in blocks)
         else:
-            x = mats[np.unravel_index(np.arange(start, stop), stack)]
-            x = _cast(buf, x.reshape(-1, v, cols))
+            x = mats[np.unravel_index(flat, stack)]
+            x = _cast(buf, x.reshape(-1, v, cols), pick, axis=1)
             hit = _first_violation([(x[:, :r], _cast(buf[x.size:], x.swapaxes(1, 2)))])
         if hit is not None:
-            return (start + hit[0], *hit[1:])
+            i, a, b, value = hit
+            return int(flat[i]), int(kept[a]), int(kept[b]), value
         start, size = stop, size * 2
 
 
-def _cast(buf: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """src copied into the front of the float buffer buf, shaped as src."""
-    out = buf[:src.size].reshape(src.shape)
-    out[...] = src
+def _cast(buf: np.ndarray, src: np.ndarray, spans=None, axis: int = 0) -> np.ndarray:
+    """src copied into the front of the float buffer buf, shaped as src;
+    with spans, a sequence of (start, stop) in index order, only the
+    indices of the given axis inside them, each span one slice copy."""
+    if spans is None:  # one copy, as the spans' loop measured a few % slower
+        out = buf[:src.size].reshape(src.shape)
+        out[...] = src
+        return out
+    shape = list(src.shape)
+    shape[axis] = sum(hi - lo for lo, hi in spans)
+    out = buf[:math.prod(shape)].reshape(shape)
+    to, src, i = out.swapaxes(0, axis), src.swapaxes(0, axis), 0
+    for lo, hi in spans:
+        to[i:i + hi - lo] = src[lo:hi]
+        i += hi - lo
     return out
 
 
@@ -373,8 +444,10 @@ def _relabels_to(src: np.ndarray, dst: np.ndarray, perm=None, axes=None,
     which every caller checks or builds: the gathers clip an index out of
     range instead of raising.
 
-    Walks axis 0 in slabs of 1, 2, 4, ... indices and stops at the first
-    slab that differs, so a difference near the start costs a small slab.
+    Walks axis 0 in slabs that double in size and stops at the first slab
+    that differs, so a difference near the start costs a small slab.  The
+    first slab holds one index, or as many as make _BUDGET // 256 entries
+    if an index holds fewer, as _scan's first chunk does.
     A slab holds at most half of _BUDGET bytes (at least one index of axis
     0), and the thread's _scratch holds two slabs: axis 0 is relabelled by
     a gather from src into one half, each later leading axis by a gather,
@@ -391,7 +464,8 @@ def _relabels_to(src: np.ndarray, dst: np.ndarray, perm=None, axes=None,
         # where the maximal runs of consecutive images, perm[i + 1] == perm[i] + 1, start
         starts = np.r_[0, np.flatnonzero(np.diff(index) != 1) + 1]
     cap, row = max(1, _BUDGET // (2 * src[:1].nbytes)), src[:1].size
-    start, size, end = 0, 1, len(src) if rows is None else min(rows, len(src))
+    start, end = 0, len(src) if rows is None else min(rows, len(src))
+    size = max(1, -(-(_BUDGET // 256) // max(row, 1)))
     while start < end:
         stop = min(end, start + size, start + cap)
         shape, count = (stop - start, *src.shape[1:]), (stop - start) * row
@@ -442,7 +516,7 @@ def _relabel_last(slab: np.ndarray, index: np.ndarray, starts: np.ndarray,
     return out
 
 
-def _fixes(H: SignCube, perm=None, axes=None) -> bool:
+def _fixes(H: SignCube, perm=None, axes=None, rows: int | None = None) -> bool:
     """_relabels_to(H.array, H.array, perm, axes), decided once per cube:
     a SignCube's entries never change, so the verdict is kept in H._fixed,
     a bool under the axes and the perm's bytes.
@@ -454,11 +528,14 @@ def _fixes(H: SignCube, perm=None, axes=None) -> bool:
     shift-fixed cubes are equal if they agree on a set of n-tuples that
     meets every orbit of the shift, and the tuples whose first coordinate
     is below 2 do: a power of the shift takes any tuple's first coordinate
-    to 0 or 1.  In every other case the whole cube is compared.
+    to 0 or 1.  A caller that has shown as much for its perm passes
+    rows = 2 itself (_group, for the scaling).  In every other case the
+    whole cube is compared.
     """
     key = _memo_key(perm, axes)
     if key not in H._fixed:
-        rows = 2 if perm is None and axes is not None and _shift_fixes(H) else None
+        if perm is None and axes is not None and _shift_fixes(H):
+            rows = 2
         H._fixed[key] = _relabels_to(H.array, H.array, perm, axes, rows=rows)
     return H._fixed[key]
 
@@ -480,9 +557,113 @@ def _shift_fixes(H: SignCube) -> bool:
     return H.v > 2 and _fixes(H, _shift(H.v))
 
 
+@functools.lru_cache(maxsize=64)
 def _shift(v: int) -> np.ndarray:
-    """The index shift [0, 2, 3, ..., v-1, 1]."""
-    return np.r_[0, 2:v, 1]
+    """The index shift [0, 2, 3, ..., v-1, 1], read-only."""
+    s = np.r_[0, 2:v, 1]
+    s.flags.writeable = False
+    return s
+
+
+@functools.lru_cache(maxsize=64)
+def _scaling(v: int) -> tuple[np.ndarray, int] | None:
+    """(sigma, nu) when p = v - 1 is an odd prime, else None.
+
+    sigma is x -> g²x on PG(1, p) as point indices, infinity first and
+    element a at 1 + a, read-only, for g the least primitive root mod p:
+    the bytes of psl_generators(Field(p))[2].perm(), since Field(p)'s
+    first primitive element in enumeration order is that g.  nu is the
+    least non-square mod p, by Euler's criterion.
+    """
+    p = v - 1
+    if p < 3 or _factor(p) != {p: 1}:
+        return None
+    g = _primitive_root(p)
+    nu = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+    sigma = np.r_[0, 1 + g * g % p * np.arange(p) % p]
+    sigma.flags.writeable = False
+    return sigma, nu
+
+
+def _primitive_root(p: int) -> int:
+    """The least primitive root mod the odd prime p: the least g whose
+    power (p - 1) / f is not 1 for any prime f dividing p - 1."""
+    orders = [(p - 1) // f for f in _factor(p - 1)]
+    return next(g for g in range(2, p) if all(pow(g, e, p) != 1 for e in orders))
+
+
+def _group(H: SignCube, assume: bool | None = None) -> int:
+    """The largest group of point relabellings verified on H: 0 (none),
+    1 (A = <s>, the shift x -> x + 1) or 2 (B = <s, sigma>, the affine
+    maps x -> a*x + b with a a non-zero square), B only when p = v - 1 is
+    an odd prime (_scaling).
+
+    s is compared whole.  sigma is compared only once s has passed, and
+    then on indices [0, 2) of axis 0 alone: sigma normalizes A, since
+    sigma(x + 1) = sigma(x) + g², so H relabelled by sigma is fixed by A
+    as H is, and two A-fixed cubes that agree on the n-tuples whose first
+    coordinate is below 2, which meet every orbit of A, are equal.  Both
+    verdicts are kept in H._fixed by _fixes.  A verdict not kept yet is
+    compared if assume is None, and taken to be assume otherwise, with no
+    compare: assume=True gives the largest group H may still be shown to
+    have, assume=False the largest already shown.
+    """
+    gens = []
+    if H.v > 2:
+        affine = _scaling(H.v)
+        gens = [(_shift(H.v), None)] + ([(affine[0], 2)] if affine else [])
+    for group, (perm, rows) in enumerate(gens):
+        verdict = H._fixed.get(_memo_key(perm), assume)
+        if verdict is None:
+            verdict = _fixes(H, perm, rows=rows)
+        if not verdict:
+            return group
+    return len(gens)
+
+
+def _heads(v: int) -> tuple:
+    """Spans of the layers {0, 1, 2}, and 1 + nu when p = v - 1 = 1
+    (mod 4), for p an odd prime: the rows of the Gram entries that head
+    B's orbits of pairs of points.  B fixes infinity and is transitive on
+    GF(p), so (0, 1) heads the pairs {infinity, x}; it maps {x, y} to
+    {0, y - x} and scales by squares, so the finite pairs fall by whether
+    y - x is a square: one orbit, headed by (1, 2), when -1 is a
+    non-square (p = 3 mod 4), else two, headed by (1, 2) and (1, 1 + nu)."""
+    nu = _scaling(v)[1]
+    return ((0, 3),) if v % 4 == 0 else ((0, 3), (1 + nu, 2 + nu))
+
+
+@functools.lru_cache(maxsize=64)
+def _representatives(v: int, m: int) -> tuple:
+    """(start, stop) spans, in index order, of the flat indices of the
+    m-tuples of points in canonical form under B, for p = v - 1 an odd
+    prime: every coordinate before the first finite one is infinity, the
+    first finite one is 0, the first later one that is neither infinity
+    nor 0 is 1 or nu (_scaling), and the coordinates after it are free.
+
+    B fixes infinity; a unique translation takes the first finite
+    coordinate to 0, and then a unique square scaling takes the next
+    non-zero one to 1 if it is a square and to nu if not.  So each orbit
+    of B holds exactly one canonical tuple, and it is the orbit's
+    lex-least: no tuple of the orbit has an index below 1 (the element 0)
+    at the first finite place, nor below 2 or 1 + nu at the next non-zero
+    one.  The spans come from slicing whole blocks of free trailing
+    coordinates, with no table of all v**m tuples.
+    """
+    nu = _scaling(v)[1]
+
+    def walk(base: int, i: int, finite: bool):
+        if i == m:
+            yield base, base + 1
+            return
+        yield from walk(base * v, i + 1, finite)  # infinity
+        yield from walk(base * v + 1, i + 1, True)  # the element 0
+        if finite:  # 1 or nu, and every tuple of the later coordinates
+            size = v ** (m - 1 - i)
+            for c in (2, 1 + nu):
+                yield (base * v + c) * size, (base * v + c + 1) * size
+
+    return tuple(walk(0, 0, False))
 
 
 def is_hadamard(H: SignCube) -> VerifyReport:
@@ -495,13 +676,24 @@ def is_hadamard(H: SignCube) -> VerifyReport:
     by the rotation of its coordinates, which maps the layers of each axis
     onto those of the axis before it; that is tested only then.
 
-    A cube of order v > 2 is scanned on Gram rows [0, 2) of an axis first.
     A relabelling g of the points that fixes H gives Gram[g(a), g(b)] =
-    Gram[a, b] on every axis, and the shift [0, 2, ..., v-1, 1] has the
-    orbits {0} and {1, ..., v-1}, so if it fixes H, every nonzero entry has
-    an image in those rows: once they pass, the axis passes, and the shift
-    is tested only then.  If it does not fix H, this axis and every later
-    one are scanned whole.  The rows below 2 come first in scan order, so a
+    Gram[a, b] on every axis, so a violation's whole orbit under a group
+    fixing H violates alike, and the full scan's first violation is the
+    lex-least pair of its orbit.  When p = v - 1 is an odd prime and no
+    kept verdict rules B out (_group), axis 0 is scanned first on the
+    gathered sub-stack of the layers that hold every B-orbit's head pair
+    (_heads: {0, 1, 2}, and 1 + nu when p = 1 mod 4), before any compare:
+    a violation at (0, 1) or (0, 2) is the full scan's first whatever the
+    group, and is reported at once.  Otherwise s and the scaling are
+    compared (_group), and if B fixes H that sub-stack decides each axis:
+    its first violation, the head of its orbit, is the full scan's.
+
+    Any other cube of order v > 2 is scanned on Gram rows [0, 2) of an
+    axis first.  The shift [0, 2, ..., v-1, 1] has the orbits {0} and
+    {1, ..., v-1}, so if it fixes H, every nonzero entry has an image in
+    those rows: once they pass, the axis passes, and the shift is tested
+    only then.  If it does not fix H, this axis and every later one are
+    scanned whole.  The rows below 2 come first in scan order, so a
     report never depends on the shift.  They are scanned first even when
     H._fixed already holds that the shift does not fix H: they cost 2/v of
     the axis's product, and a violation that involves layer 0 or 1, as
@@ -512,13 +704,19 @@ def is_hadamard(H: SignCube) -> VerifyReport:
         raise DimensionTooSmall("need n >= 2")
     n, v = H.n, H.v
     r = 2 if v > 2 else None  # Gram rows [0, r) first; None: the whole axis
+    heads = _heads(v) if _group(H, assume=True) == 2 else None
     for axis in range(n):
         # a stack of one matrix, whose row a is the layer with coordinate
         # axis = a: [0, a] of this view, read in C order
         mats = H.data.reshape(1, v**axis, v, -1).transpose(0, 2, 1, 3)
-        hit = _scan(mats, rows=r)
-        if hit is None and r and not _shift_fixes(H):
-            r, hit = None, _scan(mats)
+        if heads:
+            hit = _scan(mats, pick=heads)
+            if not (hit and hit[1] == 0 and hit[2] <= 2) and _group(H) < 2:
+                heads = None  # B does not fix H: the rows below 2, as below
+        if not heads:
+            hit = _scan(mats, rows=r)
+            if hit is None and r and not _shift_fixes(H):
+                r, hit = None, _scan(mats)
         if hit is not None:
             _, a, b, dev = hit
             return VerifyReport(False, axis=axis, pair=(a, b), deviation=dev,
@@ -576,18 +774,26 @@ def is_proper(H: SignCube) -> VerifyReport:
     first, meet every rotation orbit and decide the rest.  The rotation is
     tested only once they have passed.
 
-    A cube (n >= 3) of order v > 2 is scanned first on the layers of each
-    pair whose first fixed coordinate is below 2, a prefix of the pair's
-    scan.  A relabelling g that fixes H maps the layer at fixed values c
-    onto the one at g(c), with its rows and columns relabelled alike, so
+    A relabelling g that fixes H maps the layer at fixed values c onto the
+    one at g(c), with its rows and columns relabelled alike, so one is
+    Hadamard exactly when the other is, and the full scan's first failing
+    layer is the lex-least of its orbit under a group fixing H.  A cube
+    (n >= 3) of order v > 2 is scanned first on the layers of each pair
+    whose first fixed coordinate is below 2, a prefix of the pair's scan:
     if the shift [0, 2, ..., v-1, 1], whose orbits are {0} and
-    {1, ..., v-1}, fixes H, every failing layer has an image in that
-    prefix: once it passes, the pair passes, and the shift is tested only
-    then.  If it does not fix H, this pair and every later one are scanned
-    whole, and a report never depends on the shift.  If H._fixed already
-    holds that verdict (kept by is_hadamard, say), every pair is scanned
-    whole from the start: the whole scan takes the prefix's layers first,
-    in chunks of 1 and 2, so the prefix would only be scanned twice.
+    {1, ..., v-1}, fixes H, every failing layer has an image there.  Once
+    that prefix passes, the shift and the scaling are tested (_group); if
+    the shift does not fix H, this pair and every later one are scanned
+    whole, and a report never depends on the shift.  Once B = <s, sigma>
+    is shown to fix H (by is_hadamard, say), each pair is scanned only on
+    the layers whose fixed coordinates are in canonical form
+    (_representatives), the lex-least element of each B-orbit, gathered
+    in index order: every failing orbit's first layer is among them, so
+    the first violation and every report field are the full scan's.  For
+    n = 3 they are the two-layer prefix itself.  If H._fixed already holds
+    that the shift does not fix H (kept by is_hadamard, say), every pair
+    is scanned whole from the start: the whole scan takes the prefix's
+    layers first, so the prefix would only be scanned twice.
     """
     if H.n < 2:
         raise DimensionTooSmall("need n >= 2")
@@ -596,15 +802,17 @@ def is_proper(H: SignCube) -> VerifyReport:
     # layers whose first fixed coordinate is below r first; None: the whole
     # pair, as for a 2-D cube, whose one layer fixes no coordinate, or once
     # the shift is known not to fix H, which is read with no compare
-    known_unfixed = H._fixed.get(_memo_key(_shift(v))) is False
-    r = 2 if n > 2 and v > 2 and not known_unfixed else None
+    r = 2 if n > 2 and v > 2 and _group(H, assume=True) else None
+    reps = None  # spans of the canonical layers, once B is shown to fix H
     for i, (j1, j2) in enumerate(itertools.combinations(range(n), 2)):
         # lay[c] is the layer with rows along j1 and columns along j2 at the
         # other coordinates c, in scan order
         others = [j for j in range(n) if j not in (j1, j2)]
         lay = H.array.transpose(*others, j1, j2)[..., None, :]
-        hit = _scan(lay[:r])
-        if hit is None and r and not _shift_fixes(H):
+        if r and reps is None and _group(H, assume=False) == 2:
+            reps = _representatives(v, n - 2)
+        hit = _scan(lay[:r], at=reps)
+        if hit is None and r and reps is None and not _group(H):
             r, hit = None, _scan(lay)
         if hit is not None:
             k, a, b, dev = hit

@@ -39,6 +39,7 @@ from hdmkit.ncube import (
     serialize,
     write,
 )
+from hdmkit.projline import psl_generators
 from hdmkit.symmetry import check_cyclic, check_permutation_invariance, check_psl_invariance
 
 PINS = Path(__file__).resolve().parents[1] / "bench" / "pins.json"
@@ -125,6 +126,39 @@ def test_cube_new_rejects_bad_entries(entries):
     wraps or truncates onto ±1; only integer arrays are accepted."""
     with pytest.raises(ValueError):
         SignCube(2, 2, entries)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_entry_check_refuses_every_int8_but_plus_and_minus_one(budget, monkeypatch):
+    """An int8 cube is checked in one slab walk, (x + 1) & ~2 == 0 as
+    uint8: each of the 256 values is placed first and last in a cube of
+    65**2 entries, past the first 4 KiB slab, and only +1 and -1 pass,
+    through the constructor and through _adopt alike."""
+    monkeypatch.setattr(ncube, "_BUDGET", budget)
+    for x in range(-128, 128):
+        for at in (0, 65**2 - 1):
+            arr = np.ones(65**2, dtype=np.int8)
+            arr[at] = x
+            for make in (SignCube, SignCube._adopt):
+                if x in (1, -1):
+                    assert make(2, 65, arr.copy()).get(divmod(at, 65)) == x
+                else:
+                    with pytest.raises(ValueError, match="entries must be"):
+                        make(2, 65, arr.copy())
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64, np.uint16, np.uint8])
+def test_entry_check_is_exact_for_wider_dtypes(dtype):
+    """Values that wrap onto +1 or -1 as int8 (127 * 127, 255, 257, -255,
+    -257) or onto 0 (256) are refused as given, before any cast."""
+    info = np.iinfo(dtype)
+    for x in (127, -127, 255, 256, 257, -255, -257, 129, 0):
+        if not info.min <= x <= info.max:
+            continue
+        with pytest.raises(ValueError, match="entries must be"):
+            SignCube(2, 2, np.array([1, 1, 1, x], dtype=dtype))
+    ok = np.array([1, 1, 1, 1], dtype=dtype)
+    assert SignCube(2, 2, ok) == SignCube(2, 2, [1] * 4)
 
 
 def test_cube_new_accepts_integer_lists_arrays_and_views():
@@ -537,25 +571,28 @@ def test_rotation_invariant_cubes_are_scanned_once_per_orbit(monkeypatch):
     """A cube fixed by the rotation is scanned on one axis and on the pairs
     (0, 1) ... (0, n // 2); any other cube on every axis and pair.  The
     rotation is tested once, and only after those first families pass:
-    a cube that fails earlier does no more than the scan up to it.  A cube
-    that the shift does not fix scans the two-row or two-layer prefix of
-    its first axis or pair, then that axis or pair whole: one scan more
-    than the families (is_hadamard on the Sylvester product and the lift,
-    and is_proper on the flip whose layer z = 3 lies past the prefix); once
-    is_hadamard has kept that verdict, is_proper scans its pairs whole with
-    no prefix (the Sylvester product and the lift).  The other cubes are
-    fixed by the shift, or fail inside the prefix."""
+    a cube that fails earlier does no more than the scan up to it.  At a
+    prime order v - 1, is_hadamard scans the head layers of axis 0 first;
+    a cube that the shift does not fix then scans the two-row prefix of
+    axis 0 and that axis whole: two scans more than the families on the
+    Sylvester product (v = 4) and the lift, and one more on the flip,
+    whose violation lies outside the head layers and inside the prefix.
+    Once is_hadamard has kept that verdict, is_proper scans its pairs
+    whole with no prefix (the Sylvester product, the flip and the lift).
+    The other cubes are fixed by B, whose head layers and canonical layers
+    stand for the whole axis or pair, or fail at (0, 1) of the head layers
+    or in the first layer."""
     F = Field(7)
     skew = yang_product(paley2(F), 4)  # paley2(GF(7)) is not symmetric
     assert not ncube._rotation_fixes(skew)
     flipped = flip_in_layer(paley3(F), 3, random.Random(7))
     cases = [
         (paley3(F), (1, 1), (1, 1)),
-        (yang_product(SYL4, 4), (2, 1), (2, 1)),
+        (yang_product(SYL4, 4), (3, 1), (2, 1)),
         (skew, (4, 1), (6, 1)),
-        (flipped, (1, 0), (2, 0)),
+        (flipped, (2, 0), (1, 0)),
         (almost_cube(F, 4), (1, 0), (1, 0)),
-        (dim_lift(paley3(F)), (5, 1), (6, 1)),
+        (dim_lift(paley3(F)), (6, 1), (6, 1)),
     ]
     for cube, hadamard, proper in cases:
         assert scan_counts(monkeypatch, is_hadamard, cube) == hadamard
@@ -601,10 +638,13 @@ def relabel_calls(monkeypatch, keywords=None) -> list:
 
 
 def scan_calls(monkeypatch) -> list:
-    """Appends the (stack shape, rows) of every _scan call from now on."""
+    """Appends the (stack shape, rows) of every _scan call from now on;
+    rows is the pick, the spans of a gathered sub-stack of rows, when the
+    call has one."""
     scans, scan = [], ncube._scan
     monkeypatch.setattr(ncube, "_scan", lambda mats, **kw:
-                        scans.append((mats.shape, kw.get("rows"))) or scan(mats, **kw))
+                        scans.append((mats.shape, kw.get("rows", kw.get("pick"))))
+                        or scan(mats, **kw))
     return scans
 
 
@@ -639,21 +679,26 @@ def test_prime_paley_cubes_and_products_match_the_oracles(budget, monkeypatch):
 
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_a_candidate_that_does_not_fix_the_cube_is_dropped(budget, monkeypatch):
-    """paley3(GF(11)) with one entry flipped in the layer z = 7 of pair
-    (0, 1): axis 0 fails in its two-row prefix before any compare, and pair
-    (0, 1)'s prefix, the layers z = 0 and 1, passes, the shift is found not
-    to fix the cube, and the whole pair is scanned for the full scan's
-    report."""
+    """paley3(GF(11)) with one entry flipped at x = 5, in the layer z = 7
+    of pair (0, 1): axis 0's head layers 0-2 pass, the shift is found not
+    to fix the cube, and axis 0 fails in its two-row prefix.  On a fresh
+    copy, pair (0, 1)'s prefix, the layers z = 0 and 1, passes, the shift
+    is found not to fix the cube, and the whole pair is scanned for the
+    full scan's report; the first cube reads its kept verdict and scans
+    the pair whole with no compare."""
     monkeypatch.setattr(ncube, "_BUDGET", budget)
     arr = paley3(Field(11)).array.copy()
     arr[5, 3, 7] *= -1
-    bad = adopt(arr)
+    bad, fresh = adopt(arr), adopt(arr)
     calls = relabel_calls(monkeypatch)
     rep = is_hadamard(bad)
-    assert not calls and rep == is_hadamard_naive(bad) and rep.pair[0] < 2
-    rep = is_proper(bad)
+    assert calls == [(None, shift(12))]
+    assert rep == is_hadamard_naive(bad) and rep.pair == (0, 5)
+    del calls[:]
+    rep = is_proper(fresh)
     assert calls == [(None, shift(12))]
     assert rep == proper_oracle(bad) and (rep.checked_pairs - 1) // (12 * 11) == 7
+    assert is_proper(bad) == rep and len(calls) == 1
     assert not ncube._shift_fixes(bad)
 
 
@@ -722,25 +767,29 @@ def test_verifiers_match_oracles_on_cubes_with_other_point_symmetries(budget, mo
 
 
 def test_prime_paley3_is_certified_by_a_prefix_and_two_compares(monkeypatch):
-    """paley3(GF(107)) through is_hadamard and is_proper: 2 Gram rows of
-    axis 0 and the 2 layers z = inf, 0 of pair (0, 1), then one shift
-    compare and one rotation compare, each made once."""
+    """paley3(GF(107)) through is_hadamard and is_proper: the Gram matrix
+    of the head layers 0-2 of axis 0 (107 = 3 mod 4) and the 2 layers
+    z = inf, 0 of pair (0, 1), then one whole shift compare, and the
+    scaling and the rotation each compared on indices 0 and 1 of axis 0,
+    each made once."""
     cube, v = paley3(Field(107)), 108
     scans = scan_calls(monkeypatch)
     keywords = []
     calls = relabel_calls(monkeypatch, keywords)
     assert is_hadamard(cube) == VerifyReport(True, checked_pairs=3 * v * (v - 1) // 2)
-    assert scans == [((1, v, 1, v * v), 2)]
+    assert scans == [((1, v, 1, v * v), ((0, 3),))]
     assert is_proper(cube) == VerifyReport(True, checked_pairs=3 * v**2 * (v - 1))
     assert scans[1:] == [((2, v, 1, v), None)]
-    assert calls == [(None, shift(v)), ((1, 2, 0), None)]
-    # the rotation is compared on the layers x = inf, 0 of the rotated cube
-    assert [kw.get("rows") for kw in keywords] == [None, 2]
+    sigma = tuple(psl_generators(Field(107))[2].perm())
+    assert calls == [(None, shift(v)), (None, sigma), ((1, 2, 0), None)]
+    # the scaling and the rotation are compared on the layers x = inf, 0
+    assert [kw.get("rows") for kw in keywords] == [None, 2, 2]
 
 
 def test_a_cube_the_shift_does_not_fix_pays_one_prefix_and_one_compare(monkeypatch):
     """paley3(GF(27)) and the lift of paley3(GF(7)) pass the two-row prefix
-    of axis 0, fail the one shift compare, and are scanned whole from
+    of axis 0 (the lift, of prime order v - 1, after the head layers 0-2
+    of axis 0), fail the one shift compare, and are scanned whole from
     there: axis 0 again, then every later axis with no rows.  is_proper
     reads the kept verdict before any scan and scans every pair whole from
     the start, with no prefix.  The rotation is compared whole."""
@@ -762,7 +811,8 @@ def test_a_cube_the_shift_does_not_fix_pays_one_prefix_and_one_compare(monkeypat
     calls = relabel_calls(monkeypatch, keywords)
     assert is_hadamard(lifted) == is_hadamard_naive(lifted)
     axes = [(1, v, 1, v**3)] + [(1, v, v**j, v ** (3 - j)) for j in range(1, 4)]
-    assert scans == [(axes[0], 2)] + [(a, None) for a in axes]
+    # v - 1 = 7 is prime: the head layers 0-2 of axis 0 come first
+    assert scans == [(axes[0], ((0, 3),)), (axes[0], 2)] + [(a, None) for a in axes]
     assert calls == [(None, shift(v)), ((1, 2, 3, 0), None)]
     del scans[:]
     assert is_proper(lifted) == proper_oracle(lifted)
@@ -795,21 +845,29 @@ def test_a_kept_shift_verdict_is_read_before_any_prefix(monkeypatch):
 def test_a_cube_that_fails_in_the_prefix_makes_no_compare(monkeypatch):
     """paley3(GF(13)) is not proper: its layer z = inf fails, inside the
     prefix, so is_proper makes no compare; nor do the verifiers on an
-    almost cube, nor is_hadamard on a cube with one entry flipped, whose
-    layer meets row 0 or 1 of axis 0's Gram matrix."""
+    almost cube, which fails at (0, 1) of axis 0, nor is_hadamard on a
+    cube with one entry flipped at x in {0, 1, 2}, whose violation (0, 1)
+    or (0, x) lies in the head layers 0-2 of axis 0.  A flip at a larger x
+    fails at (0, x), outside the head layers but in the two-row prefix: it
+    now pays one shift compare, which fails, before that prefix."""
     calls = relabel_calls(monkeypatch)
     cube = paley3(Field(13))
     assert is_proper(cube) == VerifyReport(False, 0, (1, 2), 2, 14)
     assert calls == []
-    assert is_hadamard(cube).passed and len(calls) == 2
+    assert is_hadamard(cube).passed and len(calls) == 3  # shift, scaling, rotation
     del calls[:]
     almost = almost_cube(Field(7), 4)
     assert not is_hadamard(almost).passed and not is_proper(almost).passed
-    rng = random.Random(13)
-    for q in (7, 11, 19):
-        flipped = flip_in_layer(paley3(Field(q)), rng.randrange(q + 1), rng)
-        assert is_hadamard(flipped) == is_hadamard_naive(flipped)
     assert calls == []
+    for q in (7, 11, 19):
+        for x in (0, 1, 2, 5):
+            arr = paley3(Field(q)).array.copy()
+            arr[x, 3, 4] *= -1
+            flipped = adopt(arr)
+            rep = is_hadamard(flipped)
+            assert rep == is_hadamard_naive(flipped) and rep.pair == (0, max(x, 1))
+            assert calls == ([(None, shift(q + 1))] if x > 2 else [])
+            del calls[:]
 
 
 def test_cubes_of_order_one_and_two_have_no_prefix(monkeypatch):
@@ -831,14 +889,16 @@ def test_cubes_of_order_one_and_two_have_no_prefix(monkeypatch):
 def test_check_cyclic_on_a_fresh_prime_paley3_compares_a_prefix(monkeypatch):
     """check_cyclic on a fresh paley3(GF(19)) compares the shift, then
     indices 0 and 1 of axis 0 of the rotated cube; the verifiers then find
-    both verdicts kept and compare nothing."""
+    both verdicts kept and compare only the scaling, on those indices."""
     cube, v = paley3(Field(19)), 20
     keywords = []
     calls = relabel_calls(monkeypatch, keywords)
     assert check_cyclic(cube)
     assert calls == [(None, shift(v)), ((1, 2, 0), None)]
     assert [kw.get("rows") for kw in keywords] == [None, 2]
-    assert is_hadamard(cube).passed and len(calls) == 2
+    assert is_hadamard(cube).passed and len(calls) == 3
+    assert calls[2] == (None, tuple(psl_generators(Field(19))[2].perm()))
+    assert keywords[2].get("rows") == 2
 
 
 def shift_fixed_cube(rng: np.random.Generator, n: int, q: int, rotate: bool) -> SignCube:
@@ -875,7 +935,7 @@ def test_prefix_rotation_verdicts_match_the_whole_compare(monkeypatch):
     paley3, products of prime paley2, and random shift-fixed cubes with
     and without the rotation symmetry."""
     keywords = []
-    relabel_calls(monkeypatch, keywords)
+    calls = relabel_calls(monkeypatch, keywords)
     cubes = [paley3(Field(q)) for q in PRIMES_LE_31]
     cubes += [yang_product(paley2(Field(q)), d) for q in (3, 7, 11) for d in (3, 4, 5)]
     rng = np.random.default_rng(20261021)
@@ -896,8 +956,10 @@ def test_prefix_rotation_verdicts_match_the_whole_compare(monkeypatch):
         assert ncube._shift_fixes(c)
         verdicts |= prefix_verdicts(c)
     assert verdicts == {True, False}
-    # every verdict of _fixes came from a prefix
-    assert sum(kw.get("rows") == 2 for kw in keywords) == sum(math.factorial(c.n) for c in cubes)
+    # every verdict of _fixes on a coordinate permutation came from a
+    # prefix; yang_product's is_hadamard adds its input's scaling compares
+    assert sum(kw.get("rows") == 2 and perm is None for kw, (_, perm)
+               in zip(keywords, calls)) == sum(math.factorial(c.n) for c in cubes)
 
 
 def test_prefix_rotation_needs_fixing_candidates_with_short_orbit_heads(monkeypatch):
@@ -920,6 +982,244 @@ def test_prefix_rotation_needs_fixing_candidates_with_short_orbit_heads(monkeypa
         monkeypatch.undo()
         assert verdict == ncube._relabels_to(c.array, c.array, axes=(1, 2, 0))
         assert prefix_verdicts(c) == {True, False}
+
+
+# -- the affine group B = <x -> x + 1, x -> g^2 x> -------------------------------------
+
+ODD_PRIMES_LE_251 = [p for p in range(3, 252, 2) if all(p % d for d in range(3, p, 2))]
+
+
+def test_primitive_root_and_scaling_match_the_field():
+    """For every odd prime p <= 251 the verifiers' primitive root is
+    Field(p)'s first primitive element, their scaling x -> g^2 x has the
+    bytes of psl_generators' scaling, and nu is the least non-square.  Any
+    other order has no scaling."""
+    for p in ODD_PRIMES_LE_251:
+        F = Field(p)
+        assert ncube._primitive_root(p) == F.primitive_element(), p
+        sigma, nu = ncube._scaling(p + 1)
+        assert ncube._memo_key(sigma) == ncube._memo_key(psl_generators(F)[2].perm())
+        assert not sigma.flags.writeable
+        assert nu == min(a for a in range(1, p) if F.chi(a) == -1)
+    for v in (1, 2, 3, 5, 10, 16, 26, 28, 50, 122, 126):
+        assert ncube._scaling(v) is None, v
+
+
+@functools.cache
+def affine_orbits(n: int, p: int, scales: tuple | None = None) -> np.ndarray:
+    """The least flat index of each n-tuple's orbit on PG(1, p)**n under
+    the maps x -> a*x + b, a in scales (default: the non-zero squares),
+    infinity fixed: a brute-force orbit id per tuple, computed once."""
+    v = p + 1
+    scales = sorted({a * a % p for a in range(1, p)}) if scales is None else scales
+    idx = np.indices((v,) * n).reshape(n, -1)
+    weights = v ** np.arange(n - 1, -1, -1)
+    least = np.full(v**n, v**n)
+    for a in scales:
+        for b in range(p):
+            image = np.r_[0, 1 + (a * np.arange(p) + b) % p]
+            least = np.minimum(least, weights @ image[idx])
+    least.flags.writeable = False
+    return least
+
+
+def affine_cube(rng: np.random.Generator, n: int, p: int, scales=None) -> SignCube:
+    """A random cube on PG(1, p) constant on the orbits of affine_orbits."""
+    signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(p + 1) ** n)
+    return adopt(signs[affine_orbits(n, p, scales)].reshape((p + 1,) * n))
+
+
+def negated_on(c: SignCube, orbits: np.ndarray, *ids: int) -> SignCube:
+    """c with the entries of the orbits ids (of affine_orbits) negated."""
+    arr = c.data.copy()
+    arr[np.isin(orbits, ids)] *= -1
+    return adopt(arr.reshape((c.v,) * c.n))
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_verifiers_match_oracles_on_cubes_fixed_by_the_affine_group(budget, monkeypatch):
+    """Random cubes constant on the orbits of B (x -> a*x + b, a a square)
+    are fixed by the shift and the scaling, which _group finds from a
+    whole shift compare and a two-index scaling compare; the verifiers
+    scan them on the head layers and the canonical layers only, with the
+    full scan's reports.  The same cubes with one orbit negated are fixed
+    by B too.  Cubes constant on the orbits of the translations alone are
+    fixed by the shift, and the two-index scaling compare gives the whole
+    compare's verdict on them.  n runs to 5 for p <= 7, and to 4 beyond,
+    where a 5-D cube at budget 1 would take seconds."""
+    monkeypatch.setattr(ncube, "_BUDGET", budget)
+    rng = np.random.default_rng(20261101 + budget)
+    shapes = [(n, p) for n in (2, 3, 4, 5) for p in (3, 5, 7, 11, 13) if n < 5 or p < 11]
+    reports = set()
+    for n, p in shapes:
+        v, orbits = p + 1, affine_orbits(n, p)
+        sigma = ncube._scaling(v)[0]
+        for _ in range(3):
+            c = affine_cube(rng, n, p)
+            for cube in (c, negated_on(c, orbits, int(rng.choice(orbits)))):
+                assert ncube._relabels_to(cube.array, cube.array, sigma)
+                assert ncube._group(cube) == 2
+                hadamard, proper = is_hadamard(cube), is_proper(cube)
+                assert hadamard == is_hadamard_naive(cube), (n, p)
+                assert proper == proper_oracle(cube), (n, p)
+                reports.add((hadamard.pair, proper.pair))
+        translated = affine_cube(rng, n, p, scales=(1,))
+        whole = ncube._relabels_to(translated.array, translated.array, sigma)
+        assert ncube._group(translated) == 1 + whole
+        assert is_hadamard(translated) == is_hadamard_naive(translated)
+    assert len(reports) > 5  # the first violations are spread over many pairs
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_hadamard_cubes_negated_on_one_affine_orbit_fail_with_the_full_report(budget, monkeypatch):
+    """paley3 over GF(7), GF(11) and GF(13) and the product of paley2(GF(7))
+    in 4 dimensions, each negated on one B-orbit of n-tuples: B still
+    fixes them, their first violation often lies past the head layers'
+    first pairs or in a canonical layer past the first, and the reports
+    are the full scan's.  Negated on two orbits, paley3 over GF(7) and
+    GF(13) fail is_hadamard first at a head pair past (0, 2): (1, 2), or
+    (1, 1 + nu) = (1, 3) over GF(13), on axis 0, 1 or 2, with no
+    report from the head layers before B is shown to fix them."""
+    monkeypatch.setattr(ncube, "_BUDGET", budget)
+    for q, ids, axis, pair in ((7, (66, 103), 0, (1, 2)), (7, (68, 99), 1, (1, 2)),
+                               (7, (80, 98), 2, (1, 2)), (11, (179, 181), 1, (1, 2)),
+                               (13, (232, 235), 0, (1, 3)), (13, (225, 251), 1, (1, 3))):
+        base = paley3(Field(q))
+        c = negated_on(base, affine_orbits(3, q), *ids)
+        rep = is_hadamard(c)
+        assert rep == is_hadamard_naive(c) and (rep.axis, rep.pair) == (axis, pair)
+        assert ncube._group(c) == 2 and is_proper(c) == proper_oracle(c)
+    rng = np.random.default_rng(20261102)
+    deep = 0
+    for base, p in ((paley3(Field(7)), 7), (paley3(Field(11)), 11), (paley3(Field(13)), 13),
+                    (yang_product(paley2(Field(7)), 4), 7)):
+        orbits = affine_orbits(base.n, p)
+        for orbit in rng.choice(np.unique(orbits), size=6, replace=False):
+            c = negated_on(base, orbits, int(orbit))
+            assert ncube._group(c) == 2
+            hadamard, proper = is_hadamard(c), is_proper(c)
+            assert hadamard == is_hadamard_naive(c)
+            assert proper == proper_oracle(c)
+            layers = base.v ** (base.n - 2) * base.v * (base.v - 1)
+            deep += not proper.passed and (proper.checked_pairs - 1) % layers >= base.v**2
+    assert deep  # some cube first fails in a layer past the first
+
+
+def union_find_heads(v: int, m: int) -> set:
+    """The least flat index of each orbit of m-tuples under the shift and
+    the scaling, joined by union-find over the two generators."""
+    parent = list(range(v**m))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+    idx = np.indices((v,) * m).reshape(m, -1)
+    weights = v ** np.arange(m - 1, -1, -1)
+    for perm in (ncube._shift(v), ncube._scaling(v)[0]):
+        for i, j in enumerate((weights @ perm[idx]).tolist()):
+            a, b = root(i), root(j)
+            parent[max(a, b)] = min(a, b)  # a root is its class's least index
+    return {root(i) for i in range(v**m)}
+
+
+def test_canonical_layers_are_the_least_of_each_orbit():
+    """_representatives spans the flat indices of the canonical m-tuples,
+    in index order: exactly the least element of each orbit of B, as
+    union-find over the shift and the scaling finds them."""
+    for p, ms in ((3, (1, 2, 3, 4)), (5, (1, 2, 3, 4)), (7, (1, 2, 3)), (11, (1, 2, 3)),
+                  (13, (1, 2, 3))):
+        for m in ms:
+            spans = ncube._representatives(p + 1, m)
+            flat = [i for lo, hi in spans for i in range(lo, hi)]
+            assert flat == sorted(set(flat)), (p, m)
+            assert set(flat) == union_find_heads(p + 1, m), (p, m)
+    assert len([1 for lo, hi in ncube._representatives(24, 2) for _ in range(lo, hi)]) == 6
+    assert sum(hi - lo for lo, hi in ncube._representatives(12, 3)) == 38
+
+
+def scan_work(monkeypatch) -> list:
+    """Appends, per _scan call from now on, (rows cast per matrix,
+    matrices scanned): the rows of the pick or all v, and the matrices of
+    the at spans or the whole stack."""
+    work, scan = [], ncube._scan
+
+    def counted(mats, rows=None, pick=None, at=None):
+        *stack, v, _, _ = mats.shape
+        work.append((v if pick is None else sum(hi - lo for lo, hi in pick),
+                     math.prod(stack) if at is None else sum(hi - lo for lo, hi in at)))
+        return scan(mats, rows=rows, pick=pick, at=at)
+    monkeypatch.setattr(ncube, "_scan", counted)
+    return work
+
+
+def test_affine_cubes_are_certified_by_head_and_canonical_layers(monkeypatch):
+    """A cube that B fixes is scanned on 3 head layers per axis (4 when
+    p = 1 mod 4) and, for n >= 4, on its canonical layers per pair: 6 of
+    576 for the product of paley2(GF(23)) in 4 dimensions, 38 of 1728 for
+    that of paley2(GF(11)) in 5.  The compares are the shift (whole), the
+    scaling on indices 0 and 1 of axis 0 and the rotation, each once."""
+    keywords = []
+    for h, dim, heads, reps in ((paley2(Field(23)), 4, 3, 6), (paley2(Field(11)), 5, 3, 38)):
+        cube, v = yang_product(h, dim), h.v
+        work = scan_work(monkeypatch)
+        calls = relabel_calls(monkeypatch, keywords)
+        assert is_hadamard(cube) == VerifyReport(True, checked_pairs=dim * v * (v - 1) // 2)
+        assert work == [(heads, 1)] * dim  # the product of a skew matrix: every axis
+        del work[:]
+        assert is_proper(cube).passed
+        assert work == [(v, reps)] * math.comb(dim, 2)
+        sigma = tuple(ncube._scaling(v)[0].tolist())
+        assert calls == [(None, shift(v)), (None, sigma), ((*range(1, dim), 0), None)]
+        assert [kw.get("rows") for kw in keywords] == [None, 2, 2]
+        del keywords[:]
+        monkeypatch.undo()
+    # p = 13 = 1 mod 4: the head layers are 0, 1, 2 and 1 + nu = 3
+    cube = paley3(Field(13))
+    work = scan_work(monkeypatch)
+    assert is_hadamard(cube).passed and work == [(4, 1)]
+    monkeypatch.undo()
+    cube = paley3(Field(17))  # nu = 3: layers 0-2 and 4
+    scans = scan_calls(monkeypatch)
+    assert is_hadamard(cube).passed and scans == [((1, 18, 1, 18 * 18), ((0, 3), (4, 5)))]
+
+
+def test_a_fresh_cube_scans_the_prefix_before_the_group_is_known(monkeypatch):
+    """is_proper on a fresh product of paley2(GF(7)) in 4 dimensions scans
+    pair (0, 1)'s two-layer prefix first, then compares the shift and the
+    scaling, and scans every later pair on its canonical layers alone."""
+    cube, v = yang_product(paley2(Field(7)), 4), 8
+    work = scan_work(monkeypatch)
+    calls = relabel_calls(monkeypatch)
+    assert is_proper(cube) == proper_oracle(cube)
+    reps = sum(hi - lo for lo, hi in ncube._representatives(v, 2))
+    assert work == [(v, 2 * v)] + [(v, reps)] * 5
+    assert [perm is not None for _, perm in calls] == [True, True, False]
+
+
+def test_the_first_chunk_holds_at_least_budget_over_256_entries(monkeypatch):
+    """_scan's first chunk holds one matrix of 4096 entries or more, and
+    otherwise as many as make 4096 entries, at the default budget; the
+    chunks then double.  At budget 4096 it holds one matrix of 64."""
+    sizes, first = [], ncube._first_violation
+
+    def counted(blocks):
+        blocks = list(blocks)
+        sizes.append(len(blocks[0][0]) if blocks[0][0].ndim == 3 else 1)
+        return first(blocks)
+    monkeypatch.setattr(ncube, "_first_violation", counted)
+    syl8 = np.kron(SYL4.array, H2.array)
+    cases = [(syl8, 64, [64]), (paley2(Field(11)).array, 144, [29, 58, 57]),
+             (np.kron(syl8, syl8), 64, [1, 2, 4, 8, 16, 32, 1])]
+    for h, layers, expected in cases:
+        del sizes[:]  # a stack of copies of one Hadamard matrix passes
+        assert ncube._scan(np.broadcast_to(h, (layers, *h.shape))[..., None, :]) is None
+        assert sizes == expected, len(h)
+    monkeypatch.setattr(ncube, "_BUDGET", 4096)
+    del sizes[:]
+    assert ncube._scan(np.broadcast_to(syl8, (8, 8, 8))[..., None, :]) is None
+    assert sizes == [1, 2, 4, 1]
 
 
 def test_gram_dtype_is_exact_up_to_its_bound():

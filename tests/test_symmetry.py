@@ -346,6 +346,22 @@ def test_psl_and_cyclic_verdicts_are_decided_once_per_cube(monkeypatch):
     assert len(calls) == 5
 
 
+def test_psl_after_the_verifiers_compares_only_the_inversion(monkeypatch):
+    """The verifiers compare the shift and the scaling x -> g^2 x on a
+    prime-field paley3, which have the bytes of PSL's translation and
+    scaling, so check_psl_invariance then makes one compare, the
+    inversion's.  Over GF(27) the verifiers compare only the shift, which
+    is not GF(27)'s translation, and the PSL check makes three."""
+    for q, compares in ((7, 1), (13, 1), (19, 1), (27, 3)):
+        F = Field(q)
+        cube = paley3(F)
+        assert is_hadamard(cube).passed
+        calls = compare_calls(monkeypatch)
+        assert check_psl_invariance(cube, F)
+        assert len(calls) == compares, q
+        monkeypatch.undo()
+
+
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
 def test_layer_witness_matches_layer_copies(q):
     """On paley3 and on paley3 with one entry of the c-layer flipped."""
@@ -405,11 +421,13 @@ def test_relabelling_callers_build_permutations():
     checks the perms it is given
     (test_symmetry_checks_reject_bad_permutations_and_points); the perms
     that the other callers build, the shift, the PSL generators and the
-    layer witnesses, are permutations."""
+    layer witnesses, and the verifiers' scaling x -> g^2 x for prime q,
+    are permutations."""
     for q in (3, 7, 9, 11):
         F = Field(q)
         perms = [ncube._shift(q + 1), *(g.perm() for g in psl_generators(F)),
                  *(layer_equiv_witness(F, PPoint(c)).perm() for c in F.elems)]
+        perms += [ncube._scaling(q + 1)[0]] if q != 9 else []
         for perm in perms:
             assert sorted(np.asarray(perm).tolist()) == list(range(q + 1))
 
