@@ -82,7 +82,22 @@ canonical form (_representatives): 6 of the 576 layers of a pair at order
 compare; a hit at (0, 1) or (0, 2) is reported at once, as it is the full
 scan's first violation whatever the group.  A cube that B does not fix
 makes at most that one head scan and the shift compare, and is then
-scanned as above.
+scanned as above.  For n = 3 the canonical layers of a pair are z = inf
+and z = 0, whose stabilizers in B are B and the torus T = <sigma>; T fixes
+inf and 0 and keeps the squares and the non-squares apart, so every
+T-orbit of row pairs has its lex-least member in Gram rows [0, 2 + nu),
+and only those rows of the two layers are formed.
+
+At the same orders, once s is kept as fixing H, the verifiers also test
+the mirror rho: H(x_1, ..., x_n) = H(-x_n, ..., -x_1) (_mirror_fixes),
+which fixes the prime Paley cubes and the products of their paley2.  Negation
+normalizes A, since -(x + 1) = -x - 1, and the reversal commutes with s,
+so rho too is compared on indices [0, 2) of one axis.  It maps the layers
+of axis j onto those of axis n - 1 - j, and the 2-D layers of a pair
+(j1, j2) onto those of (n - 1 - j2, n - 1 - j1), relabelled and
+transposed, which is earlier in scan order when j1 + j2 > n - 1.  So
+rho is compared at the first such axis or pair, once every earlier one
+has passed, and if it fixes H the rest are skipped.
 
 File format "HDM v1" (ASCII, LF line endings):
   line 1:   "HDM <n> <v>"  with ASCII decimal integers and single spaces;
@@ -347,12 +362,24 @@ def _scan(mats: np.ndarray, rows: int | None = None, pick=None, at=None):
     in the full scan's order:
 
       rows = r: only the first r rows of each Gram matrix are formed and
-        scanned, a prefix of the full scan's order; every column is still
-        cast, as the rows' inner products with all v rows need them;
+        scanned, a prefix of each matrix's scan, which a caller passes
+        where a group fixing H puts the lex-least pair of every orbit of
+        row pairs in those rows: [0, 2) under s, and [0, 2 + nu) in
+        is_proper's 3-D layers z = inf and z = 0 under B and its torus
+        <sigma>; every column is still cast, as the rows' inner products
+        with all v rows need them;
       pick, a sequence of (start, stop) spans of rows in index order: only
         those rows are cast, a gathered sub-stack whose Gram matrix alone
         is formed, each span one slice copy; its entries are those of the
-        full Gram matrix at the picked rows, in the same order;
+        full Gram matrix at the picked rows, in the same order.  Of the k
+        picked rows' Gram matrix only rows [0, k - 1) are formed (unless
+        rows is given), which hold every entry above its diagonal, so that
+        numpy hands the product to BLAS gemm: it sends X @ Xᵀ, both operands
+        one buffer, to syrk, which for a few long rows is far slower (with
+        numpy 2.4.6 and OpenBLAS on a 2-CPU x86_64, float32, 3 x 20736:
+        129 us by syrk against 8.1 us by gemm; 4 x 16900: 49 against
+        8.7 us).  A whole matrix keeps syrk, which is faster there
+        (126 x 15876: 3.7 ms against 5.4 ms for rows [0, 125) by gemm);
       at, a sequence of (start, stop) spans of flat stack indices in index
         order: only those matrices are scanned, gathered chunk by chunk.
 
@@ -378,7 +405,9 @@ def _scan(mats: np.ndarray, rows: int | None = None, pick=None, at=None):
     cols = p_total * q_total
     kept = np.concatenate([np.arange(lo, hi) for lo, hi in pick or ((0, v),)])
     k = len(kept)  # rows cast per matrix
-    r = k if rows is None else rows
+    # a pick's Gram rows [0, k - 1) hold every entry above its diagonal, and
+    # X[:k - 1] @ Xᵀ goes to BLAS gemm, where X @ Xᵀ on one buffer goes to syrk
+    r = (k - 1 if pick else k) if rows is None else rows
     total = math.prod(stack)
     if at is not None:  # scan position i is flat index i + shift[its span]
         spans = np.array(at, dtype=np.intp).reshape(-1, 2)
@@ -444,31 +473,41 @@ def _relabels_to(src: np.ndarray, dst: np.ndarray, perm=None, axes=None,
     which every caller checks or builds: the gathers clip an index out of
     range instead of raising.
 
-    Walks axis 0 in slabs that double in size and stops at the first slab
-    that differs, so a difference near the start costs a small slab.  The
-    first slab holds one index, or as many as make _BUDGET // 256 entries
-    if an index holds fewer, as _scan's first chunk does.
+    Walks dst's axis 0 in slabs that double in size and stops at the first
+    slab that differs, so a difference near the start costs a small slab.
+    The first slab holds one index, or as many as make _BUDGET // 256
+    entries if an index holds fewer, as _scan's first chunk does.
     A slab holds at most half of _BUDGET bytes (at least one index of axis
-    0), and the thread's _scratch holds two slabs: axis 0 is relabelled by
-    a gather from src into one half, each later leading axis by a gather,
-    which moves whole rows, into the other half, and the last axis by
-    _relabel_last; the comparison's mask is then written over the half the
-    slab is not in.
+    0), and the thread's _scratch holds two slabs: the axis of src that
+    dst's axis 0 reads is relabelled by a gather from src into one half,
+    each other leading axis by a gather, which moves whole rows, into the
+    other half, and the last axis by _relabel_last; the comparison's mask
+    is then written over the half the slab is not in.
+
+    Given both perm and axes, src is relabelled as it lies, a slab of its
+    axis axes[0] at a time, and compared with dst's slab transposed back
+    by the inverse axes: a relabelling of the points on every axis commutes
+    with any reordering of the axes.  A gather from src.transpose(axes)
+    would first copy that whole view into C order.
     """
-    if axes is not None:
+    lead, back = 0, None  # the axis of src that dst's axis 0 reads; dst's axes in src's order
+    if axes is not None and perm is not None:
+        lead, back = axes[0], np.argsort(axes)
+    elif axes is not None:
         src = src.transpose(axes)
-    if src.shape != dst.shape:
+    if (src if back is None else src.transpose(axes)).shape != dst.shape:
         return False
     index = None if perm is None else np.asarray(perm)
     if index is not None:
         # where the maximal runs of consecutive images, perm[i + 1] == perm[i] + 1, start
         starts = np.r_[0, np.flatnonzero(np.diff(index) != 1) + 1]
-    cap, row = max(1, _BUDGET // (2 * src[:1].nbytes)), src[:1].size
-    start, end = 0, len(src) if rows is None else min(rows, len(src))
+    cap, row = max(1, _BUDGET // (2 * dst[:1].size * src.itemsize)), dst[:1].size
+    start, end = 0, len(dst) if rows is None else min(rows, len(dst))
     size = max(1, -(-(_BUDGET // 256) // max(row, 1)))
     while start < end:
         stop = min(end, start + size, start + cap)
-        shape, count = (stop - start, *src.shape[1:]), (stop - start) * row
+        shape, count = list(src.shape), (stop - start) * row
+        shape[lead] = stop - start
         buf = _scratch(2 * count, src.dtype)
         # each relabelling writes the slab into the spare half b of the
         # scratch, which the old slab then becomes; mode="clip" writes
@@ -477,14 +516,16 @@ def _relabels_to(src: np.ndarray, dst: np.ndarray, perm=None, axes=None,
         if index is None:
             slab = src[start:stop]
         else:
-            slab = src.take(index[start:stop], axis=0, out=buf[:count].reshape(shape),
+            slab = src.take(index[start:stop], axis=lead, out=buf[:count].reshape(shape),
                             mode="clip")
             # one gather per axis: measured 2-3x faster than one fancy-index gather
-            for axis in range(1, src.ndim - 1):
-                slab, b = slab.take(index, axis=axis, out=b, mode="clip"), slab
-            if src.ndim > 1:  # a 1-D slab's one axis is relabelled already
+            for axis in range(src.ndim - 1):
+                if axis != lead:
+                    slab, b = slab.take(index, axis=axis, out=b, mode="clip"), slab
+            if lead != src.ndim - 1:  # else the last axis is relabelled already
                 slab, b = _relabel_last(slab, index, starts, b), slab
-        if np.not_equal(slab, dst[start:stop], out=b.view(bool)).any():
+        part = dst[start:stop] if back is None else dst[start:stop].transpose(back)
+        if np.not_equal(slab, part, out=b.view(bool)).any():
             return False
         start, size = stop, size * 2
     return True
@@ -529,8 +570,8 @@ def _fixes(H: SignCube, perm=None, axes=None, rows: int | None = None) -> bool:
     meets every orbit of the shift, and the tuples whose first coordinate
     is below 2 do: a power of the shift takes any tuple's first coordinate
     to 0 or 1.  A caller that has shown as much for its perm passes
-    rows = 2 itself (_group, for the scaling).  In every other case the
-    whole cube is compared.
+    rows = 2 itself (_group for the scaling, _mirror_fixes for the mirror).
+    In every other case the whole cube is compared.
     """
     key = _memo_key(perm, axes)
     if key not in H._fixed:
@@ -583,6 +624,32 @@ def _scaling(v: int) -> tuple[np.ndarray, int] | None:
     sigma = np.r_[0, 1 + g * g % p * np.arange(p) % p]
     sigma.flags.writeable = False
     return sigma, nu
+
+
+@functools.lru_cache(maxsize=64)
+def _negation(v: int) -> np.ndarray:
+    """x -> -x on PG(1, v - 1) as point indices, infinity first and element
+    a at 1 + a, read-only: [0, 1, v - 1, v - 2, ..., 2]."""
+    neg = np.r_[0, 1, v - 1:1:-1]
+    neg.flags.writeable = False
+    return neg
+
+
+def _mirror_fixes(H: SignCube) -> bool:
+    """Is H(x_1, ..., x_n) = H(-x_n, ..., -x_1) everywhere?  Asked only
+    when p = v - 1 is an odd prime and H._fixed holds that s fixes H;
+    False otherwise, with no compare.
+
+    The mirror rho is x -> -x on every coordinate (_negation) with the
+    coordinates reversed.  It normalizes A = <s>: -(x + 1) = -x - 1, and
+    the reversal commutes with s, which relabels every coordinate alike.
+    So H relabelled by rho is fixed by A as H is, and rho is compared on
+    indices [0, 2) of one axis alone, as the scaling and the coordinate
+    permutations are (_fixes); the verdict is kept in H._fixed.
+    """
+    v = H.v
+    return (_scaling(v) is not None and H._fixed.get(_memo_key(_shift(v))) is True
+            and _fixes(H, _negation(v), axes=tuple(range(H.n - 1, -1, -1)), rows=2))
 
 
 def _primitive_root(p: int) -> int:
@@ -686,7 +753,15 @@ def is_hadamard(H: SignCube) -> VerifyReport:
     a violation at (0, 1) or (0, 2) is the full scan's first whatever the
     group, and is reported at once.  Otherwise s and the scaling are
     compared (_group), and if B fixes H that sub-stack decides each axis:
-    its first violation, the head of its orbit, is the full scan's.
+    its first violation, the head of its orbit, is the full scan's.  Its
+    Gram rows [0, k - 1) of k picked layers are formed, by gemm (_scan).
+
+    The mirror rho: H(x_1, ..., x_n) = H(-x_n, ..., -x_1) maps the layers
+    of axis j at a and b onto those of axis n - 1 - j at -a and -b.  So
+    once axes 0 to (n - 1) // 2 have passed, every later axis mirrors one
+    of them, and rho is compared then (_mirror_fixes): on indices [0, 2) of
+    one axis, as it normalizes A, and only when p = v - 1 is an odd prime
+    and s is kept as fixing H.  If it fixes H the scan stops.
 
     Any other cube of order v > 2 is scanned on Gram rows [0, 2) of an
     axis first.  The shift [0, 2, ..., v-1, 1] has the orbits {0} and
@@ -724,6 +799,8 @@ def is_hadamard(H: SignCube) -> VerifyReport:
                                 + _pair_index(v, a, b) + 1)
         if axis == 0 and (n == 2 or _rotation_fixes(H)):
             break
+        if axis == (n - 1) // 2 and _mirror_fixes(H):
+            break  # every later axis mirrors one that has passed
     return VerifyReport(passed=True, checked_pairs=n * v * (v - 1) // 2)
 
 
@@ -790,10 +867,24 @@ def is_proper(H: SignCube) -> VerifyReport:
     (_representatives), the lex-least element of each B-orbit, gathered
     in index order: every failing orbit's first layer is among them, so
     the first violation and every report field are the full scan's.  For
-    n = 3 they are the two-layer prefix itself.  If H._fixed already holds
-    that the shift does not fix H (kept by is_hadamard, say), every pair
-    is scanned whole from the start: the whole scan takes the prefix's
-    layers first, so the prefix would only be scanned twice.
+    n = 3 they are the two-layer prefix itself, and of those two layers,
+    z = inf and z = 0, only Gram rows [0, 2 + nu) are formed: the layer
+    z = 0 is fixed by the torus T = <sigma>, whose orbits are {inf}, {0},
+    the squares and the non-squares, so the lex-least row pair of each
+    T-orbit starts at row 0, 1, 2 (the element 1) or 1 + nu, and z = inf
+    is fixed by all of B.  If H._fixed already holds that the shift does
+    not fix H (kept by is_hadamard, say), every pair is scanned whole from
+    the start: the whole scan takes the prefix's layers first, so the
+    prefix would only be scanned twice.
+
+    The mirror rho: H(x_1, ..., x_n) = H(-x_n, ..., -x_1) maps the 2-D
+    layers of a pair (j1, j2) onto those of (n - 1 - j2, n - 1 - j1), with
+    rows and columns relabelled by x -> -x and swapped; a transposed
+    Hadamard matrix is Hadamard.  When j1 + j2 > n - 1 that image comes
+    first in scan order, so at the first such pair, every earlier pair
+    having passed, rho is compared (_mirror_fixes, under the conditions
+    stated there), and if it fixes H every such pair is skipped: for
+    n <= 5 they are the last pairs of the scan.
     """
     if H.n < 2:
         raise DimensionTooSmall("need n >= 2")
@@ -805,13 +896,17 @@ def is_proper(H: SignCube) -> VerifyReport:
     r = 2 if n > 2 and v > 2 and _group(H, assume=True) else None
     reps = None  # spans of the canonical layers, once B is shown to fix H
     for i, (j1, j2) in enumerate(itertools.combinations(range(n), 2)):
+        if j1 + j2 > n - 1 and _mirror_fixes(H):
+            continue  # the mirror of the pair (n - 1 - j2, n - 1 - j1), passed
         # lay[c] is the layer with rows along j1 and columns along j2 at the
         # other coordinates c, in scan order
         others = [j for j in range(n) if j not in (j1, j2)]
         lay = H.array.transpose(*others, j1, j2)[..., None, :]
         if r and reps is None and _group(H, assume=False) == 2:
             reps = _representatives(v, n - 2)
-        hit = _scan(lay[:r], at=reps)
+        # n = 3: the layers z = inf and z = 0, on Gram rows [0, 2 + nu)
+        rows = 2 + _scaling(v)[1] if reps and n == 3 else None
+        hit = _scan(lay[:r], rows=rows, at=reps)
         if hit is None and r and reps is None and not _group(H):
             r, hit = None, _scan(lay)
         if hit is not None:

@@ -581,7 +581,9 @@ def test_rotation_invariant_cubes_are_scanned_once_per_orbit(monkeypatch):
     whole with no prefix (the Sylvester product, the flip and the lift).
     The other cubes are fixed by B, whose head layers and canonical layers
     stand for the whole axis or pair, or fail at (0, 1) of the head layers
-    or in the first layer."""
+    or in the first layer.  The skew product is also fixed by the mirror
+    x -> -x with the coordinates reversed, so it is scanned on axes 0 and 1
+    and on the 4 pairs (j1, j2) with j1 + j2 <= 3."""
     F = Field(7)
     skew = yang_product(paley2(F), 4)  # paley2(GF(7)) is not symmetric
     assert not ncube._rotation_fixes(skew)
@@ -589,7 +591,7 @@ def test_rotation_invariant_cubes_are_scanned_once_per_orbit(monkeypatch):
     cases = [
         (paley3(F), (1, 1), (1, 1)),
         (yang_product(SYL4, 4), (3, 1), (2, 1)),
-        (skew, (4, 1), (6, 1)),
+        (skew, (2, 1), (4, 1)),
         (flipped, (2, 0), (1, 0)),
         (almost_cube(F, 4), (1, 0), (1, 0)),
         (dim_lift(paley3(F)), (6, 1), (6, 1)),
@@ -769,9 +771,9 @@ def test_verifiers_match_oracles_on_cubes_with_other_point_symmetries(budget, mo
 def test_prime_paley3_is_certified_by_a_prefix_and_two_compares(monkeypatch):
     """paley3(GF(107)) through is_hadamard and is_proper: the Gram matrix
     of the head layers 0-2 of axis 0 (107 = 3 mod 4) and the 2 layers
-    z = inf, 0 of pair (0, 1), then one whole shift compare, and the
-    scaling and the rotation each compared on indices 0 and 1 of axis 0,
-    each made once."""
+    z = inf, 0 of pair (0, 1) on Gram rows [0, 2 + nu) = [0, 4), then one
+    whole shift compare, and the scaling and the rotation each compared on
+    indices 0 and 1 of axis 0, each made once."""
     cube, v = paley3(Field(107)), 108
     scans = scan_calls(monkeypatch)
     keywords = []
@@ -779,7 +781,7 @@ def test_prime_paley3_is_certified_by_a_prefix_and_two_compares(monkeypatch):
     assert is_hadamard(cube) == VerifyReport(True, checked_pairs=3 * v * (v - 1) // 2)
     assert scans == [((1, v, 1, v * v), ((0, 3),))]
     assert is_proper(cube) == VerifyReport(True, checked_pairs=3 * v**2 * (v - 1))
-    assert scans[1:] == [((2, v, 1, v), None)]
+    assert scans[1:] == [((2, v, 1, v), 4)]
     sigma = tuple(psl_generators(Field(107))[2].perm())
     assert calls == [(None, shift(v)), (None, sigma), ((1, 2, 0), None)]
     # the scaling and the rotation are compared on the layers x = inf, 0
@@ -1158,21 +1160,28 @@ def test_affine_cubes_are_certified_by_head_and_canonical_layers(monkeypatch):
     """A cube that B fixes is scanned on 3 head layers per axis (4 when
     p = 1 mod 4) and, for n >= 4, on its canonical layers per pair: 6 of
     576 for the product of paley2(GF(23)) in 4 dimensions, 38 of 1728 for
-    that of paley2(GF(11)) in 5.  The compares are the shift (whole), the
-    scaling on indices 0 and 1 of axis 0 and the rotation, each once."""
+    that of paley2(GF(11)) in 5.  Both products are fixed by the mirror
+    x -> -x with the coordinates reversed, so only the axes up to
+    (dim - 1) // 2 (2 of 4, 3 of 5) and the pairs (j1, j2) with
+    j1 + j2 <= dim - 1 (4 of 6, 6 of 10) are scanned.  The
+    compares are the shift (whole), then the scaling, the rotation and the
+    mirror, each on indices 0 and 1 of one axis, each once."""
     keywords = []
-    for h, dim, heads, reps in ((paley2(Field(23)), 4, 3, 6), (paley2(Field(11)), 5, 3, 38)):
+    for h, dim, heads, reps, axes, pairs in ((paley2(Field(23)), 4, 3, 6, 2, 4),
+                                             (paley2(Field(11)), 5, 3, 38, 3, 6)):
         cube, v = yang_product(h, dim), h.v
         work = scan_work(monkeypatch)
         calls = relabel_calls(monkeypatch, keywords)
         assert is_hadamard(cube) == VerifyReport(True, checked_pairs=dim * v * (v - 1) // 2)
-        assert work == [(heads, 1)] * dim  # the product of a skew matrix: every axis
+        assert work == [(heads, 1)] * axes
         del work[:]
         assert is_proper(cube).passed
-        assert work == [(v, reps)] * math.comb(dim, 2)
+        assert work == [(v, reps)] * pairs
         sigma = tuple(ncube._scaling(v)[0].tolist())
-        assert calls == [(None, shift(v)), (None, sigma), ((*range(1, dim), 0), None)]
-        assert [kw.get("rows") for kw in keywords] == [None, 2, 2]
+        negation = (0, 1, *range(v - 1, 1, -1))
+        assert calls == [(None, shift(v)), (None, sigma), ((*range(1, dim), 0), None),
+                         (tuple(range(dim - 1, -1, -1)), negation)]
+        assert [kw.get("rows") for kw in keywords] == [None, 2, 2, 2]
         del keywords[:]
         monkeypatch.undo()
     # p = 13 = 1 mod 4: the head layers are 0, 1, 2 and 1 + nu = 3
@@ -1188,14 +1197,160 @@ def test_affine_cubes_are_certified_by_head_and_canonical_layers(monkeypatch):
 def test_a_fresh_cube_scans_the_prefix_before_the_group_is_known(monkeypatch):
     """is_proper on a fresh product of paley2(GF(7)) in 4 dimensions scans
     pair (0, 1)'s two-layer prefix first, then compares the shift and the
-    scaling, and scans every later pair on its canonical layers alone."""
+    scaling, and scans every later pair on its canonical layers alone, up to
+    (1, 2); the rotation is compared after (0, 2), and the mirror before
+    (1, 3), which with (2, 3) it skips."""
     cube, v = yang_product(paley2(Field(7)), 4), 8
     work = scan_work(monkeypatch)
     calls = relabel_calls(monkeypatch)
     assert is_proper(cube) == proper_oracle(cube)
     reps = sum(hi - lo for lo, hi in ncube._representatives(v, 2))
-    assert work == [(v, 2 * v)] + [(v, reps)] * 5
-    assert [perm is not None for _, perm in calls] == [True, True, False]
+    assert work == [(v, 2 * v)] + [(v, reps)] * 3
+    assert [perm is not None for _, perm in calls] == [True, True, False, True]
+
+
+# -- the mirror x -> -x with the coordinates reversed, and the 3-D row prefix -----------
+
+@functools.cache
+def mirror_orbits(n: int, p: int) -> np.ndarray:
+    """The least flat index of each n-tuple's orbit on PG(1, p)**n under B
+    and the mirror x -> -x with the coordinates reversed.  The mirror
+    normalizes B, so the orbit of t is B's orbit of t joined with B's orbit
+    of t's mirror image: the lesser of their affine_orbits ids."""
+    v, least = p + 1, affine_orbits(n, p)
+    idx = np.indices((v,) * n).reshape(n, -1)
+    weights = v ** np.arange(n - 1, -1, -1)
+    mirrored = weights @ np.r_[0, 1, v - 1:1:-1][idx[::-1]]
+    out = np.minimum(least, least[mirrored])
+    out.flags.writeable = False
+    return out
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_verifiers_match_oracles_on_cubes_fixed_by_the_mirror(budget, monkeypatch):
+    """Random cubes constant on the orbits of <s, sigma, mirror>, those
+    cubes and products of paley2, whole and negated on one such orbit, and
+    random cubes constant on B's orbits alone, for n = 3 to 5 and p in
+    {3, 7, 11} (n = 5 only for p <= 7, as the oracles are pure Python):
+    once s is shown, the mirror compared on indices [0, 2) gives the whole
+    compare's verdict, and the verifiers, which then skip the mirrored
+    axes and pairs, give the oracles' reports."""
+    monkeypatch.setattr(ncube, "_BUDGET", budget)
+    rng = np.random.default_rng(20261201 + budget)
+    verdicts, reports = set(), set()
+    for n, p in [(n, p) for n in (3, 4, 5) for p in (3, 7, 11) if n < 5 or p < 11]:
+        v, orbits = p + 1, mirror_orbits(n, p)
+        cubes = []
+        for _ in range(2):
+            signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=v**n)
+            c = adopt(signs[orbits].reshape((v,) * n))
+            cubes += [c, negated_on(c, orbits, int(rng.choice(orbits)))]
+        product = yang_product(paley2(Field(p)), n)
+        cubes += [product] + [negated_on(product, orbits, int(o))
+                              for o in rng.choice(np.unique(orbits), size=2, replace=False)]
+        cubes.append(affine_cube(rng, n, p))
+        for c in cubes:
+            whole = ncube._relabels_to(c.array, c.array, ncube._negation(v),
+                                       tuple(range(n - 1, -1, -1)))
+            assert ncube._group(c) == 2 and ncube._mirror_fixes(c) == whole, (n, p)
+            hadamard, proper = is_hadamard(c), is_proper(c)
+            assert hadamard == is_hadamard_naive(c), (n, p)
+            assert proper == proper_oracle(c), (n, p)
+            verdicts.add(whole)
+            reports.add((hadamard.passed, proper.passed))
+    assert verdicts == {True, False}
+    assert {(True, True), (False, False)} <= reports
+
+
+def test_a_cube_the_mirror_does_not_fix_is_scanned_on_every_axis_and_pair(monkeypatch):
+    """The product of paley2(GF(7)) in 4 dimensions with its factor on the
+    pair (0, 1) transposed is Hadamard and proper, since any Hadamard
+    matrix will do on each pair, and fixed by B, as paley2 is; but the
+    mirror takes that factor to the pair (2, 3), so it does not fix the
+    cube.  is_hadamard scans the head layers of all 4 axes and is_proper
+    the canonical layers of all 6 pairs; the mirror is compared once, on
+    indices [0, 2), after axis 1 has passed."""
+    h = paley2(Field(7)).array
+    cube, v = adopt(yang_product(paley2(Field(7)), 4).array * (h * h.T)[:, :, None, None]), 8
+    keywords = []
+    work = scan_work(monkeypatch)
+    calls = relabel_calls(monkeypatch, keywords)
+    assert is_hadamard(cube) == VerifyReport(True, checked_pairs=4 * v * (v - 1) // 2)
+    assert work == [(3, 1)] * 4
+    del work[:]
+    rep = is_proper(cube)
+    assert rep.passed and rep == proper_oracle(cube)
+    reps = sum(hi - lo for lo, hi in ncube._representatives(v, 2))
+    assert work == [(v, reps)] * 6
+    assert calls[3:] == [((3, 2, 1, 0), tuple(ncube._negation(v).tolist()))]
+    assert len(calls) == 4 and keywords[3] == {"rows": 2}
+    assert not ncube._relabels_to(cube.array, cube.array, ncube._negation(v), (3, 2, 1, 0))
+
+
+def test_every_torus_orbit_of_row_pairs_has_its_least_member_below_row_2_plus_nu():
+    """The scalings x -> a*x, a a non-zero square, fix infinity and 0 and
+    keep the squares and the non-squares apart; so the lex-least pair of
+    each orbit of row pairs starts at row 0, 1, 2 (the element 1) or
+    1 + nu (the least non-square), and rows [0, 2 + nu) hold every orbit's
+    first pair.  1 + nu is reached once there are two non-squares."""
+    for p in ODD_PRIMES_LE_251[:12]:
+        v, nu = p + 1, ncube._scaling(p + 1)[1]
+        squares = sorted({a * a % p for a in range(1, p)})
+        heads = set()
+        for a, b in itertools.combinations(range(v), 2):
+            scaled = ([i if i < 2 else 1 + s * (i - 1) % p for i in (a, b)] for s in squares)
+            heads.add(min(tuple(sorted(pair)) for pair in scaled))
+        assert max(a for a, _ in heads) == (1 + nu if p > 3 else 2), p
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_affine_3_cubes_failing_in_layer_0_past_row_1_give_the_full_report(budget, monkeypatch):
+    """paley3 over GF(7) and GF(11) negated on two B-orbits: B fixes them,
+    the layer z = inf of pair (0, 1) passes, and the layer z = 0 first fails
+    at a row pair (a, b) with a >= 2.  Once B is shown, is_proper scans
+    only Gram rows [0, 2 + nu) of those two layers, and reports the full
+    scan's first violation."""
+    monkeypatch.setattr(ncube, "_BUDGET", budget)
+    scans = scan_calls(monkeypatch)
+    for q, ids, pair in ((7, (87, 103), (2, 4)), (11, (177, 183), (2, 7)),
+                         (11, (171, 187), (2, 3))):
+        c, v = negated_on(paley3(Field(q)), affine_orbits(3, q), *ids), q + 1
+        assert ncube._group(c) == 2
+        del scans[:]
+        rep = is_proper(c)
+        assert scans == [((2, v, 1, v), 2 + ncube._scaling(v)[1])]
+        assert rep == proper_oracle(c) and rep.pair == pair
+        assert (rep.checked_pairs - 1) // (v * (v - 1)) == 1  # the layer z = 0
+        assert is_hadamard(c) == is_hadamard_naive(c)
+
+
+def test_picked_rows_form_one_gram_row_fewer(monkeypatch):
+    """Of k picked rows, _first_violation gets Gram rows [0, k - 1), which
+    hold every entry above the diagonal, as operands of different shapes
+    (numpy's gemm, not syrk); a whole scan still gets all k = v rows and a
+    rows prefix its r.  A violation between the last two picked rows is
+    found, on a column-block matrix and on the last axis's row blocks."""
+    shapes, first = [], ncube._first_violation
+
+    def spied(blocks):
+        blocks = list(blocks)
+        shapes.append({(x.shape[-2], xt.shape[-1]) for x, xt in blocks})
+        return first(blocks)
+    monkeypatch.setattr(ncube, "_first_violation", spied)
+    c = paley3(Field(17))  # head layers 0-2 and 4
+    axis0 = c.data.reshape(1, 1, 18, -1).transpose(0, 2, 1, 3)
+    last = c.data.reshape(1, 18 * 18, 18, 1).transpose(0, 2, 1, 3)
+    assert ncube._scan(axis0, pick=((0, 3), (4, 5))) is None
+    assert ncube._scan(last, pick=((0, 3), (4, 5))) is None
+    assert ncube._scan(axis0) is None and ncube._scan(axis0, rows=2) is None
+    assert shapes == [{(3, 4)}, {(3, 4)}, {(18, 18)}, {(2, 18)}]
+    bad = SYL4.array.copy()
+    bad[2] = bad[1]  # rows 1 and 2 alike: the one entry above the diagonal that is not 0
+    by_columns = np.ascontiguousarray(bad).reshape(1, 4, 1, 4)
+    by_rows = np.ascontiguousarray(bad.T).reshape(1, 4, 4, 1).transpose(0, 2, 1, 3)
+    for mats in (by_columns, by_rows):
+        assert ncube._scan(mats, pick=((0, 3),)) == (0, 1, 2, 4)
+    assert shapes[4:] == [{(2, 3)}] * 2
 
 
 def test_the_first_chunk_holds_at_least_budget_over_256_entries(monkeypatch):
@@ -1461,6 +1616,55 @@ def test_relabels_to_with_rows_past_the_end_compares_every_index(budget, monkeyp
                 assert ncube._relabels_to(arr, whole, perm, a, rows=rows)
                 assert not ncube._relabels_to(arr, bad, perm, a, rows=rows)
 
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_relabels_to_with_perm_and_axes_gives_the_transposed_gather_verdicts(budget, monkeypatch):
+    """Given both a perm and axes, _relabels_to relabels src as it lies and
+    compares dst transposed back; its verdicts, whole and with rows, are
+    those of a gather from a C-order copy of src.transpose(axes), for
+    random cubes and permutations: dst the exact relabelling, that with
+    one entry flipped, and another random cube."""
+    monkeypatch.setattr(ncube, "_BUDGET", budget)
+    rng = np.random.default_rng(20261202)
+    verdicts = set()
+    for n, v in ((1, 7), (2, 6), (3, 5), (3, 8), (4, 4), (5, 3)):
+        for _ in range(4):
+            arr = rng.choice(np.array([-1, 1], dtype=np.int8), size=(v,) * n)
+            perm, axes = rng.permutation(v), tuple(rng.permutation(n).tolist())
+            copied = np.ascontiguousarray(arr.transpose(axes))
+            exact = copied[np.ix_(*[perm] * n)]
+            flipped = exact.copy()
+            flipped[tuple(rng.integers(v, size=n))] *= -1
+            other = rng.choice(np.array([-1, 1], dtype=np.int8), size=(v,) * n)
+            for dst in (exact, flipped, other):
+                for rows in (None, 1, 2, v):
+                    verdict = ncube._relabels_to(arr, dst, perm, axes, rows=rows)
+                    assert verdict == ncube._relabels_to(copied, dst, perm, rows=rows)
+                    verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_relabels_to_with_perm_and_axes_holds_no_copy_of_the_cube():
+    """The mirror of paley3(GF(127)), x -> -x with the coordinates reversed,
+    compared on indices [0, 2) (2 MiB cube), in a thread with no scratch
+    yet, and whole once the scratch is warm: the slabs are views of the
+    scratch, so tracemalloc's peak stays a small fraction of _BUDGET.  A
+    gather from the transposed view copied the whole cube first (2.1 MB
+    with rows=2)."""
+    cube = paley3(Field(127))
+    neg, axes = ncube._negation(cube.v), (2, 1, 0)
+    assert cube.data.nbytes >= 2 * ncube._BUDGET
+
+    def peaks():
+        restricted = traced_peak(ncube._relabels_to, cube.array, cube.array, neg, axes, 2)
+        ncube._relabels_to(cube.array, cube.array, neg, axes)  # grows the scratch
+        return restricted, traced_peak(ncube._relabels_to, cube.array, cube.array, neg, axes)
+    restricted, whole = in_a_new_thread(peaks)
+    assert restricted < ncube._BUDGET / 16
+    assert whole < ncube._BUDGET / 16
+    assert ncube._relabels_to(cube.array, cube.array, neg, axes, rows=2)
+    assert ncube._relabels_to(cube.array, cube.array, neg, axes)
 
 def test_verify_report_shape():
     rep = is_hadamard(SYL4)
