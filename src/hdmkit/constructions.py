@@ -14,9 +14,9 @@ the coordinate-sum index.
 
 A construction hands its cube over with no claim about its symmetry.  The
 verifiers test for themselves the relabellings they use to skip work, the
-index shift x -> x + 1 and the scaling x -> g^2 x (ncube._group), which
-fix the Paley cubes over a prime field and their products but not those
-over GF(p**k), k > 1, nor the lifts.
+index shift x -> x + 1 and the scaling x -> g^2 x (ncube._affine_fixes),
+which fix the Paley cubes over a prime field and their products; over
+GF(p**k), k > 1, they test none.
 """
 
 import itertools

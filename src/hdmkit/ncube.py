@@ -37,67 +37,56 @@ which also serves the symmetry module) decides whether the rest may be
 skipped; a cube that fails earlier never pays for it, and a report never
 depends on it.
 
-The verifiers also test one relabelling of the points on every cube of
-order v > 2, however it was made: the index shift s = [0, 2, 3, ..., v-1, 1],
-which is x -> x + 1 on the projective line over a prime field (infinity
-first), and so fixes the prime-field Paley cubes and their products.  A
-relabelling g that fixes H on every coordinate at once maps the layers of
-axis j at a and b onto those at g(a) and g(b), with the same inner
-product, and the 2-D layer at fixed values c onto the one at g(c), its
-rows and columns relabelled alike.  The orbits of s are {0} and
-{1, ..., v-1}, so if s fixes H, every violation has an image in Gram rows
-[0, 2) of its axis, or in the layers of its pair whose first fixed
-coordinate is below 2.  Both are prefixes of the scan, so they are scanned
-first, s is compared (_shift_fixes) only once they pass, and the rest is
-skipped only if s fixes H; otherwise that axis or pair and every later one
-are scanned whole, as is_proper scans every pair from the start once a
-verdict that s does not fix H is kept.  The full scan's first violation
-lies in the prefix, so no report depends on s.  Once s fixes H, a permutation of
-its coordinates, such as the rotation, is compared with H on indices
-[0, 2) of axis 0 alone: s relabels every coordinate alike, so it commutes
-with the permutation, and H with its coordinates permuted is fixed by s
-as H is; two s-fixed cubes that agree on a set of n-tuples meeting every
-orbit of s agree everywhere, and the tuples whose first coordinate is
-below 2 meet every orbit.  Every compare's verdict is memoized on the cube, whose
-entries never change, so each relabelling is decided once per cube, for
-the verifiers and the symmetry module alike; PSL(2, p)'s translation has
-the bytes of s and is served from the memo.
+When p = v - 1 is an odd prime, and only then, the verifiers also ask
+whether H is fixed by the affine group B = <s, sigma> of the maps
+x -> a*x + b on the projective line over GF(p) (infinity first), a a
+non-zero square: s is x -> x + 1 and sigma is x -> g²x, g the least
+primitive root mod p (_scaling, _affine_fixes).  B is PSL(2, p)'s
+stabilizer of infinity, and s and sigma have the bytes of PSL's
+translation and scaling, so the PSL check reads both verdicts from the
+memo.  A relabelling pi that fixes H on every coordinate at once maps the
+layers of axis j at a and b onto those at pi(a) and pi(b), with the same
+inner product, and the 2-D layer at fixed values c onto the one at
+pi(c), its rows and columns relabelled alike.  So the full scan's first
+violation is the lex-least of its orbit, and a scan kept to the
+lex-least elements of B's orbits, in index order, reports it.  For
+is_hadamard those are Gram entries among the layers {0, 1, 2}, and
+1 + nu when p = 1 (mod 4), nu the least non-square (_heads); for
+is_proper, the layers whose fixed coordinates are in canonical form
+(_representatives): 6 of the 576 layers of a pair at order 24 in 4
+dimensions.  For n = 3 those are z = inf and z = 0, whose stabilizers in
+B are B and the torus T = <sigma>; T fixes inf and 0 and keeps the
+squares and the non-squares apart, so every T-orbit of row pairs has its
+lex-least member in Gram rows [0, 2 + nu), and only those are formed.
 
-When p = v - 1 is an odd prime, the verifiers go one step further, to the
-affine group B = <s, sigma> of the maps x -> a*x + b with a a non-zero
-square, where sigma is x -> g²x for g the least primitive root mod p
-(_group).  It is PSL(2, p)'s stabilizer of infinity, and its scaling has
-the bytes of PSL's, so the PSL check reads that verdict from the memo too.
-sigma normalizes A = <s>: sigma(x + 1) = sigma(x) + g².  So once s has
-passed whole, H relabelled by sigma is fixed by A as H is, and sigma is
-compared on indices [0, 2) of axis 0 alone, as the coordinate
-permutations are.  A fixing group maps a violation onto violations of the
-same value, so the full scan's first violation is the lex-least of its
-orbit, and a scan kept to the lex-least elements of B's orbits, in index
-order, reports it.  For is_hadamard those are Gram entries among the
-layers {0, 1, 2}, and 1 + nu when p = 1 (mod 4), nu the least non-square
-(_heads); for is_proper, the layers whose fixed coordinates are in
-canonical form (_representatives): 6 of the 576 layers of a pair at order
-24 in 4 dimensions.  The head layers of axis 0 are scanned before any
-compare; a hit at (0, 1) or (0, 2) is reported at once, as it is the full
-scan's first violation whatever the group.  A cube that B does not fix
-makes at most that one head scan and the shift compare, and is then
-scanned as above.  For n = 3 the canonical layers of a pair are z = inf
-and z = 0, whose stabilizers in B are B and the torus T = <sigma>; T fixes
-inf and 0 and keeps the squares and the non-squares apart, so every
-T-orbit of row pairs has its lex-least member in Gram rows [0, 2 + nu),
-and only those rows of the two layers are formed.
+s is compared whole, and sigma once s has passed, on indices [0, 2) of
+axis 0 alone: sigma normalizes A = <s>, sigma(x + 1) = sigma(x) + g², so
+H relabelled by sigma is fixed by A as H is, and two A-fixed cubes that
+agree on the n-tuples whose first coordinate is below 2, which meet
+every orbit of A, are equal.  B is compared only after a scan that any
+report would need anyway: is_hadamard first scans the head layers of
+axis 0, and a hit at (0, 1) or (0, 2) is the full scan's first violation
+whatever the group; is_proper first scans the layers of a pair whose
+first fixed coordinate is below 2, a prefix that meets every orbit of A.
+A cube that B does not fix, and every cube of another order, is scanned
+whole, is_hadamard after one probe of Gram rows [0, 2) of axis 0, where
+every one-entry flip of a Hadamard cube shows.  No report depends on B.
 
-At the same orders, once s is kept as fixing H, the verifiers also test
-the mirror rho: H(x_1, ..., x_n) = H(-x_n, ..., -x_1) (_mirror_fixes),
-which fixes the prime Paley cubes and the products of their paley2.  Negation
-normalizes A, since -(x + 1) = -x - 1, and the reversal commutes with s,
-so rho too is compared on indices [0, 2) of one axis.  It maps the layers
-of axis j onto those of axis n - 1 - j, and the 2-D layers of a pair
-(j1, j2) onto those of (n - 1 - j2, n - 1 - j1), relabelled and
-transposed, which is earlier in scan order when j1 + j2 > n - 1.  So
-rho is compared at the first such axis or pair, once every earlier one
-has passed, and if it fixes H the rest are skipped.
+Once B fixes H, two more relabellings are compared on indices [0, 2) of
+one axis alone, by the same argument, as each normalizes B: a permutation
+of the coordinates, such as the rotation, commutes with B, which
+relabels every coordinate alike (_fixes); and the mirror
+rho: H(x_1, ..., x_n) = H(-x_n, ..., -x_1) (_mirror_fixes), which fixes
+the prime Paley cubes and the products of their paley2, takes
+x -> a*x + b to x -> a*x - b.  rho maps the layers of axis j onto those
+of axis n - 1 - j, and the 2-D layers of a pair (j1, j2) onto those of
+(n - 1 - j2, n - 1 - j1), relabelled and transposed, which is earlier in
+scan order when j1 + j2 > n - 1.  So rho is compared at the first such
+axis or pair, once every earlier one has passed, and if it fixes H the
+rest are skipped.  Without B the rotation is compared whole, and rho not
+at all.  Every compare's verdict is memoized on the cube, whose entries
+never change, so each relabelling is decided once per cube, for the
+verifiers and the symmetry module alike.
 
 File format "HDM v1" (ASCII, LF line endings):
   line 1:   "HDM <n> <v>"  with ASCII decimal integers and single spaces;
@@ -305,7 +294,7 @@ def _scratch(count: int, dtype) -> np.ndarray:
         return np.empty(count, dtype)
     buf = getattr(_held, "buf", None)
     if buf is None or len(buf) < nbytes:
-        _held.buf = None  # the old buffer is freed before the new one is made
+        buf = _held.buf = None  # the old buffer is freed before the new one is made
         buf = _held.buf = np.empty(nbytes, np.uint8)
     return buf[:nbytes].view(dtype)
 
@@ -362,12 +351,11 @@ def _scan(mats: np.ndarray, rows: int | None = None, pick=None, at=None):
     in the full scan's order:
 
       rows = r: only the first r rows of each Gram matrix are formed and
-        scanned, a prefix of each matrix's scan, which a caller passes
-        where a group fixing H puts the lex-least pair of every orbit of
-        row pairs in those rows: [0, 2) under s, and [0, 2 + nu) in
-        is_proper's 3-D layers z = inf and z = 0 under B and its torus
-        <sigma>; every column is still cast, as the rows' inner products
-        with all v rows need them;
+        scanned, a prefix of each matrix's scan: is_hadamard's probe
+        [0, 2), and [0, 2 + nu) in is_proper's 3-D layers z = inf and
+        z = 0, where B and its torus <sigma> put the lex-least pair of
+        every orbit of row pairs; every column is still cast, as the
+        rows' inner products with all v rows need them;
       pick, a sequence of (start, stop) spans of rows in index order: only
         those rows are cast, a gathered sub-stack whose Gram matrix alone
         is formed, each span one slice copy; its entries are those of the
@@ -527,6 +515,9 @@ def _relabels_to(src: np.ndarray, dst: np.ndarray, perm=None, axes=None,
         part = dst[start:stop] if back is None else dst[start:stop].transpose(back)
         if np.not_equal(slab, part, out=b.view(bool)).any():
             return False
+        # no view of this slab's scratch may outlive it: a larger next
+        # request frees the old buffer before it makes the new one
+        del buf, slab, b
         start, size = stop, size * 2
     return True
 
@@ -563,19 +554,19 @@ def _fixes(H: SignCube, perm=None, axes=None, rows: int | None = None) -> bool:
     a bool under the axes and the perm's bytes.
 
     A pure coordinate permutation (perm None) is compared on indices
-    [0, 2) of axis 0 only if the shift fixes H (_shift_fixes, asked
-    first).  The shift relabels every coordinate alike, so it commutes with
-    the transpose: H.transpose(axes) is fixed by it, as H is.  Two
-    shift-fixed cubes are equal if they agree on a set of n-tuples that
-    meets every orbit of the shift, and the tuples whose first coordinate
-    is below 2 do: a power of the shift takes any tuple's first coordinate
-    to 0 or 1.  A caller that has shown as much for its perm passes
-    rows = 2 itself (_group for the scaling, _mirror_fixes for the mirror).
-    In every other case the whole cube is compared.
+    [0, 2) of axis 0 only if B fixes H (_affine_fixes, asked first).  B
+    relabels every coordinate alike, so it commutes with the transpose:
+    H.transpose(axes) is fixed by B, as H is.  Two B-fixed cubes are equal
+    if they agree on a set of n-tuples that meets every orbit of B, and
+    the tuples whose first coordinate is below 2 do: a translation takes
+    any tuple's first coordinate to infinity or 0.  A caller that has
+    shown as much for its perm passes rows = 2 itself (_affine_fixes for
+    the scaling, _mirror_fixes for the mirror).  In every other case the
+    whole cube is compared.
     """
     key = _memo_key(perm, axes)
     if key not in H._fixed:
-        if perm is None and axes is not None and _shift_fixes(H):
+        if perm is None and axes is not None and _affine_fixes(H):
             rows = 2
         H._fixed[key] = _relabels_to(H.array, H.array, perm, axes, rows=rows)
     return H._fixed[key]
@@ -591,39 +582,25 @@ def _rotation_fixes(H: SignCube) -> bool:
     return _fixes(H, axes=(*range(1, H.n), 0))
 
 
-def _shift_fixes(H: SignCube) -> bool:
-    """Is H fixed by the index shift [0, 2, 3, ..., v-1, 1] on every
-    coordinate?  False for v <= 2, with no compare: the shift is then the
-    identity, or (v = 1) not a permutation, and leaves no prefix to skip."""
-    return H.v > 2 and _fixes(H, _shift(H.v))
-
-
 @functools.lru_cache(maxsize=64)
-def _shift(v: int) -> np.ndarray:
-    """The index shift [0, 2, 3, ..., v-1, 1], read-only."""
-    s = np.r_[0, 2:v, 1]
-    s.flags.writeable = False
-    return s
+def _scaling(v: int) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """(s, sigma, nu) when p = v - 1 is an odd prime, else None.
 
-
-@functools.lru_cache(maxsize=64)
-def _scaling(v: int) -> tuple[np.ndarray, int] | None:
-    """(sigma, nu) when p = v - 1 is an odd prime, else None.
-
-    sigma is x -> g²x on PG(1, p) as point indices, infinity first and
-    element a at 1 + a, read-only, for g the least primitive root mod p:
-    the bytes of psl_generators(Field(p))[2].perm(), since Field(p)'s
-    first primitive element in enumeration order is that g.  nu is the
-    least non-square mod p, by Euler's criterion.
+    s and sigma are x -> x + 1 and x -> g²x on PG(1, p) as point indices,
+    infinity first and element a at 1 + a, read-only, for g the least
+    primitive root mod p: s = [0, 2, 3, ..., v-1, 1], and sigma has the
+    bytes of psl_generators(Field(p))[2].perm(), since Field(p)'s first
+    primitive element in enumeration order is that g.  nu is the least
+    non-square mod p, by Euler's criterion.
     """
     p = v - 1
     if p < 3 or _factor(p) != {p: 1}:
         return None
     g = _primitive_root(p)
     nu = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
-    sigma = np.r_[0, 1 + g * g % p * np.arange(p) % p]
-    sigma.flags.writeable = False
-    return sigma, nu
+    s, sigma = np.r_[0, 2:v, 1], np.r_[0, 1 + g * g % p * np.arange(p) % p]
+    s.flags.writeable = sigma.flags.writeable = False
+    return s, sigma, nu
 
 
 @functools.lru_cache(maxsize=64)
@@ -637,19 +614,17 @@ def _negation(v: int) -> np.ndarray:
 
 def _mirror_fixes(H: SignCube) -> bool:
     """Is H(x_1, ..., x_n) = H(-x_n, ..., -x_1) everywhere?  Asked only
-    when p = v - 1 is an odd prime and H._fixed holds that s fixes H;
-    False otherwise, with no compare.
+    once H._fixed holds that B fixes H; False otherwise, with no compare.
 
     The mirror rho is x -> -x on every coordinate (_negation) with the
-    coordinates reversed.  It normalizes A = <s>: -(x + 1) = -x - 1, and
-    the reversal commutes with s, which relabels every coordinate alike.
-    So H relabelled by rho is fixed by A as H is, and rho is compared on
-    indices [0, 2) of one axis alone, as the scaling and the coordinate
-    permutations are (_fixes); the verdict is kept in H._fixed.
+    coordinates reversed.  It normalizes B: -(ax + b) = a(-x) - b, and the
+    reversal commutes with B, which relabels every coordinate alike.  So
+    H relabelled by rho is fixed by B as H is, and rho is compared on
+    indices [0, 2) of one axis alone, as the coordinate permutations are
+    (_fixes); the verdict is kept in H._fixed.
     """
-    v = H.v
-    return (_scaling(v) is not None and H._fixed.get(_memo_key(_shift(v))) is True
-            and _fixes(H, _negation(v), axes=tuple(range(H.n - 1, -1, -1)), rows=2))
+    return _affine_fixes(H, assume=False) and _fixes(
+        H, _negation(H.v), axes=tuple(range(H.n - 1, -1, -1)), rows=2)
 
 
 def _primitive_root(p: int) -> int:
@@ -659,33 +634,29 @@ def _primitive_root(p: int) -> int:
     return next(g for g in range(2, p) if all(pow(g, e, p) != 1 for e in orders))
 
 
-def _group(H: SignCube, assume: bool | None = None) -> int:
-    """The largest group of point relabellings verified on H: 0 (none),
-    1 (A = <s>, the shift x -> x + 1) or 2 (B = <s, sigma>, the affine
-    maps x -> a*x + b with a a non-zero square), B only when p = v - 1 is
-    an odd prime (_scaling).
+def _affine_fixes(H: SignCube, assume: bool | None = None) -> bool:
+    """Is H fixed by B = <s, sigma>, the affine maps x -> a*x + b with a a
+    non-zero square (_scaling)?  False with no compare unless p = v - 1 is
+    an odd prime.
 
     s is compared whole.  sigma is compared only once s has passed, and
-    then on indices [0, 2) of axis 0 alone: sigma normalizes A, since
-    sigma(x + 1) = sigma(x) + g², so H relabelled by sigma is fixed by A
-    as H is, and two A-fixed cubes that agree on the n-tuples whose first
-    coordinate is below 2, which meet every orbit of A, are equal.  Both
-    verdicts are kept in H._fixed by _fixes.  A verdict not kept yet is
-    compared if assume is None, and taken to be assume otherwise, with no
-    compare: assume=True gives the largest group H may still be shown to
-    have, assume=False the largest already shown.
+    then on indices [0, 2) of axis 0 alone: sigma normalizes A = <s>,
+    since sigma(x + 1) = sigma(x) + g², so H relabelled by sigma is fixed
+    by A as H is, and two A-fixed cubes that agree on the n-tuples whose
+    first coordinate is below 2, which meet every orbit of A, are equal.
+    Both verdicts are kept in H._fixed by _fixes.  A verdict not kept yet
+    is compared if assume is None, and taken to be assume otherwise, with
+    no compare: assume=True asks whether B may still be shown to fix H,
+    assume=False whether it is shown already.
     """
-    gens = []
-    if H.v > 2:
-        affine = _scaling(H.v)
-        gens = [(_shift(H.v), None)] + ([(affine[0], 2)] if affine else [])
-    for group, (perm, rows) in enumerate(gens):
+    gens = _scaling(H.v)
+    if gens is None:
+        return False
+    for perm, rows in ((gens[0], None), (gens[1], 2)):
         verdict = H._fixed.get(_memo_key(perm), assume)
-        if verdict is None:
-            verdict = _fixes(H, perm, rows=rows)
-        if not verdict:
-            return group
-    return len(gens)
+        if not (_fixes(H, perm, rows=rows) if verdict is None else verdict):
+            return False
+    return True
 
 
 def _heads(v: int) -> tuple:
@@ -696,7 +667,7 @@ def _heads(v: int) -> tuple:
     {0, y - x} and scales by squares, so the finite pairs fall by whether
     y - x is a square: one orbit, headed by (1, 2), when -1 is a
     non-square (p = 3 mod 4), else two, headed by (1, 2) and (1, 1 + nu)."""
-    nu = _scaling(v)[1]
+    nu = _scaling(v)[2]
     return ((0, 3),) if v % 4 == 0 else ((0, 3), (1 + nu, 2 + nu))
 
 
@@ -717,7 +688,7 @@ def _representatives(v: int, m: int) -> tuple:
     one.  The spans come from slicing whole blocks of free trailing
     coordinates, with no table of all v**m tuples.
     """
-    nu = _scaling(v)[1]
+    nu = _scaling(v)[2]
 
     def walk(base: int, i: int, finite: bool):
         if i == m:
@@ -747,51 +718,43 @@ def is_hadamard(H: SignCube) -> VerifyReport:
     Gram[a, b] on every axis, so a violation's whole orbit under a group
     fixing H violates alike, and the full scan's first violation is the
     lex-least pair of its orbit.  When p = v - 1 is an odd prime and no
-    kept verdict rules B out (_group), axis 0 is scanned first on the
-    gathered sub-stack of the layers that hold every B-orbit's head pair
-    (_heads: {0, 1, 2}, and 1 + nu when p = 1 mod 4), before any compare:
-    a violation at (0, 1) or (0, 2) is the full scan's first whatever the
-    group, and is reported at once.  Otherwise s and the scaling are
-    compared (_group), and if B fixes H that sub-stack decides each axis:
-    its first violation, the head of its orbit, is the full scan's.  Its
-    Gram rows [0, k - 1) of k picked layers are formed, by gemm (_scan).
+    kept verdict rules B out (_affine_fixes), axis 0 is scanned first on
+    the gathered sub-stack of the layers that hold every B-orbit's head
+    pair (_heads: {0, 1, 2}, and 1 + nu when p = 1 mod 4), before any
+    compare: a violation at (0, 1) or (0, 2) is the full scan's first
+    whatever the group, and is reported at once.  Otherwise B is compared,
+    and if it fixes H that sub-stack decides each axis: its first
+    violation, the head of its orbit, is the full scan's.  Its Gram rows
+    [0, k - 1) of k picked layers are formed, by gemm (_scan).
 
     The mirror rho: H(x_1, ..., x_n) = H(-x_n, ..., -x_1) maps the layers
     of axis j at a and b onto those of axis n - 1 - j at -a and -b.  So
     once axes 0 to (n - 1) // 2 have passed, every later axis mirrors one
-    of them, and rho is compared then (_mirror_fixes): on indices [0, 2) of
-    one axis, as it normalizes A, and only when p = v - 1 is an odd prime
-    and s is kept as fixing H.  If it fixes H the scan stops.
+    of them, and rho is compared then (_mirror_fixes), only once B is
+    shown to fix H.  If it fixes H the scan stops.
 
-    Any other cube of order v > 2 is scanned on Gram rows [0, 2) of an
-    axis first.  The shift [0, 2, ..., v-1, 1] has the orbits {0} and
-    {1, ..., v-1}, so if it fixes H, every nonzero entry has an image in
-    those rows: once they pass, the axis passes, and the shift is tested
-    only then.  If it does not fix H, this axis and every later one are
-    scanned whole.  The rows below 2 come first in scan order, so a
-    report never depends on the shift.  They are scanned first even when
-    H._fixed already holds that the shift does not fix H: they cost 2/v of
-    the axis's product, and a violation that involves layer 0 or 1, as
-    every one made by flipping one entry of a Hadamard cube does, shows
+    Any other cube has every axis scanned whole, after one probe: Gram
+    rows [0, 2) of axis 0 (v > 2).  They come first in scan order and cost
+    2/v of the axis's product, and a violation that involves layer 0 or 1,
+    as every one made by flipping one entry of a Hadamard cube does, shows
     there, while a miss costs one more cast of the axis.
     """
     if H.n < 2:
         raise DimensionTooSmall("need n >= 2")
     n, v = H.n, H.v
-    r = 2 if v > 2 else None  # Gram rows [0, r) first; None: the whole axis
-    heads = _heads(v) if _group(H, assume=True) == 2 else None
+    heads = _heads(v) if _affine_fixes(H, assume=True) else None
     for axis in range(n):
         # a stack of one matrix, whose row a is the layer with coordinate
         # axis = a: [0, a] of this view, read in C order
         mats = H.data.reshape(1, v**axis, v, -1).transpose(0, 2, 1, 3)
         if heads:
             hit = _scan(mats, pick=heads)
-            if not (hit and hit[1] == 0 and hit[2] <= 2) and _group(H) < 2:
-                heads = None  # B does not fix H: the rows below 2, as below
+            if not (hit and hit[1] == 0 and hit[2] <= 2) and not _affine_fixes(H):
+                heads = None  # B does not fix H: scanned whole, as below
         if not heads:
-            hit = _scan(mats, rows=r)
-            if hit is None and r and not _shift_fixes(H):
-                r, hit = None, _scan(mats)
+            hit = _scan(mats, rows=2) if axis == 0 and v > 2 else None  # the probe
+            if hit is None:
+                hit = _scan(mats)
         if hit is not None:
             _, a, b, dev = hit
             return VerifyReport(False, axis=axis, pair=(a, b), deviation=dev,
@@ -854,37 +817,36 @@ def is_proper(H: SignCube) -> VerifyReport:
     A relabelling g that fixes H maps the layer at fixed values c onto the
     one at g(c), with its rows and columns relabelled alike, so one is
     Hadamard exactly when the other is, and the full scan's first failing
-    layer is the lex-least of its orbit under a group fixing H.  A cube
-    (n >= 3) of order v > 2 is scanned first on the layers of each pair
-    whose first fixed coordinate is below 2, a prefix of the pair's scan:
-    if the shift [0, 2, ..., v-1, 1], whose orbits are {0} and
-    {1, ..., v-1}, fixes H, every failing layer has an image there.  Once
-    that prefix passes, the shift and the scaling are tested (_group); if
-    the shift does not fix H, this pair and every later one are scanned
-    whole, and a report never depends on the shift.  Once B = <s, sigma>
-    is shown to fix H (by is_hadamard, say), each pair is scanned only on
-    the layers whose fixed coordinates are in canonical form
-    (_representatives), the lex-least element of each B-orbit, gathered
-    in index order: every failing orbit's first layer is among them, so
-    the first violation and every report field are the full scan's.  For
-    n = 3 they are the two-layer prefix itself, and of those two layers,
-    z = inf and z = 0, only Gram rows [0, 2 + nu) are formed: the layer
-    z = 0 is fixed by the torus T = <sigma>, whose orbits are {inf}, {0},
-    the squares and the non-squares, so the lex-least row pair of each
-    T-orbit starts at row 0, 1, 2 (the element 1) or 1 + nu, and z = inf
-    is fixed by all of B.  If H._fixed already holds that the shift does
-    not fix H (kept by is_hadamard, say), every pair is scanned whole from
-    the start: the whole scan takes the prefix's layers first, so the
-    prefix would only be scanned twice.
+    layer is the lex-least of its orbit under a group fixing H.  When
+    p = v - 1 is an odd prime and no kept verdict rules B out
+    (_affine_fixes), a cube (n >= 3) is scanned first on the layers of
+    each pair whose first fixed coordinate is below 2, a prefix of the
+    pair's scan that meets every orbit of the translations alone.  Once
+    that prefix passes, B is compared: if it fixes H the rest of the pair
+    is skipped, and if not, this pair and every later one are scanned
+    whole, so a report never depends on B.  Once B is shown to fix H (by
+    is_hadamard, say), each pair is scanned only on the layers whose fixed
+    coordinates are in canonical form (_representatives), the lex-least
+    element of each B-orbit, gathered in index order: every failing
+    orbit's first layer is among them, so the first violation and every
+    report field are the full scan's.  For n = 3 they are the two-layer
+    prefix itself, and of those two layers, z = inf and z = 0, only Gram
+    rows [0, 2 + nu) are formed: the layer z = 0 is fixed by the torus
+    T = <sigma>, whose orbits are {inf}, {0}, the squares and the
+    non-squares, so the lex-least row pair of each T-orbit starts at row
+    0, 1, 2 (the element 1) or 1 + nu, and z = inf is fixed by all of B.
+    Any other cube, and one that H._fixed already holds B does not fix
+    (kept by is_hadamard, say), is scanned on every pair whole from the
+    start, with no compare.
 
     The mirror rho: H(x_1, ..., x_n) = H(-x_n, ..., -x_1) maps the 2-D
     layers of a pair (j1, j2) onto those of (n - 1 - j2, n - 1 - j1), with
     rows and columns relabelled by x -> -x and swapped; a transposed
     Hadamard matrix is Hadamard.  When j1 + j2 > n - 1 that image comes
     first in scan order, so at the first such pair, every earlier pair
-    having passed, rho is compared (_mirror_fixes, under the conditions
-    stated there), and if it fixes H every such pair is skipped: for
-    n <= 5 they are the last pairs of the scan.
+    having passed, rho is compared (_mirror_fixes, once B is shown), and
+    if it fixes H every such pair is skipped: for n <= 5 they are the last
+    pairs of the scan.
     """
     if H.n < 2:
         raise DimensionTooSmall("need n >= 2")
@@ -892,8 +854,8 @@ def is_proper(H: SignCube) -> VerifyReport:
     layers, per_layer = v ** (n - 2), v * (v - 1)
     # layers whose first fixed coordinate is below r first; None: the whole
     # pair, as for a 2-D cube, whose one layer fixes no coordinate, or once
-    # the shift is known not to fix H, which is read with no compare
-    r = 2 if n > 2 and v > 2 and _group(H, assume=True) else None
+    # B cannot fix H, which is read with no compare
+    r = 2 if n > 2 and _affine_fixes(H, assume=True) else None
     reps = None  # spans of the canonical layers, once B is shown to fix H
     for i, (j1, j2) in enumerate(itertools.combinations(range(n), 2)):
         if j1 + j2 > n - 1 and _mirror_fixes(H):
@@ -902,12 +864,12 @@ def is_proper(H: SignCube) -> VerifyReport:
         # other coordinates c, in scan order
         others = [j for j in range(n) if j not in (j1, j2)]
         lay = H.array.transpose(*others, j1, j2)[..., None, :]
-        if r and reps is None and _group(H, assume=False) == 2:
+        if r and reps is None and _affine_fixes(H, assume=False):
             reps = _representatives(v, n - 2)
         # n = 3: the layers z = inf and z = 0, on Gram rows [0, 2 + nu)
-        rows = 2 + _scaling(v)[1] if reps and n == 3 else None
+        rows = 2 + _scaling(v)[2] if reps and n == 3 else None
         hit = _scan(lay[:r], rows=rows, at=reps)
-        if hit is None and r and reps is None and not _group(H):
+        if hit is None and r and reps is None and not _affine_fixes(H):
             r, hit = None, _scan(lay)
         if hit is not None:
             k, a, b, dev = hit

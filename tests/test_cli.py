@@ -178,30 +178,31 @@ def test_verify_all_flags(tmp_path, capsys):
 
 
 def test_verify_makes_each_relabelling_compare_once(tmp_path, monkeypatch, capsys):
-    """is_hadamard tests the shift x -> x + 1 on every file's cube once its
-    head layers or two-row prefix pass, and is_hadamard, is_proper and
-    check_cyclic all ask whether the cube is fixed by the rotation of its
-    coordinates; each relabelling is compared once.  Over GF(19) the shift
-    fixes the cube, so is_hadamard compares the scaling x -> g^2 x and the
-    rotation on indices 0 and 1 of axis 0, and --psl adds only the
-    inversion: the translation has the shift's bytes and the scaling the
-    verifier's, and both verdicts are kept.  Over GF(27) the shift compare
-    fails, the rotation is compared whole, and --psl makes three compares."""
+    """is_hadamard tests the affine group B = <x -> x + 1, x -> g^2 x> on
+    a file's cube of prime order q + 1 once its head layers pass, and
+    is_hadamard, is_proper and check_cyclic all ask whether the cube is
+    fixed by the rotation of its coordinates; each relabelling is compared
+    once.  Over GF(19) B fixes the cube: is_hadamard compares the shift
+    whole, and the scaling and the rotation on indices 0 and 1 of axis 0,
+    and --psl adds only the inversion: the translation has the shift's
+    bytes and the scaling the verifier's, and both verdicts are kept.
+    Over GF(27) the verifiers compare no point relabelling, the rotation
+    is compared whole, and --psl makes three compares."""
     calls, relabels = [], ncube._relabels_to
     monkeypatch.setattr(ncube, "_relabels_to", lambda src, dst, perm=None, axes=None, **kw:
                         calls.append((axes, perm is None, kw.get("rows")))
                         or relabels(src, dst, perm, axes, **kw))
     shift, psl = (None, False, None), [(None, False, None)] * 3
     out = "hadamard: PASS\nproper: PASS\ncyclic: PASS\n"
-    for q, verifier in ((19, [(None, False, 2), ((1, 2, 0), True, 2)]),
+    for q, verifier in ((19, [shift, (None, False, 2), ((1, 2, 0), True, 2)]),
                         (27, [((1, 2, 0), True, None)])):
         path = write_cube(tmp_path / f"m{q}.hdm", paley3(Field(q)))
         assert main(["verify", path, "--proper", "--cyclic"]) == 0
-        assert calls == [shift] + verifier
+        assert calls == verifier
         del calls[:]
         assert main(["verify", path, "--proper", "--cyclic", "--psl", "--q", str(q)]) == 0
         # a new file is a new cube
-        assert calls == [shift] + verifier + (psl[1:2] if q == 19 else psl)
+        assert calls == verifier + (psl[1:2] if q == 19 else psl)
         del calls[:]
         assert capsys.readouterr().out == out + out + "psl: PASS\n"
 

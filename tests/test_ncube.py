@@ -216,12 +216,13 @@ def test_constructor_starts_without_candidates_or_verdicts():
 
 
 def test_the_shift_fixes_prime_paley_cubes_and_their_products_only(tmp_path):
-    """_shift_fixes accepts the Paley cubes over a prime field and their
-    products however they reach a verifier: built, written and read back,
-    parsed, sliced by layer at z = infinity, or copied by SignCube(...).
-    It rejects the Paley cubes over GF(9) and GF(27), lifts, almost cubes
-    and the products of a Sylvester matrix, and, without a compare, every
-    cube of order 1 or 2."""
+    """_affine_fixes, B = <x -> x + 1, x -> g^2 x>, accepts the Paley
+    cubes over a prime field and their products however they reach a
+    verifier: built, written and read back, parsed, sliced by layer at
+    z = infinity, or copied by SignCube(...).  It rejects lifts, almost
+    cubes and the products of a Sylvester matrix, and, without a compare,
+    the Paley cubes over GF(9) and GF(27) and every cube of order 1 or 2,
+    whose order minus one is not an odd prime."""
     h, cube = paley2(Field(7)), paley3(Field(7))
     with open(tmp_path / "c.hdm", "wb") as f:
         write(cube, f)
@@ -232,10 +233,11 @@ def test_the_shift_fixes_prime_paley_cubes_and_their_products_only(tmp_path):
                 layer(cube, {2: 0}), SignCube(3, 8, cube.array)]
     rejected = [paley3(Field(9)), paley2(Field(27)), paley3(Field(27)), dim_lift(h),
                 dim_lift(cube), almost_cube(Field(7), 3), yang_product(SYL4, 3)]
-    assert all(ncube._shift_fixes(c) for c in accepted)
-    assert not any(ncube._shift_fixes(c) for c in rejected)
+    assert all(ncube._affine_fixes(c) for c in accepted)
+    assert not any(ncube._affine_fixes(c) for c in rejected)
+    assert not any(c._fixed for c in rejected[:3])
     small = [H2, product_cube(H2, 3), SignCube(2, 1, [1]), SignCube(3, 1, [-1])]
-    assert not any(ncube._shift_fixes(c) or c._fixed for c in small)
+    assert not any(ncube._affine_fixes(c) or c._fixed for c in small)
 
 
 def test_memo_holds_small_boolean_verdicts():
@@ -614,6 +616,8 @@ def shift(v: int) -> tuple:
 
 def cube_of(key: tuple) -> SignCube:
     kind, q, *dim = key
+    if kind == "lift":
+        return dim_lift(paley3(Field(q)))
     return paley3(Field(q)) if kind == "paley3" else yang_product(paley2(Field(q)), *dim)
 
 
@@ -676,7 +680,7 @@ def test_prime_paley_cubes_and_products_match_the_oracles(budget, monkeypatch):
     for key in keys:
         c = cube_of(key)
         assert (is_hadamard(c), is_proper(c)) == oracle_reports(key), key
-        assert ncube._shift_fixes(c)
+        assert ncube._affine_fixes(c)
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
@@ -701,7 +705,7 @@ def test_a_candidate_that_does_not_fix_the_cube_is_dropped(budget, monkeypatch):
     assert calls == [(None, shift(12))]
     assert rep == proper_oracle(bad) and (rep.checked_pairs - 1) // (12 * 11) == 7
     assert is_proper(bad) == rep and len(calls) == 1
-    assert not ncube._shift_fixes(bad)
+    assert not ncube._affine_fixes(bad)
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
@@ -721,7 +725,7 @@ def test_a_failing_cube_that_the_candidate_fixes_fails_in_the_prefix(budget, mon
                 arr[tuple(x)] *= -1
                 x = t[x]
         c = adopt(arr)
-        assert ncube._shift_fixes(c)
+        assert ncube._fixes(c, shift(v))
         rep = is_hadamard(c)
         assert not rep.passed and rep == is_hadamard_naive(c) and rep.pair[0] < 2
         rep = is_proper(c)
@@ -789,11 +793,12 @@ def test_prime_paley3_is_certified_by_a_prefix_and_two_compares(monkeypatch):
 
 
 def test_a_cube_the_shift_does_not_fix_pays_one_prefix_and_one_compare(monkeypatch):
-    """paley3(GF(27)) and the lift of paley3(GF(7)) pass the two-row prefix
-    of axis 0 (the lift, of prime order v - 1, after the head layers 0-2
-    of axis 0), fail the one shift compare, and are scanned whole from
-    there: axis 0 again, then every later axis with no rows.  is_proper
-    reads the kept verdict before any scan and scans every pair whole from
+    """paley3(GF(27)) and the lift of paley3(GF(7)) pass the two-row probe
+    of axis 0 and are scanned whole from there: axis 0 again, then every
+    later axis with no rows.  The lift, of prime order v - 1, first scans
+    the head layers 0-2 of axis 0 and fails the one shift compare; at
+    order 28 no point relabelling is compared.  is_proper reads the kept
+    verdict, or the order, before any scan and scans every pair whole from
     the start, with no prefix.  The rotation is compared whole."""
     v = 28
     cube = paley3(Field(27))
@@ -803,8 +808,8 @@ def test_a_cube_the_shift_does_not_fix_pays_one_prefix_and_one_compare(monkeypat
     assert is_hadamard(cube).passed and is_proper(cube).passed
     assert scans == [((1, v, 1, v * v), 2), ((1, v, 1, v * v), None),
                      ((v, v, 1, v), None)]
-    assert calls == [(None, shift(v)), ((1, 2, 0), None)]
-    assert [kw.get("rows") for kw in keywords] == [None, None]
+    assert calls == [((1, 2, 0), None)]
+    assert [kw.get("rows") for kw in keywords] == [None]
     monkeypatch.undo()
 
     v, lifted = 8, dim_lift(paley3(Field(7)))
@@ -824,11 +829,11 @@ def test_a_cube_the_shift_does_not_fix_pays_one_prefix_and_one_compare(monkeypat
 
 
 def test_a_kept_shift_verdict_is_read_before_any_prefix(monkeypatch):
-    """is_proper on a paley3(GF(27)) whose shift verdict
-    check_permutation_invariance kept scans every pair whole from the
-    start, with no compare.  is_hadamard keeps its two-row prefix even
-    then: on a cube with one entry flipped, whose verdict is kept too, the
-    prefix alone finds the violation."""
+    """is_proper on a paley3(GF(27)), whose shift verdict
+    check_permutation_invariance kept, scans every pair whole from the
+    start, with no compare: at order 28 no verdict is read.  is_hadamard
+    keeps its two-row probe even then: on a cube with one entry flipped,
+    whose verdict is kept too, the probe alone finds the violation."""
     v = 28
     cube = paley3(Field(27))
     assert not check_permutation_invariance(cube, shift(v))
@@ -889,18 +894,17 @@ def test_cubes_of_order_one_and_two_have_no_prefix(monkeypatch):
 
 
 def test_check_cyclic_on_a_fresh_prime_paley3_compares_a_prefix(monkeypatch):
-    """check_cyclic on a fresh paley3(GF(19)) compares the shift, then
-    indices 0 and 1 of axis 0 of the rotated cube; the verifiers then find
-    both verdicts kept and compare only the scaling, on those indices."""
+    """check_cyclic on a fresh paley3(GF(19)) compares the shift, then the
+    scaling and the rotated cube on indices 0 and 1 of axis 0; the
+    verifiers then find every verdict kept and compare nothing."""
     cube, v = paley3(Field(19)), 20
     keywords = []
     calls = relabel_calls(monkeypatch, keywords)
     assert check_cyclic(cube)
-    assert calls == [(None, shift(v)), ((1, 2, 0), None)]
-    assert [kw.get("rows") for kw in keywords] == [None, 2]
+    sigma = tuple(psl_generators(Field(19))[2].perm())
+    assert calls == [(None, shift(v)), (None, sigma), ((1, 2, 0), None)]
+    assert [kw.get("rows") for kw in keywords] == [None, 2, 2]
     assert is_hadamard(cube).passed and len(calls) == 3
-    assert calls[2] == (None, tuple(psl_generators(Field(19))[2].perm()))
-    assert keywords[2].get("rows") == 2
 
 
 def shift_fixed_cube(rng: np.random.Generator, n: int, q: int, rotate: bool) -> SignCube:
@@ -931,11 +935,13 @@ def prefix_verdicts(c: SignCube) -> set:
 
 
 def test_prefix_rotation_verdicts_match_the_whole_compare(monkeypatch):
-    """Cubes that the shift fixes are compared with a coordinate
-    permutation of themselves on the first 2 indices of axis 0 (rows=2);
-    the verdict is the whole compare's for every permutation: prime
-    paley3, products of prime paley2, and random shift-fixed cubes with
-    and without the rotation symmetry."""
+    """Cubes that B = <x -> x + 1, x -> g^2 x> fixes are compared with a
+    coordinate permutation of themselves on the first 2 indices of axis 0
+    (rows=2), and cubes that the shift alone fixes whole; the verdict is
+    the whole compare's for every permutation: prime paley3, products of
+    prime paley2, random shift-fixed cubes with and without the rotation
+    symmetry (B-fixed at q = 3, where the scaling is the identity), and
+    paley3 negated on one orbit of a triple under the shift or under B."""
     keywords = []
     calls = relabel_calls(monkeypatch, keywords)
     cubes = [paley3(Field(q)) for q in PRIMES_LE_31]
@@ -944,10 +950,13 @@ def test_prefix_rotation_verdicts_match_the_whole_compare(monkeypatch):
     cubes += [shift_fixed_cube(rng, n, q, rotate)
               for n, q in ((2, 3), (2, 7), (3, 3), (3, 5), (4, 3)) for rotate in (False, True)
               for _ in range(8)]
-    # paley3 negated on the shift orbit of a triple of field elements: it
-    # differs from its rotations only where no coordinate is infinity, so
-    # a prefix of the index inf alone would miss it
+    # paley3 negated on the shift orbit, or the B-orbit, of a triple of
+    # field elements: it differs from its rotations only where no
+    # coordinate is infinity, so a prefix of the index inf alone would miss it
     for q, x in ((7, (1, 2, 4)), (11, (1, 4, 9)), (11, (1, 1, 3))):
+        orbits = affine_orbits(3, q)
+        cubes.append(negated_on(paley3(Field(q)), orbits,
+                                int(orbits[np.ravel_multi_index(x, (q + 1,) * 3)])))
         arr, t, x = paley3(Field(q)).array.copy(), np.asarray(shift(q + 1)), np.asarray(x)
         for _ in range(q):
             arr[tuple(x)] *= -1
@@ -955,13 +964,16 @@ def test_prefix_rotation_verdicts_match_the_whole_compare(monkeypatch):
         cubes.append(adopt(arr))
     verdicts = set()
     for c in cubes:
-        assert ncube._shift_fixes(c)
+        assert ncube._fixes(c, shift(c.v))
         verdicts |= prefix_verdicts(c)
     assert verdicts == {True, False}
-    # every verdict of _fixes on a coordinate permutation came from a
-    # prefix; yang_product's is_hadamard adds its input's scaling compares
+    affine = [c for c in cubes if ncube._affine_fixes(c)]
+    assert 0 < len(affine) < len(cubes)
+    # every verdict of _fixes on a coordinate permutation of a B-fixed cube
+    # came from a prefix, and every other from a whole compare;
+    # yang_product's is_hadamard adds its input's scaling compares
     assert sum(kw.get("rows") == 2 and perm is None for kw, (_, perm)
-               in zip(keywords, calls)) == sum(math.factorial(c.n) for c in cubes)
+               in zip(keywords, calls)) == sum(math.factorial(c.n) for c in affine)
 
 
 def test_prefix_rotation_needs_fixing_candidates_with_short_orbit_heads(monkeypatch):
@@ -999,9 +1011,10 @@ def test_primitive_root_and_scaling_match_the_field():
     for p in ODD_PRIMES_LE_251:
         F = Field(p)
         assert ncube._primitive_root(p) == F.primitive_element(), p
-        sigma, nu = ncube._scaling(p + 1)
+        s, sigma, nu = ncube._scaling(p + 1)
+        assert ncube._memo_key(s) == ncube._memo_key(shift(p + 1))
         assert ncube._memo_key(sigma) == ncube._memo_key(psl_generators(F)[2].perm())
-        assert not sigma.flags.writeable
+        assert not s.flags.writeable and not sigma.flags.writeable
         assert nu == min(a for a in range(1, p) if F.chi(a) == -1)
     for v in (1, 2, 3, 5, 10, 16, 26, 28, 50, 122, 126):
         assert ncube._scaling(v) is None, v
@@ -1041,8 +1054,8 @@ def negated_on(c: SignCube, orbits: np.ndarray, *ids: int) -> SignCube:
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_verifiers_match_oracles_on_cubes_fixed_by_the_affine_group(budget, monkeypatch):
     """Random cubes constant on the orbits of B (x -> a*x + b, a a square)
-    are fixed by the shift and the scaling, which _group finds from a
-    whole shift compare and a two-index scaling compare; the verifiers
+    are fixed by the shift and the scaling, which _affine_fixes finds from
+    a whole shift compare and a two-index scaling compare; the verifiers
     scan them on the head layers and the canonical layers only, with the
     full scan's reports.  The same cubes with one orbit negated are fixed
     by B too.  Cubes constant on the orbits of the translations alone are
@@ -1055,21 +1068,96 @@ def test_verifiers_match_oracles_on_cubes_fixed_by_the_affine_group(budget, monk
     reports = set()
     for n, p in shapes:
         v, orbits = p + 1, affine_orbits(n, p)
-        sigma = ncube._scaling(v)[0]
+        sigma = ncube._scaling(v)[1]
         for _ in range(3):
             c = affine_cube(rng, n, p)
             for cube in (c, negated_on(c, orbits, int(rng.choice(orbits)))):
                 assert ncube._relabels_to(cube.array, cube.array, sigma)
-                assert ncube._group(cube) == 2
+                assert ncube._affine_fixes(cube)
                 hadamard, proper = is_hadamard(cube), is_proper(cube)
                 assert hadamard == is_hadamard_naive(cube), (n, p)
                 assert proper == proper_oracle(cube), (n, p)
                 reports.add((hadamard.pair, proper.pair))
         translated = affine_cube(rng, n, p, scales=(1,))
         whole = ncube._relabels_to(translated.array, translated.array, sigma)
-        assert ncube._group(translated) == 1 + whole
+        assert ncube._affine_fixes(translated) == whole
         assert is_hadamard(translated) == is_hadamard_naive(translated)
     assert len(reports) > 5  # the first violations are spread over many pairs
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_cubes_of_other_orders_get_no_point_relabelling_compare(budget, monkeypatch):
+    """Cubes whose order minus one is not an odd prime: paley3 over GF(9),
+    GF(25), GF(27) and GF(49), the products of paley2(GF(27)) in 3 and 4
+    dimensions, and the lift of paley3(GF(9)).  B is not asked there, so
+    every compare the verifiers make is a coordinate permutation (perm
+    None), and their reports are the oracles'."""
+    monkeypatch.setattr(ncube, "_BUDGET", budget)
+    keys = [("paley3", q) for q in (9, 25, 27, 49)]
+    keys += [("product", 27, 3), ("product", 27, 4), ("lift", 9)]
+    calls = relabel_calls(monkeypatch)
+    for key in keys:
+        c = cube_of(key)
+        del calls[:]
+        assert (is_hadamard(c), is_proper(c)) == oracle_reports(key), key
+        assert calls and all(perm is None for _, perm in calls), key
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_cubes_only_the_shift_fixes_pay_the_probe_and_whole_scans(budget, monkeypatch):
+    """Random cubes constant on the orbits of the translations alone
+    (affine_cube with scales=(1,)), paley3 negated on one or two such
+    orbits of triples, and paley3 (q = 3 mod 4) times a random sign
+    beta(y - z), 1 where y or z is infinity, whose axis 0 and pairs (0, 1)
+    and (0, 2) pass: the shift fixes them and the scaling does not, so B
+    does not.  Fresh, is_hadamard scans the head layers of axis 0,
+    compares B, and then scans the two-row probe of axis 0 and every axis
+    whole; is_proper scans the two-layer prefix of pair (0, 1), compares
+    B, and then scans every pair whole.  Once the verdict is kept,
+    is_proper scans every pair whole from the start.  The reports are the
+    oracles'."""
+    monkeypatch.setattr(ncube, "_BUDGET", budget)
+    rng = np.random.default_rng(20261301 + budget)
+    cubes = [affine_cube(rng, n, p, scales=(1,))
+             for n, p in ((2, 5), (3, 5), (3, 7), (4, 5)) for _ in range(3)]
+    # a random cube may be fixed by the scaling x -> -x too, most likely in 2-D
+    cubes = [c for c in cubes if not ncube._relabels_to(c.array, c.array, ncube._scaling(c.v)[1])]
+    assert len(cubes) >= 8
+    for q, triples in ((7, [(1, 2, 4)]), (11, [(2, 5, 9)]), (7, [(1, 2, 4), (1, 2, 3)])):
+        orbits = affine_orbits(3, q, (1,))
+        cubes.append(negated_on(paley3(Field(q)), orbits, *(
+            int(orbits[np.ravel_multi_index(x, (q + 1,) * 3)]) for x in triples)))
+    for q in (7, 11, 19):
+        d = np.subtract.outer(np.arange(q), np.arange(q)) % q
+        signs = np.ones((q + 1, q + 1), dtype=np.int8)
+        signs[1:, 1:] = rng.choice(np.array([-1, 1], dtype=np.int8), size=q)[d]
+        cubes.append(adopt(paley3(Field(q)).array * signs))
+    scans = scan_calls(monkeypatch)
+    probed = prefixed = 0
+    for c in cubes:
+        v, axis0 = c.v, (1, c.v, 1, c.v ** (c.n - 1))
+        assert ncube._relabels_to(c.array, c.array, shift(v))
+        assert not ncube._relabels_to(c.array, c.array, ncube._scaling(v)[1])
+        fresh = adopt(c.array)
+        del scans[:]
+        assert is_hadamard(c) == is_hadamard_naive(c)
+        assert scans[0] == (axis0, ncube._heads(v))
+        if len(scans) > 1:  # past a hit at (0, 1) or (0, 2): B was compared
+            probed += 1
+            assert scans[1] == (axis0, 2)  # the probe, then axis 0 whole if it passes
+            assert scans[2:3] in ([], [(axis0, None)])
+            assert all(rows is None for _, rows in scans[2:])
+        assert not ncube._affine_fixes(c)
+        del scans[:]
+        assert is_proper(c) == proper_oracle(c)
+        assert all(shape[0] == v and rows is None for shape, rows in scans)
+        del scans[:]
+        assert is_proper(fresh) == proper_oracle(fresh)
+        if c.n > 2 and len(scans) > 1:  # the prefix passed: B was compared
+            prefixed += 1
+            assert scans[0][0][0] == 2
+            assert all(shape[0] == v and rows is None for shape, rows in scans[1:])
+    assert probed and prefixed
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
@@ -1090,7 +1178,7 @@ def test_hadamard_cubes_negated_on_one_affine_orbit_fail_with_the_full_report(bu
         c = negated_on(base, affine_orbits(3, q), *ids)
         rep = is_hadamard(c)
         assert rep == is_hadamard_naive(c) and (rep.axis, rep.pair) == (axis, pair)
-        assert ncube._group(c) == 2 and is_proper(c) == proper_oracle(c)
+        assert ncube._affine_fixes(c) and is_proper(c) == proper_oracle(c)
     rng = np.random.default_rng(20261102)
     deep = 0
     for base, p in ((paley3(Field(7)), 7), (paley3(Field(11)), 11), (paley3(Field(13)), 13),
@@ -1098,7 +1186,7 @@ def test_hadamard_cubes_negated_on_one_affine_orbit_fail_with_the_full_report(bu
         orbits = affine_orbits(base.n, p)
         for orbit in rng.choice(np.unique(orbits), size=6, replace=False):
             c = negated_on(base, orbits, int(orbit))
-            assert ncube._group(c) == 2
+            assert ncube._affine_fixes(c)
             hadamard, proper = is_hadamard(c), is_proper(c)
             assert hadamard == is_hadamard_naive(c)
             assert proper == proper_oracle(c)
@@ -1119,7 +1207,7 @@ def union_find_heads(v: int, m: int) -> set:
         return i
     idx = np.indices((v,) * m).reshape(m, -1)
     weights = v ** np.arange(m - 1, -1, -1)
-    for perm in (ncube._shift(v), ncube._scaling(v)[0]):
+    for perm in ncube._scaling(v)[:2]:
         for i, j in enumerate((weights @ perm[idx]).tolist()):
             a, b = root(i), root(j)
             parent[max(a, b)] = min(a, b)  # a root is its class's least index
@@ -1177,7 +1265,7 @@ def test_affine_cubes_are_certified_by_head_and_canonical_layers(monkeypatch):
         del work[:]
         assert is_proper(cube).passed
         assert work == [(v, reps)] * pairs
-        sigma = tuple(ncube._scaling(v)[0].tolist())
+        sigma = tuple(ncube._scaling(v)[1].tolist())
         negation = (0, 1, *range(v - 1, 1, -1))
         assert calls == [(None, shift(v)), (None, sigma), ((*range(1, dim), 0), None),
                          (tuple(range(dim - 1, -1, -1)), negation)]
@@ -1232,7 +1320,7 @@ def test_verifiers_match_oracles_on_cubes_fixed_by_the_mirror(budget, monkeypatc
     cubes and products of paley2, whole and negated on one such orbit, and
     random cubes constant on B's orbits alone, for n = 3 to 5 and p in
     {3, 7, 11} (n = 5 only for p <= 7, as the oracles are pure Python):
-    once s is shown, the mirror compared on indices [0, 2) gives the whole
+    once B is shown, the mirror compared on indices [0, 2) gives the whole
     compare's verdict, and the verifiers, which then skip the mirrored
     axes and pairs, give the oracles' reports."""
     monkeypatch.setattr(ncube, "_BUDGET", budget)
@@ -1252,7 +1340,7 @@ def test_verifiers_match_oracles_on_cubes_fixed_by_the_mirror(budget, monkeypatc
         for c in cubes:
             whole = ncube._relabels_to(c.array, c.array, ncube._negation(v),
                                        tuple(range(n - 1, -1, -1)))
-            assert ncube._group(c) == 2 and ncube._mirror_fixes(c) == whole, (n, p)
+            assert ncube._affine_fixes(c) and ncube._mirror_fixes(c) == whole, (n, p)
             hadamard, proper = is_hadamard(c), is_proper(c)
             assert hadamard == is_hadamard_naive(c), (n, p)
             assert proper == proper_oracle(c), (n, p)
@@ -1294,7 +1382,7 @@ def test_every_torus_orbit_of_row_pairs_has_its_least_member_below_row_2_plus_nu
     1 + nu (the least non-square), and rows [0, 2 + nu) hold every orbit's
     first pair.  1 + nu is reached once there are two non-squares."""
     for p in ODD_PRIMES_LE_251[:12]:
-        v, nu = p + 1, ncube._scaling(p + 1)[1]
+        v, nu = p + 1, ncube._scaling(p + 1)[2]
         squares = sorted({a * a % p for a in range(1, p)})
         heads = set()
         for a, b in itertools.combinations(range(v), 2):
@@ -1315,10 +1403,10 @@ def test_affine_3_cubes_failing_in_layer_0_past_row_1_give_the_full_report(budge
     for q, ids, pair in ((7, (87, 103), (2, 4)), (11, (177, 183), (2, 7)),
                          (11, (171, 187), (2, 3))):
         c, v = negated_on(paley3(Field(q)), affine_orbits(3, q), *ids), q + 1
-        assert ncube._group(c) == 2
+        assert ncube._affine_fixes(c)
         del scans[:]
         rep = is_proper(c)
-        assert scans == [((2, v, 1, v), 2 + ncube._scaling(v)[1])]
+        assert scans == [((2, v, 1, v), 2 + ncube._scaling(v)[2])]
         assert rep == proper_oracle(c) and rep.pair == pair
         assert (rep.checked_pairs - 1) // (v * (v - 1)) == 1  # the layer z = 0
         assert is_hadamard(c) == is_hadamard_naive(c)
@@ -1544,6 +1632,22 @@ def test_scratch_keeps_requests_up_to_the_budget_only(monkeypatch):
         assert ncube._held.buf is held and ncube._scratch(4096, np.uint8).base is held
     in_a_new_thread(requests)
     assert in_a_new_thread(lambda: getattr(ncube._held, "buf", None)) is None
+
+
+def test_a_fresh_threads_first_whole_compare_peaks_within_the_budget():
+    """The first whole compare in a thread with no scratch yet, of the
+    rotation, the shift or the mirror of paley3(GF(127)) (2 MiB cube),
+    grows the scratch slab by slab: each slab's views are released, and
+    the old buffer freed, before the next, larger slab is made, so
+    tracemalloc's peak stays within _BUDGET and a few kB (numpy's ufunc
+    buffers).  Holding the previous slab's views peaked at about
+    1.5 x _BUDGET."""
+    cube = paley3(Field(127))
+    a, v = cube.array, cube.v
+    assert a.nbytes >= 2 * ncube._BUDGET
+    for perm, axes in ((None, (1, 2, 0)), (shift(v), None), (ncube._negation(v), (2, 1, 0))):
+        peak = in_a_new_thread(lambda: traced_peak(ncube._relabels_to, a, a, perm, axes))
+        assert peak <= ncube._BUDGET + (16 << 10), (axes, peak)
 
 
 def test_a_warm_scratch_keeps_a_second_check_under_the_budget():

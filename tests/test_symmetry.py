@@ -420,14 +420,14 @@ def test_relabelling_callers_build_permutations():
     must be handed a permutation of range(v).  check_permutation_invariance
     checks the perms it is given
     (test_symmetry_checks_reject_bad_permutations_and_points); the perms
-    that the other callers build, the shift, the PSL generators and the
-    layer witnesses, and the verifiers' scaling x -> g^2 x for prime q,
-    are permutations."""
+    that the other callers build, the PSL generators and the layer
+    witnesses, and the verifiers' shift x -> x + 1 and scaling x -> g^2 x
+    for prime q, are permutations."""
     for q in (3, 7, 9, 11):
         F = Field(q)
-        perms = [ncube._shift(q + 1), *(g.perm() for g in psl_generators(F)),
+        perms = [*(g.perm() for g in psl_generators(F)),
                  *(layer_equiv_witness(F, PPoint(c)).perm() for c in F.elems)]
-        perms += [ncube._scaling(q + 1)[0]] if q != 9 else []
+        perms += list(ncube._scaling(q + 1)[:2]) if q != 9 else []
         for perm in perms:
             assert sorted(np.asarray(perm).tolist()) == list(range(q + 1))
 
