@@ -14,9 +14,9 @@ the coordinate-sum index.
 
 A construction hands its cube over with no claim about its symmetry.  The
 verifiers test for themselves the relabellings they use to skip work, the
-index shift x -> x + 1 and the scaling x -> g^2 x (ncube._affine_fixes),
-which fix the Paley cubes over a prime field and their products; over
-GF(p**k), k > 1, they test none.
+digit translations x -> x + p**j and the scaling x -> g^2 x
+(ncube._affine_fixes), which fix the Paley cubes over every GF(p**k) and
+the products of their paley2.
 """
 
 import itertools

@@ -37,12 +37,14 @@ which also serves the symmetry module) decides whether the rest may be
 skipped; a cube that fails earlier never pays for it, and a report never
 depends on it.
 
-When p = v - 1 is an odd prime, and only then, the verifiers also ask
-whether H is fixed by the affine group B = <s, sigma> of the maps
-x -> a*x + b on the projective line over GF(p) (infinity first), a a
-non-zero square: s is x -> x + 1 and sigma is x -> g²x, g the least
-primitive root mod p (_scaling, _affine_fixes).  B is PSL(2, p)'s
-stabilizer of infinity, and s and sigma have the bytes of PSL's
+When q = v - 1 is an odd prime power p**k (up to gf.MAX_ORDER), and only
+then, the verifiers also ask whether H is fixed by the affine group B of
+the maps x -> a*x + b on the projective line over GF(q) (infinity
+first), a a non-zero square.  B is generated by the digit translations
+tau_j: x -> x + p**j, which add 1 mod p to digit j of the element index
+(_translations, from p and k alone), and sigma: x -> g²x, g Field(q)'s
+first primitive element (_scaling, _affine_fixes).  B is PSL(2, q)'s
+stabilizer of infinity, and tau_0 and sigma have the bytes of PSL's
 translation and scaling, so the PSL check reads both verdicts from the
 memo.  A relabelling pi that fixes H on every coordinate at once maps the
 layers of axis j at a and b onto those at pi(a) and pi(b), with the same
@@ -51,7 +53,7 @@ pi(c), its rows and columns relabelled alike.  So the full scan's first
 violation is the lex-least of its orbit, and a scan kept to the
 lex-least elements of B's orbits, in index order, reports it.  For
 is_hadamard those are Gram entries among the layers {0, 1, 2}, and
-1 + nu when p = 1 (mod 4), nu the least non-square (_heads); for
+1 + nu when q = 1 (mod 4), nu the least non-square's index (_heads); for
 is_proper, the layers whose fixed coordinates are in canonical form
 (_representatives): 6 of the 576 layers of a pair at order 24 in 4
 dimensions.  For n = 3 those are z = inf and z = 0, whose stabilizers in
@@ -59,27 +61,33 @@ B are B and the torus T = <sigma>; T fixes inf and 0 and keeps the
 squares and the non-squares apart, so every T-orbit of row pairs has its
 lex-least member in Gram rows [0, 2 + nu), and only those are formed.
 
-s is compared whole, and sigma once s has passed, on indices [0, 2) of
-axis 0 alone: sigma normalizes A = <s>, sigma(x + 1) = sigma(x) + g², so
-H relabelled by sigma is fixed by A as H is, and two A-fixed cubes that
-agree on the n-tuples whose first coordinate is below 2, which meet
-every orbit of A, are equal.  B is compared only after a scan that any
-report would need anyway: is_hadamard first scans the head layers of
-axis 0, and a hit at (0, 1) or (0, 2) is the full scan's first violation
-whatever the group; is_proper first scans the layers of a pair whose
-first fixed coordinate is below 2, a prefix that meets every orbit of A.
-A cube that B does not fix, and every cube of another order, is scanned
-whole, is_hadamard after one probe of Gram rows [0, 2) of axis 0, where
-every one-entry flip of a Hadamard cube shows.  No report depends on B.
+The translations are compared first, most significant digit first:
+tau_{k-1}, which has 3 runs as x -> x + 1 has over a prime field, whole,
+and each later tau_j on indices [0, 1 + p**(j + 1)) of axis 0 alone,
+which meet every orbit of the translations compared before it, a group
+that tau_j commutes with; at k = 1 that is x -> x + 1, whole.  sigma
+follows on indices [0, 2) of axis 0 alone: sigma normalizes the group A
+of all translations, sigma(x + b) = sigma(x) + g²b, so H relabelled by
+sigma is fixed by A as H is, and two A-fixed cubes that agree on the
+n-tuples whose first coordinate is below 2, which meet every orbit of A,
+are equal.  B is compared only after a scan that any report would need
+anyway: is_hadamard first scans the head layers of axis 0, and a hit at
+(0, 1) or (0, 2) is the full scan's first violation whatever the group;
+is_proper first scans the layers of a pair whose first fixed coordinate
+is below 2, a prefix that meets every orbit of A.  A cube that B does not
+fix, and every cube of another order, is scanned whole, is_hadamard after
+one probe of Gram rows [0, 2) of axis 0, where every one-entry flip of a
+Hadamard cube shows.  No report depends on B.
 
 Once B fixes H, two more relabellings are compared on indices [0, 2) of
 one axis alone, by the same argument, as each normalizes B: a permutation
 of the coordinates, such as the rotation, commutes with B, which
 relabels every coordinate alike (_fixes); and the mirror
-rho: H(x_1, ..., x_n) = H(-x_n, ..., -x_1) (_mirror_fixes), which fixes
-the prime Paley cubes and the products of their paley2, takes
-x -> a*x + b to x -> a*x - b.  rho maps the layers of axis j onto those
-of axis n - 1 - j, and the 2-D layers of a pair (j1, j2) onto those of
+rho: H(x_1, ..., x_n) = H(-x_n, ..., -x_1) (_mirror_fixes), with -x
+taken digit by digit over GF(p**k) (_negation), which fixes the Paley
+cubes and the products of their paley2, takes x -> a*x + b to
+x -> a*x - b.  rho maps the layers of axis j onto those of axis
+n - 1 - j, and the 2-D layers of a pair (j1, j2) onto those of
 (n - 1 - j2, n - 1 - j1), relabelled and transposed, which is earlier in
 scan order when j1 + j2 > n - 1.  So rho is compared at the first such
 axis or pair, once every earlier one has passed, and if it fixes H the
@@ -124,7 +132,8 @@ from .errors import (
     ShapeMismatch,
     TooLarge,
 )
-from .gf import _factor
+from .gf import MAX_ORDER, Field, _factor
+from .projline import psl_generators
 
 # Most axes a cube may have: numpy 1.x's limit on array dimensions.  Only
 # order 1 comes near it: at order 2, 33 axes already make 2**33 entries.
@@ -487,8 +496,11 @@ def _relabels_to(src: np.ndarray, dst: np.ndarray, perm=None, axes=None,
         return False
     index = None if perm is None else np.asarray(perm)
     if index is not None:
-        # where the maximal runs of consecutive images, perm[i + 1] == perm[i] + 1, start
-        starts = np.r_[0, np.flatnonzero(np.diff(index) != 1) + 1]
+        # where the maximal runs of consecutive images, perm[i + 1] == perm[i] + 1,
+        # start: written out, as np.r_ and np.diff cost a compare about 15 us
+        jumps = np.ones(len(index), dtype=bool)
+        np.not_equal(index[1:] - index[:-1], 1, out=jumps[1:])
+        starts = jumps.nonzero()[0]
     cap, row = max(1, _BUDGET // (2 * dst[:1].size * src.itemsize)), dst[:1].size
     start, end = 0, len(dst) if rows is None else min(rows, len(dst))
     size = max(1, -(-(_BUDGET // 256) // max(row, 1)))
@@ -560,9 +572,9 @@ def _fixes(H: SignCube, perm=None, axes=None, rows: int | None = None) -> bool:
     if they agree on a set of n-tuples that meets every orbit of B, and
     the tuples whose first coordinate is below 2 do: a translation takes
     any tuple's first coordinate to infinity or 0.  A caller that has
-    shown as much for its perm passes rows = 2 itself (_affine_fixes for
-    the scaling, _mirror_fixes for the mirror).  In every other case the
-    whole cube is compared.
+    shown as much for its perm passes rows itself (_affine_fixes for the
+    later digit translations and the scaling, _mirror_fixes for the
+    mirror).  In every other case the whole cube is compared.
     """
     key = _memo_key(perm, axes)
     if key not in H._fixed:
@@ -583,31 +595,61 @@ def _rotation_fixes(H: SignCube) -> bool:
 
 
 @functools.lru_cache(maxsize=64)
-def _scaling(v: int) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """(s, sigma, nu) when p = v - 1 is an odd prime, else None.
+def _translations(v: int) -> tuple:
+    """The digit translations of PG(1, q), q = v - 1 = p**k an odd prime
+    power up to gf.MAX_ORDER, as (perm, rows) in compare order; () at any
+    other order.  From p and k alone (gf._factor), with no Field.
 
-    s and sigma are x -> x + 1 and x -> g²x on PG(1, p) as point indices,
-    infinity first and element a at 1 + a, read-only, for g the least
-    primitive root mod p: s = [0, 2, 3, ..., v-1, 1], and sigma has the
-    bytes of psl_generators(Field(p))[2].perm(), since Field(p)'s first
-    primitive element in enumeration order is that g.  nu is the least
-    non-square mod p, by Euler's criterion.
+    Element a has index sum(a_j * p**j), so tau_j: x -> x + p**j adds 1 mod
+    p to digit j of the index, whatever the modulus polynomial: perm is it
+    on point indices, infinity first and a at 1 + a, read-only.  tau_{k-1},
+    first, has 3 runs, as x -> x + 1 has at k = 1, and rows None: it is
+    compared whole.  Each later tau_j has rows = 1 + p**(j + 1): the points
+    infinity and the a with digits j + 1 to k - 1 zero, which meet every
+    orbit of <tau_{j+1}, ..., tau_{k-1}>, a group tau_j commutes with.  So
+    once those have passed, H relabelled by tau_j is fixed by that group as
+    H is, and two such cubes that agree on the n-tuples whose first
+    coordinate is in the prefix are equal.  tau_0, last, has the bytes of
+    PSL's translation x -> x + 1.
     """
-    p = v - 1
-    if p < 3 or _factor(p) != {p: 1}:
-        return None
-    g = _primitive_root(p)
-    nu = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
-    s, sigma = np.r_[0, 2:v, 1], np.r_[0, 1 + g * g % p * np.arange(p) % p]
-    s.flags.writeable = sigma.flags.writeable = False
-    return s, sigma, nu
+    q = v - 1
+    factors = _factor(q) if 3 <= q <= MAX_ORDER and q % 2 else {}
+    if len(factors) != 1:
+        return ()
+    [(p, k)] = factors.items()
+    a, chain = np.arange(q), []
+    for j in range(k - 1, -1, -1):
+        w = p**j
+        tau = np.r_[0, 1 + a + np.where(a // w % p == p - 1, w - p * w, w)]
+        tau.flags.writeable = False
+        chain.append((tau, None if j == k - 1 else 1 + p * w))
+    return tuple(chain)
+
+
+@functools.lru_cache(maxsize=64)
+def _scaling(v: int) -> tuple[np.ndarray, int]:
+    """(sigma, nu) for q = v - 1 an odd prime power with _translations:
+    sigma is x -> g²x on PG(1, q) as point indices, read-only, with the
+    bytes of psl_generators(F)[2].perm() (g F's first primitive element),
+    and nu is the least non-square's index.  F = Field(q) is built here,
+    once per order, only once the translations have passed or are assumed
+    to (_affine_fixes) or, when q = 1 (mod 4), for is_hadamard's head
+    layers (_heads).
+    """
+    F = Field(v - 1)
+    sigma = np.array(psl_generators(F)[2].perm())
+    sigma.flags.writeable = False
+    return sigma, int(np.argmax(F.chi_table == -1))
 
 
 @functools.lru_cache(maxsize=64)
 def _negation(v: int) -> np.ndarray:
-    """x -> -x on PG(1, v - 1) as point indices, infinity first and element
-    a at 1 + a, read-only: [0, 1, v - 1, v - 2, ..., 2]."""
-    neg = np.r_[0, 1, v - 1:1:-1]
+    """x -> -x on PG(1, q), q = v - 1 = p**k, as point indices, infinity
+    first and element a at 1 + a, read-only: each digit of a's index
+    negated mod p, so [0, 1, v - 1, v - 2, ..., 2] when q is prime."""
+    [(p, k)] = _factor(v - 1).items()
+    a = np.arange(v - 1)
+    neg = np.r_[0, 1 + sum(-(a // p**j) % p * p**j for j in range(k))]
     neg.flags.writeable = False
     return neg
 
@@ -627,55 +669,52 @@ def _mirror_fixes(H: SignCube) -> bool:
         H, _negation(H.v), axes=tuple(range(H.n - 1, -1, -1)), rows=2)
 
 
-def _primitive_root(p: int) -> int:
-    """The least primitive root mod the odd prime p: the least g whose
-    power (p - 1) / f is not 1 for any prime f dividing p - 1."""
-    orders = [(p - 1) // f for f in _factor(p - 1)]
-    return next(g for g in range(2, p) if all(pow(g, e, p) != 1 for e in orders))
-
-
 def _affine_fixes(H: SignCube, assume: bool | None = None) -> bool:
-    """Is H fixed by B = <s, sigma>, the affine maps x -> a*x + b with a a
-    non-zero square (_scaling)?  False with no compare unless p = v - 1 is
-    an odd prime.
+    """Is H fixed by B, the affine maps x -> a*x + b of GF(q), q = v - 1,
+    with a a non-zero square?  False with no compare unless q is an odd
+    prime power up to gf.MAX_ORDER.
 
-    s is compared whole.  sigma is compared only once s has passed, and
-    then on indices [0, 2) of axis 0 alone: sigma normalizes A = <s>,
-    since sigma(x + 1) = sigma(x) + g², so H relabelled by sigma is fixed
-    by A as H is, and two A-fixed cubes that agree on the n-tuples whose
-    first coordinate is below 2, which meet every orbit of A, are equal.
-    Both verdicts are kept in H._fixed by _fixes.  A verdict not kept yet
-    is compared if assume is None, and taken to be assume otherwise, with
-    no compare: assume=True asks whether B may still be shown to fix H,
-    assume=False whether it is shown already.
+    B is generated by the digit translations, which generate the group A
+    of all translations, and sigma: x -> g²x (_scaling).  The translations
+    are compared first, in the order of _translations: tau_{k-1} whole and
+    each later one on its prefix of axis 0.  sigma is compared only once
+    they have passed, on indices [0, 2) of axis 0 alone: sigma normalizes
+    A, since sigma(x + b) = sigma(x) + g²b, so H relabelled by sigma is
+    fixed by A as H is, and two A-fixed cubes that agree on the n-tuples
+    whose first coordinate is below 2, which meet every orbit of A, are
+    equal.  Every verdict is kept in H._fixed by _fixes.  A verdict not
+    kept yet is compared if assume is None, and taken to be assume
+    otherwise, with no compare: assume=True asks whether B may still be
+    shown to fix H, assume=False whether it is shown already.
     """
-    gens = _scaling(H.v)
-    if gens is None:
-        return False
-    for perm, rows in ((gens[0], None), (gens[1], 2)):
+    def fixes(perm, rows):
         verdict = H._fixed.get(_memo_key(perm), assume)
-        if not (_fixes(H, perm, rows=rows) if verdict is None else verdict):
-            return False
-    return True
+        return _fixes(H, perm, rows=rows) if verdict is None else verdict
+    chain = _translations(H.v)
+    return bool(chain) and all(fixes(*step) for step in chain) and fixes(
+        _scaling(H.v)[0], 2)
 
 
 def _heads(v: int) -> tuple:
-    """Spans of the layers {0, 1, 2}, and 1 + nu when p = v - 1 = 1
-    (mod 4), for p an odd prime: the rows of the Gram entries that head
-    B's orbits of pairs of points.  B fixes infinity and is transitive on
-    GF(p), so (0, 1) heads the pairs {infinity, x}; it maps {x, y} to
-    {0, y - x} and scales by squares, so the finite pairs fall by whether
-    y - x is a square: one orbit, headed by (1, 2), when -1 is a
-    non-square (p = 3 mod 4), else two, headed by (1, 2) and (1, 1 + nu)."""
-    nu = _scaling(v)[2]
-    return ((0, 3),) if v % 4 == 0 else ((0, 3), (1 + nu, 2 + nu))
+    """Spans of the layers {0, 1, 2}, and 1 + nu when q = v - 1 = 1
+    (mod 4), for q an odd prime power: the rows of the Gram entries that
+    head B's orbits of pairs of points.  B fixes infinity and is
+    transitive on GF(q), so (0, 1) heads the pairs {infinity, x}; it maps
+    {x, y} to {0, y - x} and scales by squares, so the finite pairs fall
+    by whether y - x is a square: one orbit, headed by (1, 2), when -1 is
+    a non-square (q = 3 mod 4), else two, headed by (1, 2) and
+    (1, 1 + nu), nu the least non-square's index (_scaling)."""
+    if v % 4 == 0:
+        return ((0, 3),)
+    nu = _scaling(v)[1]
+    return ((0, 3), (1 + nu, 2 + nu))
 
 
 @functools.lru_cache(maxsize=64)
 def _representatives(v: int, m: int) -> tuple:
     """(start, stop) spans, in index order, of the flat indices of the
-    m-tuples of points in canonical form under B, for p = v - 1 an odd
-    prime: every coordinate before the first finite one is infinity, the
+    m-tuples of points in canonical form under B, for q = v - 1 an odd
+    prime power: every coordinate before the first finite one is infinity, the
     first finite one is 0, the first later one that is neither infinity
     nor 0 is 1 or nu (_scaling), and the coordinates after it are free.
 
@@ -688,7 +727,7 @@ def _representatives(v: int, m: int) -> tuple:
     one.  The spans come from slicing whole blocks of free trailing
     coordinates, with no table of all v**m tuples.
     """
-    nu = _scaling(v)[2]
+    nu = _scaling(v)[1]
 
     def walk(base: int, i: int, finite: bool):
         if i == m:
@@ -717,10 +756,10 @@ def is_hadamard(H: SignCube) -> VerifyReport:
     A relabelling g of the points that fixes H gives Gram[g(a), g(b)] =
     Gram[a, b] on every axis, so a violation's whole orbit under a group
     fixing H violates alike, and the full scan's first violation is the
-    lex-least pair of its orbit.  When p = v - 1 is an odd prime and no
-    kept verdict rules B out (_affine_fixes), axis 0 is scanned first on
+    lex-least pair of its orbit.  When q = v - 1 is an odd prime power and
+    no kept verdict rules B out (_affine_fixes), axis 0 is scanned first on
     the gathered sub-stack of the layers that hold every B-orbit's head
-    pair (_heads: {0, 1, 2}, and 1 + nu when p = 1 mod 4), before any
+    pair (_heads: {0, 1, 2}, and 1 + nu when q = 1 mod 4), before any
     compare: a violation at (0, 1) or (0, 2) is the full scan's first
     whatever the group, and is reported at once.  Otherwise B is compared,
     and if it fixes H that sub-stack decides each axis: its first
@@ -818,7 +857,7 @@ def is_proper(H: SignCube) -> VerifyReport:
     one at g(c), with its rows and columns relabelled alike, so one is
     Hadamard exactly when the other is, and the full scan's first failing
     layer is the lex-least of its orbit under a group fixing H.  When
-    p = v - 1 is an odd prime and no kept verdict rules B out
+    q = v - 1 is an odd prime power and no kept verdict rules B out
     (_affine_fixes), a cube (n >= 3) is scanned first on the layers of
     each pair whose first fixed coordinate is below 2, a prefix of the
     pair's scan that meets every orbit of the translations alone.  Once
@@ -867,7 +906,7 @@ def is_proper(H: SignCube) -> VerifyReport:
         if r and reps is None and _affine_fixes(H, assume=False):
             reps = _representatives(v, n - 2)
         # n = 3: the layers z = inf and z = 0, on Gram rows [0, 2 + nu)
-        rows = 2 + _scaling(v)[2] if reps and n == 3 else None
+        rows = 2 + _scaling(v)[1] if reps and n == 3 else None
         hit = _scan(lay[:r], rows=rows, at=reps)
         if hit is None and r and reps is None and not _affine_fixes(H):
             r, hit = None, _scan(lay)

@@ -7,6 +7,8 @@ order, so point index 0 is infinity and index 1+a is the element a.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BadDeterminant
 from .gf import Field
 
@@ -93,8 +95,25 @@ class Moebius:
         return Moebius(F, self.d, F.neg(self.b), F.neg(self.c), self.a)
 
     def perm(self) -> tuple[int, ...]:
-        """Action on point indices: perm[i] = index of the image of point i."""
-        return tuple(pg_index(self.apply(pt)) for pt in pg_points(self.field))
+        """Action on point indices: perm[i] = index of the image of point i.
+
+        The images are those apply gives, computed for every finite point at
+        once: products and quotients from the field's exp/log tables, sums
+        digit by digit in base p, as the index encoding adds."""
+        F = self.field
+        exp, log, x = np.array(F._exp), np.array(F._log), np.arange(F.q)
+
+        def times(c: int, y: np.ndarray) -> np.ndarray:  # c * y, elementwise
+            return np.where(y == 0, 0, exp[(log[c] + log[y]) % (F.q - 1)]) if c else 0 * y
+
+        def plus(y: np.ndarray, b: int) -> np.ndarray:  # y + b, elementwise
+            return sum((y // w + b // w) % F.p * w for w in F._weights)
+
+        num, den = plus(times(self.a, x), self.b), plus(times(self.c, x), self.d)
+        # num and den are never both 0, as ad - bc = 1; den = 0 maps to infinity
+        ratio = np.where(num == 0, 0, exp[(log[num] - log[den]) % (F.q - 1)])
+        at_inf = pg_index(self.apply(INF))
+        return (at_inf, *np.where(den == 0, 0, 1 + ratio).tolist())
 
     def same_action(self, other: "Moebius") -> bool:
         return self.perm() == other.perm()

@@ -178,31 +178,33 @@ def test_verify_all_flags(tmp_path, capsys):
 
 
 def test_verify_makes_each_relabelling_compare_once(tmp_path, monkeypatch, capsys):
-    """is_hadamard tests the affine group B = <x -> x + 1, x -> g^2 x> on
-    a file's cube of prime order q + 1 once its head layers pass, and
-    is_hadamard, is_proper and check_cyclic all ask whether the cube is
-    fixed by the rotation of its coordinates; each relabelling is compared
-    once.  Over GF(19) B fixes the cube: is_hadamard compares the shift
-    whole, and the scaling and the rotation on indices 0 and 1 of axis 0,
-    and --psl adds only the inversion: the translation has the shift's
-    bytes and the scaling the verifier's, and both verdicts are kept.
-    Over GF(27) the verifiers compare no point relabelling, the rotation
-    is compared whole, and --psl makes three compares."""
+    """is_hadamard tests the affine group B, the maps x -> a*x + b with a
+    a non-zero square, on a file's cube of order q + 1 once its head
+    layers pass, and is_hadamard, is_proper and check_cyclic all ask
+    whether the cube is fixed by the rotation of its coordinates; each
+    relabelling is compared once.  Over GF(19) B fixes the cube:
+    is_hadamard compares the shift x -> x + 1 whole, and the scaling
+    x -> g^2 x and the rotation on indices 0 and 1 of axis 0.  Over
+    GF(27) the digit translations x -> x + 9, x + 3 and x + 1 come first,
+    the first whole and the others on the indices [0, 10) and [0, 4) of
+    axis 0.  --psl adds only the inversion: the translation x -> x + 1 and
+    the scaling have the verifier's bytes, and both verdicts are kept."""
     calls, relabels = [], ncube._relabels_to
     monkeypatch.setattr(ncube, "_relabels_to", lambda src, dst, perm=None, axes=None, **kw:
                         calls.append((axes, perm is None, kw.get("rows")))
                         or relabels(src, dst, perm, axes, **kw))
-    shift, psl = (None, False, None), [(None, False, None)] * 3
+    shift, psl = (None, False, None), (None, False, None)
+    tail = [(None, False, 2), ((1, 2, 0), True, 2)]
     out = "hadamard: PASS\nproper: PASS\ncyclic: PASS\n"
-    for q, verifier in ((19, [shift, (None, False, 2), ((1, 2, 0), True, 2)]),
-                        (27, [((1, 2, 0), True, None)])):
+    for q, verifier in ((19, [shift, *tail]),
+                        (27, [shift, (None, False, 10), (None, False, 4), *tail])):
         path = write_cube(tmp_path / f"m{q}.hdm", paley3(Field(q)))
         assert main(["verify", path, "--proper", "--cyclic"]) == 0
         assert calls == verifier
         del calls[:]
         assert main(["verify", path, "--proper", "--cyclic", "--psl", "--q", str(q)]) == 0
         # a new file is a new cube
-        assert calls == verifier + (psl[1:2] if q == 19 else psl)
+        assert calls == verifier + [psl]
         del calls[:]
         assert capsys.readouterr().out == out + out + "psl: PASS\n"
 

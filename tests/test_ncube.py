@@ -49,6 +49,7 @@ BUDGETS = (1, 256, 1 << 20)
 
 H2 = SignCube(2, 2, [1, 1, 1, -1])
 SYL4 = SignCube(2, 4, np.kron(H2.array, H2.array))
+SYL16 = SignCube(2, 16, np.kron(SYL4.array, SYL4.array))
 
 
 def product_cube(h: SignCube, dim: int) -> SignCube:
@@ -215,14 +216,15 @@ def test_constructor_starts_without_candidates_or_verdicts():
         assert c == src and c._fixed == {}
 
 
-def test_the_shift_fixes_prime_paley_cubes_and_their_products_only(tmp_path):
-    """_affine_fixes, B = <x -> x + 1, x -> g^2 x>, accepts the Paley
-    cubes over a prime field and their products however they reach a
-    verifier: built, written and read back, parsed, sliced by layer at
-    z = infinity, or copied by SignCube(...).  It rejects lifts, almost
-    cubes and the products of a Sylvester matrix, and, without a compare,
-    the Paley cubes over GF(9) and GF(27) and every cube of order 1 or 2,
-    whose order minus one is not an odd prime."""
+def test_the_affine_group_fixes_paley_cubes_and_their_products_only(tmp_path):
+    """_affine_fixes, B = <the digit translations, x -> g^2 x>, accepts
+    the Paley cubes over a prime field and over GF(9), GF(25) and GF(27),
+    and their products, however they reach a verifier: built, written and
+    read back, parsed, sliced by layer at z = infinity, or copied by
+    SignCube(...).  It rejects lifts, almost cubes and the products of a
+    Sylvester matrix, and, without a compare, the product of the
+    Sylvester matrix of order 16 and every cube of order 1 or 2, whose
+    order minus one is not an odd prime power."""
     h, cube = paley2(Field(7)), paley3(Field(7))
     with open(tmp_path / "c.hdm", "wb") as f:
         write(cube, f)
@@ -230,13 +232,15 @@ def test_the_shift_fixes_prime_paley_cubes_and_their_products_only(tmp_path):
         from_file = read(f)
     accepted = [h, cube, paley3(Field(13)), yang_product(h, 4),
                 yang_product(paley2(Field(11)), 3), from_file, parse(serialize(cube)),
-                layer(cube, {2: 0}), SignCube(3, 8, cube.array)]
-    rejected = [paley3(Field(9)), paley2(Field(27)), paley3(Field(27)), dim_lift(h),
-                dim_lift(cube), almost_cube(Field(7), 3), yang_product(SYL4, 3)]
+                layer(cube, {2: 0}), SignCube(3, 8, cube.array), paley3(Field(9)),
+                paley2(Field(27)), paley3(Field(27)), paley3(Field(25)),
+                yang_product(paley2(Field(27)), 3)]
+    rejected = [dim_lift(h), dim_lift(cube), dim_lift(paley3(Field(9))),
+                almost_cube(Field(7), 3), almost_cube(Field(25), 3), yang_product(SYL4, 3)]
     assert all(ncube._affine_fixes(c) for c in accepted)
     assert not any(ncube._affine_fixes(c) for c in rejected)
-    assert not any(c._fixed for c in rejected[:3])
-    small = [H2, product_cube(H2, 3), SignCube(2, 1, [1]), SignCube(3, 1, [-1])]
+    small = [H2, product_cube(H2, 3), SignCube(2, 1, [1]), SignCube(3, 1, [-1]),
+             SYL16, yang_product(SYL16, 3)]
     assert not any(ncube._affine_fixes(c) or c._fixed for c in small)
 
 
@@ -793,15 +797,17 @@ def test_prime_paley3_is_certified_by_a_prefix_and_two_compares(monkeypatch):
 
 
 def test_a_cube_the_shift_does_not_fix_pays_one_prefix_and_one_compare(monkeypatch):
-    """paley3(GF(27)) and the lift of paley3(GF(7)) pass the two-row probe
-    of axis 0 and are scanned whole from there: axis 0 again, then every
-    later axis with no rows.  The lift, of prime order v - 1, first scans
-    the head layers 0-2 of axis 0 and fails the one shift compare; at
-    order 28 no point relabelling is compared.  is_proper reads the kept
-    verdict, or the order, before any scan and scans every pair whole from
-    the start, with no prefix.  The rotation is compared whole."""
-    v = 28
-    cube = paley3(Field(27))
+    """The product of the Sylvester matrix of order 16 in 3 dimensions and
+    the lift of paley3(GF(7)) pass the two-row probe of axis 0 and are
+    scanned whole from there: axis 0 again, then every later axis with no
+    rows.  The lift, of prime order v - 1, first scans the head layers 0-2
+    of axis 0 and fails the one shift compare; at order 16, whose v - 1 is
+    not a prime power, no point relabelling is compared.  is_proper reads
+    the kept verdict, or the order, before any scan and scans every pair
+    whole from the start, with no prefix.  The rotation is compared
+    whole."""
+    v = 16
+    cube = yang_product(SYL16, 3)
     scans = scan_calls(monkeypatch)
     keywords = []
     calls = relabel_calls(monkeypatch, keywords)
@@ -829,24 +835,29 @@ def test_a_cube_the_shift_does_not_fix_pays_one_prefix_and_one_compare(monkeypat
 
 
 def test_a_kept_shift_verdict_is_read_before_any_prefix(monkeypatch):
-    """is_proper on a paley3(GF(27)), whose shift verdict
-    check_permutation_invariance kept, scans every pair whole from the
-    start, with no compare: at order 28 no verdict is read.  is_hadamard
-    keeps its two-row probe even then: on a cube with one entry flipped,
-    whose verdict is kept too, the probe alone finds the violation."""
+    """paley3(GF(27)) with one entry flipped in the layer z = 9 of pair
+    (0, 1), whose verdict on x -> x + 1, the last digit translation of
+    B's chain, check_permutation_invariance kept: is_proper reads that B
+    does not fix it and scans every pair whole from the start, with no
+    prefix and no compare, and is_hadamard keeps its two-row probe, which
+    alone finds the violation.  A fresh copy, with no verdict kept, is
+    first scanned on pair (0, 1)'s two-layer prefix, then compared with
+    x -> x + 9, which does not fix it, and only then scanned whole."""
     v = 28
-    cube = paley3(Field(27))
-    assert not check_permutation_invariance(cube, shift(v))
+    flipped = flip_in_layer(paley3(Field(27)), 9, random.Random(27))
+    fresh = SignCube(3, v, flipped.data)
+    assert not check_permutation_invariance(flipped, psl_generators(Field(27))[0].perm())
     scans = scan_calls(monkeypatch)
     calls = relabel_calls(monkeypatch)
-    assert is_proper(cube).passed
-    assert scans == [((v, v, 1, v), None)]
-    assert calls == [((1, 2, 0), None)]
-    flipped = flip_in_layer(cube, 9, random.Random(27))
-    assert not check_permutation_invariance(flipped, shift(v))
+    assert is_proper(flipped) == proper_oracle(flipped)
+    assert scans == [((v, v, 1, v), None)] and calls == []
     del scans[:]
     assert is_hadamard(flipped) == is_hadamard_naive(flipped)
-    assert scans == [((1, v, 1, v * v), 2)]
+    assert scans == [((1, v, 1, v * v), 2)] and calls == []
+    del scans[:]
+    assert is_proper(fresh) == proper_oracle(flipped)
+    assert scans == [((2, v, 1, v), None), ((v, v, 1, v), None)]
+    assert calls == [(None, tuple(ncube._translations(v)[0][0].tolist()))]
 
 
 def test_a_cube_that_fails_in_the_prefix_makes_no_compare(monkeypatch):
@@ -1001,23 +1012,34 @@ def test_prefix_rotation_needs_fixing_candidates_with_short_orbit_heads(monkeypa
 # -- the affine group B = <x -> x + 1, x -> g^2 x> -------------------------------------
 
 ODD_PRIMES_LE_251 = [p for p in range(3, 252, 2) if all(p % d for d in range(3, p, 2))]
+ODD_PRIME_POWERS_LE_251 = sorted(p**k for p in ODD_PRIMES_LE_251 for k in range(1, 6) if p**k <= 251)
 
 
-def test_primitive_root_and_scaling_match_the_field():
-    """For every odd prime p <= 251 the verifiers' primitive root is
-    Field(p)'s first primitive element, their scaling x -> g^2 x has the
-    bytes of psl_generators' scaling, and nu is the least non-square.  Any
-    other order has no scaling."""
-    for p in ODD_PRIMES_LE_251:
-        F = Field(p)
-        assert ncube._primitive_root(p) == F.primitive_element(), p
-        s, sigma, nu = ncube._scaling(p + 1)
-        assert ncube._memo_key(s) == ncube._memo_key(shift(p + 1))
-        assert ncube._memo_key(sigma) == ncube._memo_key(psl_generators(F)[2].perm())
-        assert not s.flags.writeable and not sigma.flags.writeable
-        assert nu == min(a for a in range(1, p) if F.chi(a) == -1)
-    for v in (1, 2, 3, 5, 10, 16, 26, 28, 50, 122, 126):
-        assert ncube._scaling(v) is None, v
+def test_translations_scaling_and_negation_match_the_field():
+    """For every odd prime power q = p**k <= 251 the verifiers' digit
+    translations are x -> x + p**j, most significant first, the first
+    compared whole and tau_j on the indices [0, 1 + p**(j + 1)); the last,
+    x -> x + 1, has the bytes of psl_generators' translation, the scaling
+    x -> g^2 x those of its scaling, nu is the least non-square and the
+    negation is x -> -x, all by Field's arithmetic.  Any other order, and
+    one whose v - 1 exceeds gf.MAX_ORDER, has no translations."""
+    for q in ODD_PRIME_POWERS_LE_251:
+        F = Field(q)
+        chain = ncube._translations(q + 1)
+        assert [rows for _, rows in chain] == [None, *(1 + F.p**j for j in range(F.k - 1, 0, -1))]
+        for (tau, _), j in zip(chain, range(F.k - 1, -1, -1)):
+            assert tau.tolist() == [0, *(1 + F.add(a, F.p**j) for a in F.elems)], (q, j)
+        translation, _, scaling = (ncube._memo_key(g.perm()) for g in psl_generators(F))
+        sigma, nu = ncube._scaling(q + 1)
+        assert ncube._memo_key(chain[-1][0]) == translation
+        assert ncube._memo_key(sigma) == scaling
+        assert nu == min(a for a in range(1, q) if F.chi(a) == -1)
+        assert ncube._negation(q + 1).tolist() == [0, *(1 + F.neg(a) for a in F.elems)]
+        perms = [tau for tau, _ in chain] + [sigma, ncube._negation(q + 1)]
+        assert not any(perm.flags.writeable for perm in perms)
+    for v in (1, 2, 3, 5, 16, 22, 34, 16384, 16412):
+        assert ncube._translations(v) == (), v
+        assert not ncube._affine_fixes(SignCube(1, v, np.ones(v, np.int8)))
 
 
 @functools.cache
@@ -1068,7 +1090,7 @@ def test_verifiers_match_oracles_on_cubes_fixed_by_the_affine_group(budget, monk
     reports = set()
     for n, p in shapes:
         v, orbits = p + 1, affine_orbits(n, p)
-        sigma = ncube._scaling(v)[1]
+        sigma = ncube._scaling(v)[0]
         for _ in range(3):
             c = affine_cube(rng, n, p)
             for cube in (c, negated_on(c, orbits, int(rng.choice(orbits)))):
@@ -1087,20 +1109,24 @@ def test_verifiers_match_oracles_on_cubes_fixed_by_the_affine_group(budget, monk
 
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_cubes_of_other_orders_get_no_point_relabelling_compare(budget, monkeypatch):
-    """Cubes whose order minus one is not an odd prime: paley3 over GF(9),
-    GF(25), GF(27) and GF(49), the products of paley2(GF(27)) in 3 and 4
-    dimensions, and the lift of paley3(GF(9)).  B is not asked there, so
-    every compare the verifiers make is a coordinate permutation (perm
-    None), and their reports are the oracles'."""
+    """Cubes whose order minus one is not an odd prime power: the products
+    of the Sylvester matrix of order 16 in 3 and 4 dimensions, its lift,
+    and random cubes of order 22.  B is not asked there, so every compare
+    the verifiers make is a coordinate permutation (perm None), and their
+    reports are the oracles'.  Each Hadamard cube has its rotation
+    compared; the random ones fail their first scan and compare nothing."""
     monkeypatch.setattr(ncube, "_BUDGET", budget)
-    keys = [("paley3", q) for q in (9, 25, 27, 49)]
-    keys += [("product", 27, 3), ("product", 27, 4), ("lift", 9)]
+    rng = random.Random(22)
+    cubes = [yang_product(SYL16, 3), yang_product(SYL16, 4), dim_lift(SYL16),
+             random_cube(rng, 3, 22), random_cube(rng, 2, 22)]
     calls = relabel_calls(monkeypatch)
-    for key in keys:
-        c = cube_of(key)
+    for c in cubes:
         del calls[:]
-        assert (is_hadamard(c), is_proper(c)) == oracle_reports(key), key
-        assert calls and all(perm is None for _, perm in calls), key
+        hadamard = is_hadamard(c)
+        assert hadamard == is_hadamard_naive(c), c
+        assert is_proper(c) == proper_oracle(c), c
+        assert all(perm is None for _, perm in calls), c
+        assert bool(calls) == hadamard.passed, c
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
@@ -1121,7 +1147,7 @@ def test_cubes_only_the_shift_fixes_pay_the_probe_and_whole_scans(budget, monkey
     cubes = [affine_cube(rng, n, p, scales=(1,))
              for n, p in ((2, 5), (3, 5), (3, 7), (4, 5)) for _ in range(3)]
     # a random cube may be fixed by the scaling x -> -x too, most likely in 2-D
-    cubes = [c for c in cubes if not ncube._relabels_to(c.array, c.array, ncube._scaling(c.v)[1])]
+    cubes = [c for c in cubes if not ncube._relabels_to(c.array, c.array, ncube._scaling(c.v)[0])]
     assert len(cubes) >= 8
     for q, triples in ((7, [(1, 2, 4)]), (11, [(2, 5, 9)]), (7, [(1, 2, 4), (1, 2, 3)])):
         orbits = affine_orbits(3, q, (1,))
@@ -1137,7 +1163,7 @@ def test_cubes_only_the_shift_fixes_pay_the_probe_and_whole_scans(budget, monkey
     for c in cubes:
         v, axis0 = c.v, (1, c.v, 1, c.v ** (c.n - 1))
         assert ncube._relabels_to(c.array, c.array, shift(v))
-        assert not ncube._relabels_to(c.array, c.array, ncube._scaling(v)[1])
+        assert not ncube._relabels_to(c.array, c.array, ncube._scaling(v)[0])
         fresh = adopt(c.array)
         del scans[:]
         assert is_hadamard(c) == is_hadamard_naive(c)
@@ -1195,36 +1221,25 @@ def test_hadamard_cubes_negated_on_one_affine_orbit_fail_with_the_full_report(bu
     assert deep  # some cube first fails in a layer past the first
 
 
-def union_find_heads(v: int, m: int) -> set:
-    """The least flat index of each orbit of m-tuples under the shift and
-    the scaling, joined by union-find over the two generators."""
-    parent = list(range(v**m))
-
-    def root(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-    idx = np.indices((v,) * m).reshape(m, -1)
-    weights = v ** np.arange(m - 1, -1, -1)
-    for perm in ncube._scaling(v)[:2]:
-        for i, j in enumerate((weights @ perm[idx]).tolist()):
-            a, b = root(i), root(j)
-            parent[max(a, b)] = min(a, b)  # a root is its class's least index
-    return {root(i) for i in range(v**m)}
+def affine_heads(v: int, m: int) -> set:
+    """The least flat index of each orbit of m-tuples under B: the digit
+    translations and the scaling (orbit_ids)."""
+    sigma = tuple(ncube._scaling(v)[0].tolist())
+    return set(orbit_ids(m, v, (*translations(v), sigma)).tolist())
 
 
 def test_canonical_layers_are_the_least_of_each_orbit():
     """_representatives spans the flat indices of the canonical m-tuples,
     in index order: exactly the least element of each orbit of B, as
-    union-find over the shift and the scaling finds them."""
+    orbit_ids over the digit translations and the scaling finds them,
+    over prime fields and over GF(9), GF(25) and GF(27)."""
     for p, ms in ((3, (1, 2, 3, 4)), (5, (1, 2, 3, 4)), (7, (1, 2, 3)), (11, (1, 2, 3)),
-                  (13, (1, 2, 3))):
+                  (13, (1, 2, 3)), (9, (1, 2, 3)), (25, (1, 2)), (27, (1, 2))):
         for m in ms:
             spans = ncube._representatives(p + 1, m)
             flat = [i for lo, hi in spans for i in range(lo, hi)]
             assert flat == sorted(set(flat)), (p, m)
-            assert set(flat) == union_find_heads(p + 1, m), (p, m)
+            assert set(flat) == affine_heads(p + 1, m), (p, m)
     assert len([1 for lo, hi in ncube._representatives(24, 2) for _ in range(lo, hi)]) == 6
     assert sum(hi - lo for lo, hi in ncube._representatives(12, 3)) == 38
 
@@ -1265,7 +1280,7 @@ def test_affine_cubes_are_certified_by_head_and_canonical_layers(monkeypatch):
         del work[:]
         assert is_proper(cube).passed
         assert work == [(v, reps)] * pairs
-        sigma = tuple(ncube._scaling(v)[1].tolist())
+        sigma = tuple(ncube._scaling(v)[0].tolist())
         negation = (0, 1, *range(v - 1, 1, -1))
         assert calls == [(None, shift(v)), (None, sigma), ((*range(1, dim), 0), None),
                          (tuple(range(dim - 1, -1, -1)), negation)]
@@ -1380,13 +1395,15 @@ def test_every_torus_orbit_of_row_pairs_has_its_least_member_below_row_2_plus_nu
     keep the squares and the non-squares apart; so the lex-least pair of
     each orbit of row pairs starts at row 0, 1, 2 (the element 1) or
     1 + nu (the least non-square), and rows [0, 2 + nu) hold every orbit's
-    first pair.  1 + nu is reached once there are two non-squares."""
-    for p in ODD_PRIMES_LE_251[:12]:
-        v, nu = p + 1, ncube._scaling(p + 1)[2]
-        squares = sorted({a * a % p for a in range(1, p)})
+    first pair.  1 + nu is reached once there are two non-squares.  Over
+    prime fields and over GF(9), GF(25), GF(27) and GF(49), by Field's
+    products."""
+    for p in ODD_PRIMES_LE_251[:12] + [9, 25, 27, 49]:
+        F, v, nu = Field(p), p + 1, ncube._scaling(p + 1)[1]
+        squares = sorted({F.mul(a, a) for a in range(1, p)})
         heads = set()
         for a, b in itertools.combinations(range(v), 2):
-            scaled = ([i if i < 2 else 1 + s * (i - 1) % p for i in (a, b)] for s in squares)
+            scaled = ([i if i < 2 else 1 + F.mul(s, i - 1) for i in (a, b)] for s in squares)
             heads.add(min(tuple(sorted(pair)) for pair in scaled))
         assert max(a for a, _ in heads) == (1 + nu if p > 3 else 2), p
 
@@ -1406,10 +1423,135 @@ def test_affine_3_cubes_failing_in_layer_0_past_row_1_give_the_full_report(budge
         assert ncube._affine_fixes(c)
         del scans[:]
         rep = is_proper(c)
-        assert scans == [((2, v, 1, v), 2 + ncube._scaling(v)[2])]
+        assert scans == [((2, v, 1, v), 2 + ncube._scaling(v)[1])]
         assert rep == proper_oracle(c) and rep.pair == pair
         assert (rep.checked_pairs - 1) // (v * (v - 1)) == 1  # the layer z = 0
         assert is_hadamard(c) == is_hadamard_naive(c)
+
+
+# -- prime-power orders: the digit translations x -> x + p**j ------------------------------
+
+@functools.cache
+def orbit_ids(n: int, v: int, perms: tuple) -> np.ndarray:
+    """The least flat index of each n-tuple's orbit on range(v)**n under
+    the group that perms generate, each relabelling every coordinate
+    alike: labels pulled from the generators' images and jumped to their
+    own labels until nothing changes, computed once."""
+    idx = np.indices((v,) * n).reshape(n, -1)
+    weights = v ** np.arange(n - 1, -1, -1)
+    images = [weights @ np.asarray(perm)[idx] for perm in perms]
+    ids = np.arange(v**n)
+    while True:
+        new = ids
+        for image in images:
+            new = np.minimum(new, new[image])
+        new = new[new]
+        if np.array_equal(new, ids):
+            ids.flags.writeable = False
+            return ids
+        ids = new
+
+
+def translations(v: int) -> tuple:
+    """The digit translations of PG(1, v - 1) as tuples, in compare order."""
+    return tuple(tuple(tau.tolist()) for tau, _ in ncube._translations(v))
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_prefix_translation_verdicts_match_the_whole_compare(budget, monkeypatch):
+    """Over GF(9), GF(25) and GF(27), n in {2, 3}: random cubes constant on
+    the orbits of <tau_{j+1}, ..., tau_{k-1}>, the translations compared
+    before tau_j, and such cubes that tau_j fixes too, whole or negated on
+    one orbit of the smaller group.  tau_j compared on its prefix
+    [0, 1 + p**(j + 1)) of axis 0 gives the whole compare's verdict; so
+    does the scaling on [0, 2) on cubes constant on the orbits of all the
+    translations; and _affine_fixes on a fresh copy is every generator's
+    whole verdict."""
+    monkeypatch.setattr(ncube, "_BUDGET", budget)
+    rng = np.random.default_rng(20261401 + budget)
+    signs = np.array([-1, 1], dtype=np.int8)
+    verdicts = []
+    for n, q in ((2, 9), (3, 9), (2, 25), (3, 25), (2, 27), (3, 27)):
+        v, chain = q + 1, ncube._translations(q + 1)
+        taus = translations(v)
+        steps = [(perm, rows, taus[:i]) for i, (perm, rows) in enumerate(chain)]
+        steps.append((ncube._scaling(v)[0], 2, taus))
+        for perm, rows, before in steps:
+            for fixed in (False, True):
+                group = before + (tuple(perm.tolist()),) * fixed
+                ids, base = orbit_ids(n, v, group), orbit_ids(n, v, before)
+                for _ in range(2):
+                    c = adopt(rng.choice(signs, size=v**n)[ids].reshape((v,) * n))
+                    for cube in (c, negated_on(c, base, int(rng.choice(base)))):
+                        whole = ncube._relabels_to(cube.array, cube.array, perm)
+                        assert ncube._relabels_to(cube.array, cube.array, perm,
+                                                  rows=rows) == whole, (n, q, rows)
+                        verdicts.append(whole)
+                        expected = all(ncube._relabels_to(cube.array, cube.array, g)
+                                       for g in (*taus, ncube._scaling(v)[0]))
+                        assert ncube._affine_fixes(adopt(cube.array)) == expected
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_prime_power_paley_cubes_and_negated_orbits_match_the_oracles(budget, monkeypatch):
+    """paley3 over GF(9), GF(25), GF(27) and GF(49), which B fixes, and
+    paley3 over GF(9), GF(25) and GF(27) negated on one orbit of the
+    translations A, which B does not fix, or on one B-orbit, which it does:
+    the reports are the oracles'.  So are those of the products of
+    paley2(GF(27)) in 3 and 4 dimensions, which B fixes, and of the lift of
+    paley3(GF(9)), which it does not."""
+    monkeypatch.setattr(ncube, "_BUDGET", budget)
+    keys = [("paley3", q) for q in (9, 25, 27, 49)]
+    keys += [("product", 27, 3), ("product", 27, 4), ("lift", 9)]
+    for key in keys:
+        c = cube_of(key)
+        assert (is_hadamard(c), is_proper(c)) == oracle_reports(key), key
+        assert ncube._affine_fixes(c) == (key[0] != "lift"), key
+    rng = np.random.default_rng(20261402 + budget)
+    failed = set()
+    for q in (9, 25, 27):
+        v, taus = q + 1, translations(q + 1)
+        sigma = tuple(ncube._scaling(v)[0].tolist())
+        for group, fixed in ((taus, False), (taus + (sigma,), True)):
+            orbits = orbit_ids(3, v, group)
+            for orbit in rng.choice(np.unique(orbits), size=3, replace=False):
+                c = negated_on(paley3(Field(q)), orbits, int(orbit))
+                hadamard, proper = is_hadamard(c), is_proper(c)
+                assert hadamard == is_hadamard_naive(c), (q, orbit)
+                assert proper == proper_oracle(c), (q, orbit)
+                assert ncube._affine_fixes(c) == fixed
+                failed.add(hadamard.passed)
+    assert failed == {False}  # a negated orbit is never orthogonal to the rest
+
+
+def test_the_mirror_of_a_prime_power_product_negates_digit_by_digit(monkeypatch):
+    """yang_product(paley2(GF(27)), 4) is fixed by B and by the mirror rho,
+    x -> -x with the coordinates reversed, whose negation over GF(27) is
+    digit by digit (_negation): the verifiers compare the translations
+    x -> x + 9 (whole), x + 3 and x + 1 (on [0, 10) and [0, 4)), the
+    scaling, the rotation, which does not fix the cube, and rho, each on
+    [0, 2) but the first, then scan axes 0-1 and pairs (0, 1), (0, 2),
+    (0, 3) and (1, 2) alone, with the oracles' reports.  The prime-field
+    negation [0, 1, v - 1, ..., 2] does not fix the cube and is never
+    compared."""
+    key, v = ("product", 27, 4), 28
+    cube, expected = cube_of(key), oracle_reports(key)  # building paley2 verifies it
+    keywords = []
+    calls = relabel_calls(monkeypatch, keywords)
+    work = scan_work(monkeypatch)
+    assert (is_hadamard(cube), is_proper(cube)) == expected
+    reps = sum(hi - lo for lo, hi in ncube._representatives(v, 2))
+    assert work == [(3, 1)] * 2 + [(v, reps)] * 4
+    rho = tuple(ncube._negation(v).tolist())
+    sigma = tuple(ncube._scaling(v)[0].tolist())
+    assert calls == [(None, tau) for tau in translations(v)] + [
+        (None, sigma), ((1, 2, 3, 0), None), ((3, 2, 1, 0), rho)]
+    assert [kw.get("rows") for kw in keywords] == [None, 10, 4, 2, 2, 2]
+    prime_negation = (0, 1, *range(v - 1, 1, -1))
+    assert rho != prime_negation
+    assert ncube._relabels_to(cube.array, cube.array, rho, (3, 2, 1, 0))
+    assert not ncube._relabels_to(cube.array, cube.array, prime_negation, (3, 2, 1, 0))
 
 
 def test_picked_rows_form_one_gram_row_fewer(monkeypatch):

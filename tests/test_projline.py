@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hdmkit.errors import BadDeterminant, IndexOutOfRange
-from hdmkit.gf import Field
+from hdmkit.gf import Field, _factor
 from hdmkit.projline import (
     INF,
     Moebius,
@@ -160,6 +160,31 @@ def test_every_det_one_map_is_a_bijection():
     assert len(quads) == 7 * (49 - 1)  # |SL(2,7)| = 336
     for a, b, c, d in quads:
         assert moebius_is_bijection(F, Moebius(F, a, b, c, d))
+
+
+ODD_PRIME_POWERS_LE_243 = [q for q in range(3, 244, 2) if len(_factor(q)) == 1]
+
+
+def test_perm_bytes_match_the_pointwise_images():
+    """Moebius.perm, computed from the exp/log tables and digit sums, is
+    the tuple of Python ints that apply gives point by point, for every
+    odd prime power q <= 243: on the PSL generators, maps with c = 0 and
+    c != 0, a = 0 or d = 0, and seeded random determinant-1 maps."""
+    rng = np.random.default_rng(243)
+    assert ODD_PRIME_POWERS_LE_243[:8] == [3, 5, 7, 9, 11, 13, 17, 19]
+    assert {9, 25, 27, 49, 81, 121, 125, 169, 243} <= set(ODD_PRIME_POWERS_LE_243)
+    for q in ODD_PRIME_POWERS_LE_243:
+        F = Field(q)
+        maps = [*psl_generators(F), Moebius(F, 0, F.neg(1), 1, F.neg(q - 1)),
+                Moebius(F, 1, q - 1, 0, 1), identity(F)]
+        for _ in range(4):
+            a, b, c = (int(x) for x in rng.integers(q, size=3))
+            if a:
+                maps.append(Moebius(F, a, b, c, F.mul(F.inv(a), F.add(1, F.mul(b, c)))))
+        for m in maps:
+            want = tuple(pg_index(m.apply(pt)) for pt in pg_points(F))
+            got = m.perm()
+            assert got == want and all(type(i) is int for i in got), (q, m)
 
 
 def test_inverse_undoes():

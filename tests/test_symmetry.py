@@ -347,12 +347,12 @@ def test_psl_and_cyclic_verdicts_are_decided_once_per_cube(monkeypatch):
 
 
 def test_psl_after_the_verifiers_compares_only_the_inversion(monkeypatch):
-    """The verifiers compare the shift and the scaling x -> g^2 x on a
-    prime-field paley3, which have the bytes of PSL's translation and
-    scaling, so check_psl_invariance then makes one compare, the
-    inversion's.  Over GF(27) the verifiers compare only the shift, which
-    is not GF(27)'s translation, and the PSL check makes three."""
-    for q, compares in ((7, 1), (13, 1), (19, 1), (27, 3)):
+    """The verifiers compare the digit translations and the scaling
+    x -> g^2 x on paley3, the last translation and the scaling having the
+    bytes of PSL's translation and scaling, so check_psl_invariance then
+    makes one compare, the inversion's, over a prime field and over GF(9),
+    GF(27) and GF(49) alike."""
+    for q, compares in ((7, 1), (13, 1), (19, 1), (9, 1), (27, 1), (49, 1)):
         F = Field(q)
         cube = paley3(F)
         assert is_hadamard(cube).passed
@@ -421,13 +421,14 @@ def test_relabelling_callers_build_permutations():
     checks the perms it is given
     (test_symmetry_checks_reject_bad_permutations_and_points); the perms
     that the other callers build, the PSL generators and the layer
-    witnesses, and the verifiers' shift x -> x + 1 and scaling x -> g^2 x
-    for prime q, are permutations."""
+    witnesses, and the verifiers' digit translations, scaling x -> g^2 x
+    and negation x -> -x, are permutations."""
     for q in (3, 7, 9, 11):
         F = Field(q)
         perms = [*(g.perm() for g in psl_generators(F)),
                  *(layer_equiv_witness(F, PPoint(c)).perm() for c in F.elems)]
-        perms += list(ncube._scaling(q + 1)[:2]) if q != 9 else []
+        perms += [tau for tau, _ in ncube._translations(q + 1)]
+        perms += [ncube._scaling(q + 1)[0], ncube._negation(q + 1)]
         for perm in perms:
             assert sorted(np.asarray(perm).tolist()) == list(range(q + 1))
 
