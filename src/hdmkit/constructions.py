@@ -5,12 +5,13 @@ order (infinity first, then field elements), so cube index 0 is the point
 at infinity and index 1+a is the field element a.
 
 The Paley cubes are read off one int8 matrix on PG(1, q), D[a, b] =
-chi(a - b) (_diff_chi), whose finite core is gathered from the field's
-character table at the int16 sum index of x - y (Field._sum_index).  Since
-chi is multiplicative, the 3-cube is D[x, y] * D[y, z] * D[z, x], two
-in-place int8 products of broadcast views of D, and the 2-D matrix is its
-z = infinity layer.  The other constructions work on a given cube or on
-the coordinate-sum index.
+chi(a - b) (_diff_chi), whose finite core is copied from a read-only window
+view of a small table of characters (Field._chi_form): over a prime field
+one Toeplitz window, over GF(p**k) one per base-p digit.  Since chi is
+multiplicative, the 3-cube is D[x, y] * D[y, z] * D[z, x], two in-place
+int8 products of broadcast views of D, and the 2-D matrix is its
+z = infinity layer.  almost_cube copies the window view of chi(x_1 + ... +
+x_d) the same way, and dim_lift a window view of its input.
 
 A construction hands its cube over with no claim about its symmetry.  The
 verifiers test for themselves the relabellings they use to skip work, the
@@ -23,6 +24,7 @@ import itertools
 import operator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, DimensionTooSmall, NotHadamardInput, TooLarge
 from .gf import Field
@@ -32,9 +34,9 @@ from .ncube import MAX_AXES, SignCube, is_hadamard
 # paley3 build, hdm construct and hdm verify each hold the cube plus about
 # ncube._BUDGET (1 MiB) of temporaries: the Paley cubes are filled in place,
 # write and read stream the file in blocks of rows, and the symmetry checks
-# walk the cube in slabs.  almost_cube is the exception: its int16 sum index
-# makes it peak at about 4 bytes per entry.  Larger requests raise TooLarge
-# before allocating, as do more than ncube.MAX_AXES axes.
+# walk the cube in slabs.  almost_cube and dim_lift copy window views into a
+# new cube, so they too stay near one byte per entry.  Larger requests raise
+# TooLarge before allocating, as do more than ncube.MAX_AXES axes.
 MAX_ENTRIES = 1 << 30
 
 
@@ -44,19 +46,32 @@ def _check_size(n: int, v: int) -> None:
                        f"{MAX_ENTRIES} entries or {MAX_AXES} axes")
 
 
-def _dim(dim) -> int:
-    """dim as an int >= 2, else DimensionTooSmall before any size is
-    computed: an integer by operator.index, and never a bool, as
-    ncube._index takes indices."""
+def _integer(x):
+    """x as an int by operator.index, as ncube._index takes indices, or
+    None if it is a bool or not an integer."""
     try:
-        d = operator.index(dim)
+        return None if isinstance(x, bool) else operator.index(x)
     except TypeError:
-        d = None
-    if d is None or isinstance(dim, bool):
+        return None
+
+
+def _dim(dim) -> int:
+    """dim as an int >= 2 (_integer), else DimensionTooSmall before any
+    size is computed."""
+    d = _integer(dim)
+    if d is None:
         raise DimensionTooSmall(f"dim {dim!r} is not an integer")
     if d < 2:
         raise DimensionTooSmall("need dim >= 2")
     return d
+
+
+def _chi_core(out: np.ndarray, F: Field, signs, at_zero: int) -> None:
+    """Copy F._chi_form(signs, at_zero) into out's finite core, out[1:, ...,
+    1:], split into base-p digit axes; copy=False makes numpy refuse the
+    split, not silently copy and drop the writes, should it not be a view."""
+    core = out[(slice(1, None),) * len(signs)]
+    core.reshape((F.p,) * (F.k * len(signs)), copy=False)[...] = F._chi_form(signs, at_zero)
 
 
 def _diff_chi(F: Field) -> np.ndarray:
@@ -64,15 +79,11 @@ def _diff_chi(F: Field) -> np.ndarray:
     chi(inf - b) = 1, chi(a - inf) = chi(-1), and chi(-1) on the whole
     diagonal.  These make D[a, b] * D[b, a] = chi(-1) for every a != b, so
     D[x, y] * D[y, z] * D[z, x] is +1 when exactly two of x, y, z are equal."""
-    # gathered before D is allocated: the sum index is freed first, and the
-    # peak stays at the index's two int16 arrays
-    core = F.chi_table[F._sum_index((1, -1))]
     chi_minus1 = F.chi(F.neg(1))
     D = np.empty((F.q + 1, F.q + 1), dtype=np.int8)
-    D[1:, 1:] = core
+    _chi_core(D, F, (1, -1), chi_minus1)  # a - a = 0 on the finite diagonal
     D[0] = 1
-    D[1:, 0] = chi_minus1
-    np.fill_diagonal(D, chi_minus1)
+    D[:, 0] = chi_minus1
     return D
 
 
@@ -158,11 +169,11 @@ def dim_lift(h: SignCube) -> SignCube:
     _check_size(h.n + 1, h.v)
     if not is_hadamard(h).passed:
         raise NotHadamardInput("dimension lift needs a Hadamard input")
-    v = h.v
-    folded = (np.arange(v)[:, None] + np.arange(v)[None, :]) % v
-    # take, unlike h.array[..., folded], returns a C-contiguous array that
-    # _adopt can wrap without a copy
-    return SignCube._adopt(h.n + 1, v, h.array.take(folded, axis=-1))
+    v, a = h.v, h.array
+    # out[..., y, z] = a[..., y + z] once the last axis runs on past v - 1
+    # into a's first v - 1 entries again; the copy is C-contiguous
+    wrapped = np.concatenate((a, a[..., :v - 1]), axis=-1)
+    return SignCube._adopt(h.n + 1, v, sliding_window_view(wrapped, v, axis=-1).copy())
 
 
 def almost_cube(F: Field, dim: int, chi0: int = -1) -> SignCube:
@@ -183,12 +194,11 @@ def almost_cube(F: Field, dim: int, chi0: int = -1) -> SignCube:
         chi(-1) = +1 and no chi0 makes them Hadamard.
     """
     dim = _dim(dim)
-    if isinstance(chi0, (bool, np.bool_)) or chi0 not in (-1, 1):
+    sign = _integer(chi0)  # as dim is read: 1.0 and True are refused
+    if sign not in (-1, 1):
         raise ValueError("chi0 must be +1 or -1")
     v = F.q + 1
     _check_size(dim, v)
-    chi = F.chi_table.copy()
-    chi[0] = chi0
     H = np.ones((v,) * dim, dtype=np.int8)
-    H[(slice(1, None),) * dim] = chi[F._sum_index((1,) * dim)]
+    _chi_core(H, F, (1,) * dim, sign)
     return SignCube._adopt(dim, v, H)

@@ -11,6 +11,7 @@ import operator
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     CharacterOfZero,
@@ -20,10 +21,10 @@ from .errors import (
     TooLarge,
 )
 
-# Largest order Field accepts: _sum_index's int16 arrays stay exact, since
-# their partial sums lie in (-p, 2p - 1) and 2q - 2 <= 32767 holds for every
-# q up to this cap.  Checked before q is factored, so a huge q costs no trial
-# division either.
+# Largest order Field accepts.  It bounds the exp and log tables, Python lists
+# of q ints, and keeps paley2 of every admitted order, (q + 1)**2 <= 2**28
+# entries, within constructions.MAX_ENTRIES.  Checked before q is factored,
+# so a huge q costs no trial division either.
 MAX_ORDER = 16383
 
 
@@ -244,32 +245,39 @@ class Field:
 
     @cached_property
     def chi_table(self) -> np.ndarray:
-        """chi by element index.  Entry 0 is a 0 sentinel that callers
-        overwrite: _diff_chi gathers it on the diagonal (x - x) and then fills
-        the diagonal, and almost_cube sets it to chi0 in a copy."""
+        """chi by element index.  Entry 0 is a 0 sentinel, since chi(0) is
+        undefined: _chi_form reads a copy with the value its caller gives
+        at zero there."""
         t = np.zeros(self.q, dtype=np.int8)
         t[1:] = np.where(np.array(self._log[1:]) & 1, -1, 1)
         t.flags.writeable = False
         return t
 
-    def _sum_index(self, signs) -> np.ndarray:
-        """Index of x_1 + s_2 x_2 + ... + s_d x_d at (x_1, ..., x_d), for signs
-        (1, s_2, ..., s_d) with each s_i = +-1, as an int16 array of shape (q,)*d.
+    def _chi_form(self, signs, at_zero: int) -> np.ndarray:
+        """chi(s_1 x_1 + ... + s_d x_d) for signs (s_1, ..., s_d), each +-1,
+        with at_zero where the form is 0, as a read-only int8 view of shape
+        (p,) * (d k): axis i k + t is base-p digit k - 1 - t of x_(i+1), the
+        axes a (q,) * d array is split into by a C-order reshape.
 
-        Built one base-p digit and one axis at a time, reduced mod p after each
-        axis, so every partial sum lies in (-p, 2p - 1): int16 is exact while
-        2q - 2 <= 32767, which MAX_ORDER guarantees.
+        A coordinate of sign -1 is read reversed, each of its digits x as
+        p - 1 - x.  Digit j of the form is then (u - m (p - 1)) mod p, where
+        u is the sum of the d digits j so read and m the number of minus
+        signs.  The table holds chi at every k-tuple of such sums u in
+        0..d (p - 1), (d (p - 1) + 1)**k entries and never more than q**d.
+        It is gathered from chi_table one digit axis at a time, and windowed
+        once per digit of each coordinate after the first: over a prime
+        field, one Hankel window over d (p - 1) + 1 values.
         """
-        p, out = self.p, 0
-        for j in range(self.k):
-            digit = np.arange(self.q, dtype=np.int16) // p**j % p
-            acc = digit
-            for s in signs[1:]:
-                acc = acc[..., None] + s * digit
-                acc %= p
-            if j:
-                acc *= p**j
-                out += acc
-            else:
-                out = acc
-        return out
+        p, d = self.p, len(signs)
+        low = -signs.count(-1) * (p - 1)
+        digit = np.arange(low, low + d * (p - 1) + 1) % p
+        table = self.chi_table.copy()
+        table[0] = at_zero
+        table = table.reshape((p,) * self.k)  # axis t holds digit k - 1 - t
+        for t in range(self.k):
+            table = table.take(digit, axis=t)
+        view = sliding_window_view(table, (p,) * (self.k * (d - 1)),
+                                   axis=tuple(range(self.k)) * (d - 1))
+        back = slice(None, None, -1)
+        return view[tuple(back if s < 0 else slice(None)
+                          for s in signs for _ in range(self.k))]

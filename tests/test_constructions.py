@@ -140,6 +140,31 @@ def test_paley3_serialization_matches_pinned_digests():
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest, f"q={q}"
 
 
+def pinned_raw_cube(key: str) -> SignCube:
+    """The cube of a bench/pins.json "raw" key, kind:q or kind:q:dim, built
+    through the library alone."""
+    kind, q, *dim = key.split(":")
+    F = Field(int(q))
+    if kind == "almost":
+        return almost_cube(F, int(dim[0]))
+    if kind == "paley3":
+        return paley3(F)
+    if kind == "product":
+        return yang_product(paley2(F), int(dim[0]))
+    return dim_lift({"lift2": paley2, "lift3": paley3}[kind](F))
+
+
+def test_raw_cubes_match_pinned_digests():
+    """Every cube the benchmark builds has its entries, as int8 in C order,
+    pinned: almost_cube, both lifts, paley3 and the products."""
+    pinned = json.loads(PINS.read_text())["raw"]
+    assert {key.split(":")[0] for key in pinned} == {
+        "almost", "lift2", "lift3", "paley3", "product"}
+    for key, digest in pinned.items():
+        data = np.ascontiguousarray(pinned_raw_cube(key).array, dtype=np.int8)
+        assert hashlib.sha256(data.tobytes()).hexdigest() == digest, key
+
+
 def test_paley3_peak_memory_is_within_two_cubes():
     F = Field(127)
     paley3(F)  # warm the field's cached tables
@@ -165,15 +190,15 @@ def traced_peak_ratio(build):
 
 def test_paley2_peak_memory_does_not_grow_with_k():
     F = Field(3**6)
-    F.chi_table  # warm the field's cached table
-    assert traced_peak_ratio(lambda: paley2(F)) <= 5
+    paley2(F)  # warm the field's cached table and the entry check's scratch
+    assert traced_peak_ratio(lambda: paley2(F)) <= 1.5
 
 
-@pytest.mark.parametrize("q, dim", [(79, 3), (23, 4)])
+@pytest.mark.parametrize("q, dim", [(79, 3), (23, 4), (27, 3), (25, 4)])
 def test_almost_cube_peak_memory(q, dim):
     F = Field(q)
-    F.chi_table
-    assert traced_peak_ratio(lambda: almost_cube(F, dim)) <= 5
+    almost_cube(F, dim)  # warm the field's cached table and the entry check's scratch
+    assert traced_peak_ratio(lambda: almost_cube(F, dim)) <= 1.5
 
 
 def test_yang_product_peak_memory():
@@ -265,7 +290,8 @@ def test_constructions_take_numpy_integer_dims_and_refuse_a_bool_chi0():
     F = Field(3)
     assert yang_product(H2, np.int64(3)) == yang_product(H2, 3)
     assert almost_cube(F, np.int8(3), chi0=np.int8(1)) == almost_cube(F, 3, chi0=1)
-    for chi0 in (True, False, np.True_, 0, 2):  # True used to be taken as +1
+    # True used to be taken as +1, and 1.0 and np.float64(-1) as signs
+    for chi0 in (True, False, np.True_, 0, 2, 1.0, -1.0, np.float64(1), "1", None):
         with pytest.raises(ValueError, match="chi0 must be"):
             almost_cube(F, 3, chi0=chi0)
 
@@ -304,10 +330,10 @@ def test_size_guard_boundary(monkeypatch):
     assert paley2(Field(7)).n == 2
     monkeypatch.setattr(constructions, "MAX_ENTRIES", 8**2 - 1)
 
-    def no_index(self, signs):
-        raise AssertionError("sum index built before the size check")
+    def no_form(self, signs, at_zero):
+        raise AssertionError("character view built before the size check")
 
-    monkeypatch.setattr(Field, "_sum_index", no_index)
+    monkeypatch.setattr(Field, "_chi_form", no_form)
     for build in (paley2, paley3):
         with pytest.raises(TooLarge):
             build(Field(7))
@@ -340,6 +366,24 @@ def test_lift_does_not_preserve_propriety():
     assert not is_proper(lifted).passed
 
 
+SYLVESTER4 = SignCube(2, 4, [1, 1, 1, 1, 1, -1, 1, -1, 1, 1, -1, -1, 1, -1, -1, 1])
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: paley2(Field(27)), id="paley2-27"),
+    pytest.param(lambda: paley3(Field(9)), id="paley3-9"),
+    pytest.param(lambda: SYLVESTER4, id="sylvester4-2d"),
+    pytest.param(lambda: yang_product(SYLVESTER4, 3), id="sylvester4-3d"),
+])
+def test_lift_reads_the_last_coordinate_as_a_sum_mod_v(build):
+    h = build()
+    v = h.v
+    y, z = np.arange(v)[:, None], np.arange(v)
+    lifted = dim_lift(h)
+    assert lifted.n == h.n + 1 and lifted.v == v
+    assert np.array_equal(lifted.array, h.array[..., (y + z) % v])
+
+
 def test_lift_rejects_non_hadamard():
     with pytest.raises(NotHadamardInput):
         dim_lift(SignCube(2, 4, [1] * 16))
@@ -347,11 +391,31 @@ def test_lift_rejects_non_hadamard():
 
 # -- coordinate-sum cube (negative control) ------------------------------------------
 
+def oracle_almost_array(F, dim, chi0):
+    """almost_cube's definition as an array, from tables of the scalar
+    Field.add and Field.chi: +1 on the infinity slabs, and the character of
+    the coordinate sum, or chi0 where it is 0, in the finite core."""
+    add = np.array([[F.add(a, b) for b in F.elems] for a in F.elems])
+    chi = np.array([chi0] + [F.chi(a) for a in range(1, F.q)])
+    total = np.zeros((), dtype=int)
+    for _ in range(dim):
+        total = add[total[..., None], np.arange(F.q)]
+    want = np.ones((F.q + 1,) * dim, dtype=np.int8)
+    want[(slice(1, None),) * dim] = chi[total]
+    return want
+
+
 def test_almost_cube_matches_scalar_oracle():
     F = Field(5)
     cube = almost_cube(F, 3)
     for (x, y, z), val in oracle_almost(F).items():
         assert cube.get((pg(x), pg(y), pg(z))) == val
+    for q in (5, 9, 25, 27):
+        F = Field(q)
+        for dim in (2, 3, 4):
+            for chi0 in (-1, 1):
+                want = oracle_almost_array(F, dim, chi0)
+                assert np.array_equal(almost_cube(F, dim, chi0=chi0).array, want), (q, dim, chi0)
 
 
 def test_almost_cube_2d_is_hadamard_for_q3():

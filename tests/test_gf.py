@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -313,22 +315,22 @@ def test_primitive_search_walks_only_the_primitive_element(monkeypatch):
 # -- vectorized tables --------------------------------------------------------
 
 @pytest.mark.parametrize("q", [7, 9, 25, 27])
-def test_sum_index_matches_scalar_ops(q):
+def test_chi_form_matches_scalar_ops(q):
+    """_chi_form against Field.add, Field.sub and Field.chi, for both values
+    at zero: a read-only int8 view whose base-p digit axes, merged in C
+    order, index the coordinates."""
     F = Field(q)
-    sub, add = F._sum_index((1, -1)), F._sum_index((1, 1))
-    add3, sub3 = F._sum_index((1, 1, 1)), F._sum_index((1, -1, -1))
-    assert sub.dtype == add.dtype == add3.dtype == sub3.dtype == np.int16
-    assert sub.shape == add.shape == (q, q) and add3.shape == sub3.shape == (q, q, q)
-    for a in F.elems:
-        for b in F.elems:
-            assert sub[a, b] == F.sub(a, b)
-            assert add[a, b] == F.add(a, b)
-            for c in F.elems:
-                assert add3[a, b, c] == F.add(F.add(a, b), c)
-                assert sub3[a, b, c] == F.sub(F.sub(a, b), c)
-
-
-def test_sum_index_int16_bound_covers_max_order():
-    """Partial sums of _sum_index stay below 2q - 1, so int16 is exact up to
-    the cap; arithmetic only, nothing is built."""
-    assert 2 * gf.MAX_ORDER - 2 <= np.iinfo(np.int16).max
+    for signs in ((1, -1), (1, 1), (1, 1, 1), (1, -1, -1)):
+        want = {}
+        for xs in itertools.product(F.elems, repeat=len(signs)):
+            form = xs[0]
+            for s, x in zip(signs[1:], xs[1:]):
+                form = F.add(form, x) if s > 0 else F.sub(form, x)
+            want[xs] = form
+        for at_zero in (-1, 1):
+            view = F._chi_form(signs, at_zero)
+            assert view.dtype == np.int8 and not view.flags.writeable
+            assert view.shape == (F.p,) * (F.k * len(signs))
+            got = view.reshape((q,) * len(signs))
+            for xs, form in want.items():
+                assert got[xs] == (F.chi(form) if form else at_zero), (signs, at_zero, xs)
