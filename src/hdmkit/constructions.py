@@ -21,13 +21,12 @@ the products of their paley2.
 """
 
 import itertools
-import operator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, DimensionTooSmall, NotHadamardInput, TooLarge
-from .gf import Field
+from .gf import Field, _integer
 from .ncube import MAX_AXES, SignCube, is_hadamard
 
 # Largest cube that any construction builds: 2**30 entries, 1 GiB as int8.  A
@@ -46,17 +45,8 @@ def _check_size(n: int, v: int) -> None:
                        f"{MAX_ENTRIES} entries or {MAX_AXES} axes")
 
 
-def _integer(x):
-    """x as an int by operator.index, as ncube._index takes indices, or
-    None if it is a bool or not an integer."""
-    try:
-        return None if isinstance(x, bool) else operator.index(x)
-    except TypeError:
-        return None
-
-
 def _dim(dim) -> int:
-    """dim as an int >= 2 (_integer), else DimensionTooSmall before any
+    """dim as an int >= 2 (gf._integer), else DimensionTooSmall before any
     size is computed."""
     d = _integer(dim)
     if d is None:

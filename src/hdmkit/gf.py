@@ -42,13 +42,16 @@ def _factor(n: int) -> dict[int, int]:
     return factors
 
 
-def _integer(q) -> int:
-    """q as a Python int, numpy integers included, so that powers of it stay
-    exact; NotOddPrimePower if q is not integral (operator.index)."""
+def _integer(x) -> int | None:
+    """x as a Python int by operator.index, numpy integers included, so
+    that powers of it stay exact; None if x is not an integer, or is a
+    bool, which Python would read as 0 or 1 and numpy as a mask.  Every
+    integer argument of the package is read by this rule, and each caller
+    raises its own error for None."""
     try:
-        return operator.index(q)
+        return None if isinstance(x, bool) else operator.index(x)
     except TypeError:
-        raise NotOddPrimePower(f"q={q} is not an odd prime power") from None
+        return None
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
@@ -56,8 +59,8 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 
     Raises NotOddPrimePower when q is not an odd prime power >= 3.
     """
-    q = _integer(q)
-    factors = _factor(q) if q >= 3 and q % 2 else {}
+    n = _integer(q)
+    factors = _factor(n) if n is not None and n >= 3 and n % 2 else {}
     if len(factors) != 1:
         raise NotOddPrimePower(f"q={q} is not an odd prime power")
     [(p, k)] = factors.items()
@@ -114,11 +117,11 @@ class Field:
     """
 
     def __init__(self, q: int):
-        q = _integer(q)
-        if q > MAX_ORDER:
-            raise TooLarge(f"q={q} exceeds the field order cap {MAX_ORDER}")
+        order = _integer(q)
+        if order is not None and order > MAX_ORDER:
+            raise TooLarge(f"q={order} exceeds the field order cap {MAX_ORDER}")
         self.p, self.k = factor_prime_power(q)
-        self.q = q
+        self.q = q = order
         self.irr = canonical_irreducible(self.p, self.k)
         self._weights = [self.p**j for j in range(self.k)]
         digits = np.arange(q)[:, None] // np.array(self._weights) % self.p
@@ -134,15 +137,12 @@ class Field:
         return range(self.q)
 
     def _index(self, a) -> int:
-        """a as an element index: an integer (operator.index) in 0..q-1, but
-        never a bool, else IndexOutOfRange.  The scalar operations call it
-        on their arguments, so a negative index cannot wrap around the
-        tables, and True cannot stand for the element 1."""
-        try:
-            i = operator.index(a)
-        except TypeError:
-            i = None
-        if i is None or isinstance(a, bool):
+        """a as an element index: an integer in 0..q-1 (_integer), else
+        IndexOutOfRange.  The scalar operations call it on their arguments,
+        so a negative index cannot wrap around the tables, and True cannot
+        stand for the element 1."""
+        i = _integer(a)
+        if i is None:
             raise IndexOutOfRange(f"element {a!r} is not an integer")
         if not 0 <= i < self.q:
             raise IndexOutOfRange(f"element {i} outside [0, {self.q})")

@@ -32,10 +32,12 @@ matrix, and the 2-D layers of an axis pair (j1, j2) onto those of
 (j1 - 1, j2 - 1), transposed when the pair wraps past axis 0; a transposed
 Hadamard matrix is Hadamard.  Each orbit of pairs holds one of (0, d),
 d = 1, ..., n // 2, which are the first n // 2 pairs in scan order.  So
-once axis 0, or those pairs, pass, one relabel-and-compare (_relabels_to,
-which also serves the symmetry module) decides whether the rest may be
-skipped; a cube that fails earlier never pays for it, and a report never
-depends on it.
+once axis 0, or those pairs, pass, one relabel-and-compare decides whether
+the rest may be skipped; a cube that fails earlier never pays for it, and
+a report never depends on it.  Every compare, here and in the symmetry
+module, has one shape (_relabels_to): the cube's points relabelled by a
+permutation on every axis, against a view of the cube, which for a
+permutation P of the coordinates is P(H) = H.transpose(axes).
 
 When q = v - 1 is an odd prime power p**k (up to gf.MAX_ORDER), and only
 then, the verifiers also ask whether H is fixed by the affine group B of
@@ -93,7 +95,8 @@ scan order when j1 + j2 > n - 1.  So rho is compared at the first such
 axis or pair, once every earlier one has passed, and if it fixes H the
 rest are skipped.  Without B the rotation is compared whole, and rho not
 at all.  Every compare's verdict is memoized on the cube, whose entries
-never change, so each relabelling is decided once per cube, for the
+never change, by the one function that reads and writes the memo
+(_fixes), so each relabelling is decided once per cube, for the
 verifiers and the symmetry module alike.
 
 File format "HDM v1" (ASCII, LF line endings):
@@ -115,7 +118,6 @@ import functools
 import io
 import itertools
 import math
-import operator
 import re
 import sys
 import threading
@@ -132,7 +134,7 @@ from .errors import (
     ShapeMismatch,
     TooLarge,
 )
-from .gf import MAX_ORDER, Field, _factor
+from .gf import MAX_ORDER, Field, _factor, _integer
 from .projline import psl_generators
 
 # Most axes a cube may have: numpy 1.x's limit on array dimensions.  Only
@@ -140,9 +142,11 @@ from .projline import psl_generators
 MAX_AXES = 32
 
 
-def _check_entries(n: int, v: int, data: np.ndarray) -> None:
-    """Raise unless data can be the entries of an order-v, n-dimensional
-    cube: n >= 1 and v >= 1, n <= MAX_AXES (TooLarge), v**n entries
+def _check_entries(n: int, v: int, data: np.ndarray) -> tuple[int, int]:
+    """n and v as Python ints, after checking that data can be the entries
+    of an order-v, n-dimensional cube: n >= 1 and v >= 1, each an integer
+    by gf._integer (ValueError), so that v**n is exact and never wraps as
+    a numpy integer would, n <= MAX_AXES (TooLarge), v**n entries
     (ShapeMismatch), and integer entries that are all +1 or -1.  The
     entries are checked as given, before any int8 cast, so no value can
     wrap or truncate onto ±1.  C-contiguous int8 data, which every
@@ -151,8 +155,10 @@ def _check_entries(n: int, v: int, data: np.ndarray) -> None:
     (x + 1) & ~2 is 0 as uint8, since x + 1 is then 0 or 2 mod 256.  Any
     other data is checked by reductions (min, max, count_nonzero).
     Neither way allocates anything the size of the cube."""
-    if n < 1 or v < 1:
-        raise ValueError(f"need n >= 1 and v >= 1, got n={n} v={v}")
+    dims = _integer(n), _integer(v)
+    if None in dims or min(dims) < 1:
+        raise ValueError(f"need integers n >= 1 and v >= 1, got n={n!r} v={v!r}")
+    n, v = dims
     if n > MAX_AXES:
         raise TooLarge(f"dimension n={n} exceeds {MAX_AXES} axes")
     if data.size != v**n:
@@ -167,17 +173,14 @@ def _check_entries(n: int, v: int, data: np.ndarray) -> None:
     elif not np.issubdtype(data.dtype, np.integer) or data.min() < -1 \
             or data.max() > 1 or np.count_nonzero(data) != data.size:
         raise ValueError("entries must be +1 or -1")
+    return n, v
 
 
 def _index(i, bound: int, what: str) -> int:
     """i as an index in [0, bound), else IndexOutOfRange: an integer by
-    operator.index, and never a bool, which Python would read as 0 or 1
-    and numpy as a mask; gf.Field._index takes element indices alike."""
-    try:
-        k = operator.index(i)
-    except TypeError:
-        k = None
-    if k is None or isinstance(i, bool) or not 0 <= k < bound:
+    gf._integer, never a bool, as gf.Field._index takes element indices."""
+    k = _integer(i)
+    if k is None or not 0 <= k < bound:
         raise IndexOutOfRange(f"{what} {i!r} is not an integer in [0, {bound})")
     return k
 
@@ -190,7 +193,7 @@ class SignCube:
 
     def __init__(self, n: int, v: int, entries):
         entries = np.asarray(entries)
-        _check_entries(n, v, entries)
+        n, v = _check_entries(n, v, entries)
         # one int8 C-order copy that only the cube holds: never the caller's
         # buffer, and no copy in the input's (possibly wider) dtype
         self._init(n, v, entries.astype(np.int8, order="C"))
@@ -202,7 +205,7 @@ class SignCube:
         must not write to it afterwards, which the memo of _fixes relies on.
         The cube is verified as any other: whatever symmetry its builder
         knows it has, the verifiers test for themselves."""
-        _check_entries(n, v, data)
+        n, v = _check_entries(n, v, data)
         cube = cls.__new__(cls)
         cube._init(n, v, data)
         return cube
@@ -461,38 +464,29 @@ def _cast(buf: np.ndarray, src: np.ndarray, spans=None, axis: int = 0) -> np.nda
     return out
 
 
-def _relabels_to(src: np.ndarray, dst: np.ndarray, perm=None, axes=None,
-                 rows: int | None = None) -> bool:
-    """Does dst equal src with its axes reordered by transpose(axes), then
-    every index i on every axis replaced by perm[i]?  With rows = r, only
-    indices [0, min(r, len)) of axis 0 are compared.  src holds 1-byte
-    entries, as a cube does.  perm must be a permutation of range(len(src)),
-    which every caller checks or builds: the gathers clip an index out of
-    range instead of raising.
+def _relabels_to(src: np.ndarray, dst: np.ndarray, perm=None, rows: int | None = None) -> bool:
+    """Does src, with every index i on every axis replaced by perm[i],
+    equal dst?  dst may be any view of src's shape, such as a transpose of
+    src itself, which is how a coordinate permutation is compared.  With
+    rows = r, only dst's indices [0, min(r, len)) of axis 0 are compared.
+    src holds 1-byte entries, as a cube does.  perm must be a permutation
+    of range(len(src)), which every caller checks or builds: the gathers
+    clip an index out of range instead of raising.
 
     Walks dst's axis 0 in slabs that double in size and stops at the first
     slab that differs, so a difference near the start costs a small slab.
     The first slab holds one index, or as many as make _BUDGET // 256
     entries if an index holds fewer, as _scan's first chunk does.
     A slab holds at most half of _BUDGET bytes (at least one index of axis
-    0), and the thread's _scratch holds two slabs: the axis of src that
-    dst's axis 0 reads is relabelled by a gather from src into one half,
-    each other leading axis by a gather, which moves whole rows, into the
-    other half, and the last axis by _relabel_last; the comparison's mask
-    is then written over the half the slab is not in.
-
-    Given both perm and axes, src is relabelled as it lies, a slab of its
-    axis axes[0] at a time, and compared with dst's slab transposed back
-    by the inverse axes: a relabelling of the points on every axis commutes
-    with any reordering of the axes.  A gather from src.transpose(axes)
-    would first copy that whole view into C order.
+    0), and the thread's _scratch holds two slabs: src's axis 0 is
+    relabelled by a gather from src into one half, each later axis but the
+    last by a gather, which moves whole rows, into the other half, and the
+    last axis by _relabel_last; the comparison's mask is then written over
+    the half the slab is not in.  src is read as it lies, and dst's slab
+    as a view: a gather from a transposed src would first copy it whole
+    into C order.
     """
-    lead, back = 0, None  # the axis of src that dst's axis 0 reads; dst's axes in src's order
-    if axes is not None and perm is not None:
-        lead, back = axes[0], np.argsort(axes)
-    elif axes is not None:
-        src = src.transpose(axes)
-    if (src if back is None else src.transpose(axes)).shape != dst.shape:
+    if src.shape != dst.shape:
         return False
     index = None if perm is None else np.asarray(perm)
     if index is not None:
@@ -506,8 +500,7 @@ def _relabels_to(src: np.ndarray, dst: np.ndarray, perm=None, axes=None,
     size = max(1, -(-(_BUDGET // 256) // max(row, 1)))
     while start < end:
         stop = min(end, start + size, start + cap)
-        shape, count = list(src.shape), (stop - start) * row
-        shape[lead] = stop - start
+        shape, count = (stop - start, *src.shape[1:]), (stop - start) * row
         buf = _scratch(2 * count, src.dtype)
         # each relabelling writes the slab into the spare half b of the
         # scratch, which the old slab then becomes; mode="clip" writes
@@ -516,16 +509,13 @@ def _relabels_to(src: np.ndarray, dst: np.ndarray, perm=None, axes=None,
         if index is None:
             slab = src[start:stop]
         else:
-            slab = src.take(index[start:stop], axis=lead, out=buf[:count].reshape(shape),
+            slab = src.take(index[start:stop], axis=0, out=buf[:count].reshape(shape),
                             mode="clip")
             # one gather per axis: measured 2-3x faster than one fancy-index gather
-            for axis in range(src.ndim - 1):
-                if axis != lead:
-                    slab, b = slab.take(index, axis=axis, out=b, mode="clip"), slab
-            if lead != src.ndim - 1:  # else the last axis is relabelled already
-                slab, b = _relabel_last(slab, index, starts, b), slab
-        part = dst[start:stop] if back is None else dst[start:stop].transpose(back)
-        if np.not_equal(slab, part, out=b.view(bool)).any():
+            for axis in range(1, src.ndim):
+                slab, b = (slab.take(index, axis=axis, out=b, mode="clip") if axis < src.ndim - 1
+                           else _relabel_last(slab, index, starts, b)), slab
+        if np.not_equal(slab, dst[start:stop], out=b.view(bool)).any():
             return False
         # no view of this slab's scratch may outlive it: a larger next
         # request frees the old buffer before it makes the new one
@@ -560,14 +550,18 @@ def _relabel_last(slab: np.ndarray, index: np.ndarray, starts: np.ndarray,
     return out
 
 
-def _fixes(H: SignCube, perm=None, axes=None, rows: int | None = None) -> bool:
-    """_relabels_to(H.array, H.array, perm, axes), decided once per cube:
-    a SignCube's entries never change, so the verdict is kept in H._fixed,
-    a bool under the axes and the perm's bytes.
+def _fixes(H: SignCube, perm=None, axes=None, rows: int | None = None,
+           assume: bool | None = None) -> bool:
+    """_relabels_to(H.array, H.array.transpose(axes), perm), decided once
+    per cube: a SignCube's entries never change, so the verdict is kept in
+    H._fixed, a bool under the axes and the perm's bytes.  This is the
+    one function that reads or writes H._fixed.  A verdict not kept yet is
+    compared if assume is None, and taken to be assume otherwise, with no
+    compare and nothing kept.
 
-    A pure coordinate permutation (perm None) is compared on indices
+    A pure coordinate permutation P (perm None) is compared on indices
     [0, 2) of axis 0 only if B fixes H (_affine_fixes, asked first).  B
-    relabels every coordinate alike, so it commutes with the transpose:
+    relabels every coordinate alike, so it commutes with P: P(H) =
     H.transpose(axes) is fixed by B, as H is.  Two B-fixed cubes are equal
     if they agree on a set of n-tuples that meets every orbit of B, and
     the tuples whose first coordinate is below 2 do: a translation takes
@@ -578,9 +572,12 @@ def _fixes(H: SignCube, perm=None, axes=None, rows: int | None = None) -> bool:
     """
     key = _memo_key(perm, axes)
     if key not in H._fixed:
+        if assume is not None:
+            return assume
         if perm is None and axes is not None and _affine_fixes(H):
             rows = 2
-        H._fixed[key] = _relabels_to(H.array, H.array, perm, axes, rows=rows)
+        dst = H.array if axes is None else H.array.transpose(axes)
+        H._fixed[key] = _relabels_to(H.array, dst, perm, rows=rows)
     return H._fixed[key]
 
 
@@ -659,11 +656,13 @@ def _mirror_fixes(H: SignCube) -> bool:
     once H._fixed holds that B fixes H; False otherwise, with no compare.
 
     The mirror rho is x -> -x on every coordinate (_negation) with the
-    coordinates reversed.  It normalizes B: -(ax + b) = a(-x) - b, and the
-    reversal commutes with B, which relabels every coordinate alike.  So
-    H relabelled by rho is fixed by B as H is, and rho is compared on
-    indices [0, 2) of one axis alone, as the coordinate permutations are
-    (_fixes); the verdict is kept in H._fixed.
+    coordinates reversed, P(H) = H.transpose(axes) for the reversed axes,
+    and rho fixes H when H relabelled by x -> -x equals P(H): the
+    reversal and the negation are their own inverses.  rho normalizes B:
+    -(ax + b) = a(-x) - b, and P commutes with B, which relabels every
+    coordinate alike.  So H relabelled by rho is fixed by B as H is, and
+    rho is compared on indices [0, 2) of axis 0 alone, as the coordinate
+    permutations are (_fixes), which keeps the verdict.
     """
     return _affine_fixes(H, assume=False) and _fixes(
         H, _negation(H.v), axes=tuple(range(H.n - 1, -1, -1)), rows=2)
@@ -682,17 +681,13 @@ def _affine_fixes(H: SignCube, assume: bool | None = None) -> bool:
     A, since sigma(x + b) = sigma(x) + g²b, so H relabelled by sigma is
     fixed by A as H is, and two A-fixed cubes that agree on the n-tuples
     whose first coordinate is below 2, which meet every orbit of A, are
-    equal.  Every verdict is kept in H._fixed by _fixes.  A verdict not
-    kept yet is compared if assume is None, and taken to be assume
-    otherwise, with no compare: assume=True asks whether B may still be
-    shown to fix H, assume=False whether it is shown already.
+    equal.  Every verdict goes through _fixes, with assume: None compares
+    a verdict not kept yet, assume=True asks whether B may still be shown
+    to fix H, and assume=False whether it is shown already.
     """
-    def fixes(perm, rows):
-        verdict = H._fixed.get(_memo_key(perm), assume)
-        return _fixes(H, perm, rows=rows) if verdict is None else verdict
     chain = _translations(H.v)
-    return bool(chain) and all(fixes(*step) for step in chain) and fixes(
-        _scaling(H.v)[0], 2)
+    return bool(chain) and all(_fixes(H, tau, rows=rows, assume=assume) for tau, rows in chain) \
+        and _fixes(H, _scaling(H.v)[0], rows=2, assume=assume)
 
 
 def _heads(v: int) -> tuple:

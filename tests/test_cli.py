@@ -190,9 +190,14 @@ def test_verify_makes_each_relabelling_compare_once(tmp_path, monkeypatch, capsy
     axis 0.  --psl adds only the inversion: the translation x -> x + 1 and
     the scaling have the verifier's bytes, and both verdicts are kept."""
     calls, relabels = [], ncube._relabels_to
-    monkeypatch.setattr(ncube, "_relabels_to", lambda src, dst, perm=None, axes=None, **kw:
-                        calls.append((axes, perm is None, kw.get("rows")))
-                        or relabels(src, dst, perm, axes, **kw))
+
+    def recorded(src, dst, perm=None, **kw):
+        # the coordinate permutation, read off the strides of dst, a view of src
+        axes = tuple(src.strides.index(s) for s in dst.strides)
+        calls.append((None if axes == tuple(range(src.ndim)) else axes, perm is None,
+                      kw.get("rows")))
+        return relabels(src, dst, perm, **kw)
+    monkeypatch.setattr(ncube, "_relabels_to", recorded)
     shift, psl = (None, False, None), (None, False, None)
     tail = [(None, False, 2), ((1, 2, 0), True, 2)]
     out = "hadamard: PASS\nproper: PASS\ncyclic: PASS\n"

@@ -57,7 +57,7 @@ def test_field_new_rejects_non_prime_powers(q):
         Field(q)
 
 
-@pytest.mark.parametrize("q", [7.0, "7", np.float64(7)])
+@pytest.mark.parametrize("q", [7.0, "7", np.float64(7), True, np.True_])
 def test_field_new_rejects_non_integral_orders(q):
     with pytest.raises(NotOddPrimePower):
         Field(q)

@@ -129,6 +129,25 @@ def test_cube_new_rejects_bad_entries(entries):
         SignCube(2, 2, entries)
 
 
+@pytest.mark.parametrize("n,v,entries,error", [
+    # 4**32 wrapped to 0 in int64, so no entries passed as a whole cube
+    pytest.param(np.int64(32), np.int64(4), np.zeros(0, np.int8),
+                 "expected 18446744073709551616 entries, got 0", id="int64-power"),
+    pytest.param(3.0, 2, np.ones(8, np.int8), "need integers", id="float-n"),
+    pytest.param(True, 2, np.ones(2, np.int8), "need integers", id="bool-n"),
+])
+def test_cube_new_reads_n_and_v_as_python_ints(n, v, entries, error):
+    """n and v are read as Python ints by the package's integer rule
+    before v**n is computed; anything else is refused with ValueError,
+    as bad entries are.  The int64 cube used to be accepted, and its
+    is_hadamard raised ZeroDivisionError; 3.0 and True failed later, with
+    TypeError or DimensionTooSmall."""
+    with pytest.raises(ValueError, match=error):
+        SignCube(n, v, entries)
+    c = SignCube(np.int64(2), np.uint8(2), [1, 1, 1, -1])
+    assert (type(c.n), type(c.v)) == (int, int) and c == H2
+
+
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_entry_check_refuses_every_int8_but_plus_and_minus_one(budget, monkeypatch):
     """An int8 cube is checked in one slab walk, (x + 1) & ~2 == 0 as
@@ -633,16 +652,25 @@ def oracle_reports(key: tuple) -> tuple:
     return is_hadamard_naive(c), proper_oracle(c)
 
 
+def view_axes(src: np.ndarray, dst: np.ndarray):
+    """The axes of src that dst, a view of src's shape, reads in order,
+    from their strides; None when dst lies as src does.  A coordinate
+    permutation is compared against src.transpose(axes)."""
+    axes = tuple(src.strides.index(s) for s in dst.strides)
+    return None if axes == tuple(range(src.ndim)) else axes
+
+
 def relabel_calls(monkeypatch, keywords=None) -> list:
-    """Appends the (axes, perm) of every _relabels_to call from now on, and
-    the call's keyword arguments to the list keywords, if given."""
+    """Appends the (axes, perm) of every _relabels_to call from now on, the
+    axes read off dst's strides (view_axes), and the call's keyword
+    arguments to the list keywords, if given."""
     calls, relabels = [], ncube._relabels_to
 
-    def counted(src, dst, perm=None, axes=None, **kw):
-        calls.append((axes, None if perm is None else tuple(int(i) for i in perm)))
+    def counted(src, dst, perm=None, **kw):
+        calls.append((view_axes(src, dst), None if perm is None else tuple(int(i) for i in perm)))
         if keywords is not None:
             keywords.append(kw)
-        return relabels(src, dst, perm, axes, **kw)
+        return relabels(src, dst, perm, **kw)
     monkeypatch.setattr(ncube, "_relabels_to", counted)
     return calls
 
@@ -939,7 +967,7 @@ def prefix_verdicts(c: SignCube) -> set:
     against the whole-cube compare; the set of verdicts."""
     verdicts = set()
     for sigma in itertools.permutations(range(c.n)):
-        whole = ncube._relabels_to(c.array, c.array, axes=sigma)
+        whole = ncube._relabels_to(c.array, c.array.transpose(sigma))
         assert ncube._fixes(c, axes=sigma) == whole, (c, sigma)
         verdicts.add(whole)
     return verdicts
@@ -1005,7 +1033,7 @@ def test_prefix_rotation_needs_fixing_candidates_with_short_orbit_heads(monkeypa
         verdict = ncube._fixes(c, axes=(1, 2, 0))
         assert calls == expected and all(kw.get("rows") is None for kw in keywords)
         monkeypatch.undo()
-        assert verdict == ncube._relabels_to(c.array, c.array, axes=(1, 2, 0))
+        assert verdict == ncube._relabels_to(c.array, c.array.transpose(1, 2, 0))
         assert prefix_verdicts(c) == {True, False}
 
 
@@ -1353,8 +1381,7 @@ def test_verifiers_match_oracles_on_cubes_fixed_by_the_mirror(budget, monkeypatc
                               for o in rng.choice(np.unique(orbits), size=2, replace=False)]
         cubes.append(affine_cube(rng, n, p))
         for c in cubes:
-            whole = ncube._relabels_to(c.array, c.array, ncube._negation(v),
-                                       tuple(range(n - 1, -1, -1)))
+            whole = ncube._relabels_to(c.array, c.array.T, ncube._negation(v))
             assert ncube._affine_fixes(c) and ncube._mirror_fixes(c) == whole, (n, p)
             hadamard, proper = is_hadamard(c), is_proper(c)
             assert hadamard == is_hadamard_naive(c), (n, p)
@@ -1387,7 +1414,7 @@ def test_a_cube_the_mirror_does_not_fix_is_scanned_on_every_axis_and_pair(monkey
     assert work == [(v, reps)] * 6
     assert calls[3:] == [((3, 2, 1, 0), tuple(ncube._negation(v).tolist()))]
     assert len(calls) == 4 and keywords[3] == {"rows": 2}
-    assert not ncube._relabels_to(cube.array, cube.array, ncube._negation(v), (3, 2, 1, 0))
+    assert not ncube._relabels_to(cube.array, cube.array.T, ncube._negation(v))
 
 
 def test_every_torus_orbit_of_row_pairs_has_its_least_member_below_row_2_plus_nu():
@@ -1550,8 +1577,8 @@ def test_the_mirror_of_a_prime_power_product_negates_digit_by_digit(monkeypatch)
     assert [kw.get("rows") for kw in keywords] == [None, 10, 4, 2, 2, 2]
     prime_negation = (0, 1, *range(v - 1, 1, -1))
     assert rho != prime_negation
-    assert ncube._relabels_to(cube.array, cube.array, rho, (3, 2, 1, 0))
-    assert not ncube._relabels_to(cube.array, cube.array, prime_negation, (3, 2, 1, 0))
+    assert ncube._relabels_to(cube.array, cube.array.T, rho)
+    assert not ncube._relabels_to(cube.array, cube.array.T, prime_negation)
 
 
 def test_picked_rows_form_one_gram_row_fewer(monkeypatch):
@@ -1734,6 +1761,101 @@ def test_parse_peak_memory(as_bytes, factor):
     assert traced_peak(parse, source) <= factor * cube.data.nbytes
 
 
+# -- a float64 Gram oracle at prime-power orders ---------------------------------
+
+def gram_oracle(H: SignCube) -> VerifyReport:
+    """is_hadamard's report from one float64 product per axis, sharing no
+    code with _scan, _relabels_to or the group helpers: the layers of the
+    axis as the rows of M, Gram = M @ Mᵀ, exact while v**(n-1) < 2**53,
+    and its first nonzero entry above the diagonal in (axis, a, b) order."""
+    v = H.v
+    pairs = v * (v - 1) // 2
+    for axis in range(H.n):
+        m = np.moveaxis(H.array, axis, 0).reshape(v, -1).astype(np.float64)
+        gram = m @ m.T
+        hits = np.argwhere(np.triu(gram, 1) != 0)  # row-major: a, then b
+        if len(hits):
+            a, b = (int(i) for i in hits[0])
+            before = a * (2 * v - a - 1) // 2 + b - a - 1  # pairs (a', b') < (a, b)
+            return VerifyReport(False, axis=axis, pair=(a, b), deviation=int(gram[a, b]),
+                                checked_pairs=axis * pairs + before + 1)
+    return VerifyReport(passed=True, checked_pairs=H.n * pairs)
+
+
+def test_gram_oracle_matches_the_naive_oracle_on_random_cubes():
+    """gram_oracle gives is_hadamard_naive's report, every field, on random
+    cubes with v <= 12 and n <= 4: Hadamard cubes (products of Hadamard
+    matrices and Paley cubes) with random layers negated and each axis
+    relabelled by a random permutation, which keeps every layer pair
+    orthogonal; each with one entry flipped; and random sign cubes."""
+    rng = np.random.default_rng(20261020)
+    bases = [yang_product(m, n) for m in (H2, SYL4, paley2(Field(3)), paley2(Field(7)),
+                                          paley2(Field(11))) for n in (2, 3, 4) if m.v**n <= 12**4]
+    bases += [paley3(Field(q)) for q in (3, 5, 7, 9, 11)]
+    reports = set()
+    for base in bases:
+        n, v = base.n, base.v
+        a = base.array.copy()
+        for axis in range(n):
+            a = np.take(a, rng.permutation(v), axis=axis)
+            signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=v)
+            a = a * signs.reshape((v,) + (1,) * (n - 1 - axis))
+        flipped = a.copy()
+        flipped[tuple(rng.integers(v, size=n))] *= -1
+        noise = rng.choice(np.array([-1, 1], dtype=np.int8), size=(v,) * n)
+        for entries in (a, flipped, noise):
+            c = SignCube(n, v, entries)
+            report = gram_oracle(c)
+            assert report == is_hadamard_naive(c), (n, v)
+            reports.add(report.passed)
+    assert reports == {True, False}
+
+
+def flips_at_and_off_the_heads(H: SignCube, seed: int) -> list:
+    """H and two copies with one entry flipped: one at axis-0 index 1, 2 or
+    1 + nu, the heads of B's orbits of pairs of points (nu the least
+    non-square's index, a head when q = 1 mod 4), and one at an axis-0
+    index past them; nu from Field.chi, not from ncube."""
+    rng = np.random.default_rng(seed)
+    F = Field(H.v - 1)
+    nu = next(a for a in F.elems if a and F.chi(a) == -1)
+    heads = [1, 2] + [1 + nu] * (F.q % 4 == 1)
+    rest = [i for i in range(3, H.v) if i != 1 + nu]
+    cubes = [H]
+    for first in (int(rng.choice(heads)), int(rng.choice(rest))):
+        a = H.array.copy()
+        a[(first, *rng.integers(H.v, size=H.n - 1))] *= -1
+        cubes.append(SignCube(H.n, H.v, a))
+    return cubes
+
+
+@functools.cache
+def prime_power_oracle_cubes() -> tuple:
+    """(key, cube, gram_oracle report) for paley3 over GF(81), GF(121) and
+    GF(125) and the 4-D product of paley2(GF(27)), each whole and with a
+    flip at and off the head layers (flips_at_and_off_the_heads)."""
+    bases = [(f"paley3:{q}", paley3(Field(q))) for q in (81, 121, 125)]
+    bases.append(("product:27:4", yang_product(paley2(Field(27)), 4)))
+    return tuple((key, c, gram_oracle(c)) for i, (key, base) in enumerate(bases)
+                 for c in flips_at_and_off_the_heads(base, 20261020 + i))
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_prime_power_flips_beyond_the_pure_python_oracles(budget, monkeypatch):
+    """is_hadamard's full report is gram_oracle's on cubes of orders the
+    pure-Python oracles cannot reach in a test's time, where B and the
+    mirror prune the scan: paley3 over GF(81), GF(121) and GF(125) and the
+    4-D product of paley2(GF(27)), whole and with one entry flipped at a
+    head layer and off them, each verified on a fresh copy."""
+    monkeypatch.setattr(ncube, "_BUDGET", budget)
+    reports = set()
+    for key, c, expected in prime_power_oracle_cubes():
+        report = is_hadamard(SignCube(c.n, c.v, c.array))  # an empty memo
+        assert report == expected, key
+        reports.add((report.passed, report.axis))
+    assert {(True, None), (False, 0)} <= reports
+
+
 # -- the per-thread scratch ------------------------------------------------------
 
 def in_a_new_thread(fn):
@@ -1787,9 +1909,9 @@ def test_a_fresh_threads_first_whole_compare_peaks_within_the_budget():
     cube = paley3(Field(127))
     a, v = cube.array, cube.v
     assert a.nbytes >= 2 * ncube._BUDGET
-    for perm, axes in ((None, (1, 2, 0)), (shift(v), None), (ncube._negation(v), (2, 1, 0))):
-        peak = in_a_new_thread(lambda: traced_peak(ncube._relabels_to, a, a, perm, axes))
-        assert peak <= ncube._BUDGET + (16 << 10), (axes, peak)
+    for dst, perm in ((a.transpose(1, 2, 0), None), (a, shift(v)), (a.T, ncube._negation(v))):
+        peak = in_a_new_thread(lambda: traced_peak(ncube._relabels_to, a, dst, perm))
+        assert peak <= ncube._BUDGET + (16 << 10), (view_axes(a, dst), peak)
 
 
 def test_a_warm_scratch_keeps_a_second_check_under_the_budget():
@@ -1826,7 +1948,7 @@ def test_threads_verifying_at_once_give_the_serial_reports(budget, monkeypatch):
             c = SignCube(3, arrays[i].shape[0], arrays[i])  # an empty memo
             out[i] = (is_hadamard(c), is_proper(c),
                       ncube._relabels_to(c.array, c.array, shift(c.v)),
-                      ncube._relabels_to(c.array, c.array, axes=(1, 2, 0)))
+                      ncube._relabels_to(c.array, c.array.transpose(1, 2, 0)))
         return out
     forward = list(range(len(arrays)))
     serial = results(forward)
@@ -1842,35 +1964,43 @@ def test_threads_verifying_at_once_give_the_serial_reports(budget, monkeypatch):
         assert [run.result() for run in runs] == [serial] * workers
 
 
+def as_view(x: np.ndarray, axes) -> np.ndarray:
+    """A view equal to x that reads a C-order copy through transpose(axes),
+    as _fixes hands _relabels_to the view of a coordinate permutation;
+    x itself when axes is None."""
+    if axes is None:
+        return x
+    return np.ascontiguousarray(x.transpose(np.argsort(axes))).transpose(axes)
+
+
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_relabels_to_with_rows_past_the_end_compares_every_index(budget, monkeypatch):
     """rows beyond the length of axis 0 compares every index, as rows=None
     does: a difference in the last index is found, with and without a
-    perm and a transpose."""
+    perm, and against a C-order dst and a transposed view."""
     monkeypatch.setattr(ncube, "_BUDGET", budget)
     rng = np.random.default_rng(20261019)
     for n, v in ((1, 6), (2, 7), (3, 6), (4, 5)):
         arr = rng.choice(np.array([-1, 1], dtype=np.int8), size=(v,) * n)
         axes = (*range(1, n), 0)
         for perm, a in ((None, axes), (shift(v), None), (shift(v), axes)):
-            whole = arr if a is None else arr.transpose(a)
-            if perm is not None:
-                whole = whole[np.ix_(*[perm] * n)]
+            whole = arr if perm is None else arr[np.ix_(*[perm] * n)]
             bad = whole.copy()
             bad[(v - 1,) * n] *= -1
             for rows in (v, v + 1, 10 * v):
-                assert ncube._relabels_to(arr, whole, perm, a, rows=rows)
-                assert not ncube._relabels_to(arr, bad, perm, a, rows=rows)
-
+                assert ncube._relabels_to(arr, as_view(whole, a), perm, rows=rows)
+                assert not ncube._relabels_to(arr, as_view(bad, a), perm, rows=rows)
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_relabels_to_with_perm_and_axes_gives_the_transposed_gather_verdicts(budget, monkeypatch):
-    """Given both a perm and axes, _relabels_to relabels src as it lies and
-    compares dst transposed back; its verdicts, whole and with rows, are
-    those of a gather from a C-order copy of src.transpose(axes), for
-    random cubes and permutations: dst the exact relabelling, that with
-    one entry flipped, and another random cube."""
+    """Given a perm and a dst read through transpose(axes), _relabels_to
+    compares src relabelled with dst as dst lies: the transposed view
+    gives the verdicts of its C-order copy, and both are those of a
+    fancy-index relabelling compared on indices [0, rows) of axis 0, for
+    random cubes, perms and axes.  dst is the exact relabelling, that with
+    one entry flipped, another random cube, and src itself read through
+    the transpose, as _fixes compares a coordinate permutation."""
     monkeypatch.setattr(ncube, "_BUDGET", budget)
     rng = np.random.default_rng(20261202)
     verdicts = set()
@@ -1878,39 +2008,42 @@ def test_relabels_to_with_perm_and_axes_gives_the_transposed_gather_verdicts(bud
         for _ in range(4):
             arr = rng.choice(np.array([-1, 1], dtype=np.int8), size=(v,) * n)
             perm, axes = rng.permutation(v), tuple(rng.permutation(n).tolist())
-            copied = np.ascontiguousarray(arr.transpose(axes))
-            exact = copied[np.ix_(*[perm] * n)]
+            exact = arr[np.ix_(*[perm] * n)]
             flipped = exact.copy()
             flipped[tuple(rng.integers(v, size=n))] *= -1
             other = rng.choice(np.array([-1, 1], dtype=np.int8), size=(v,) * n)
-            for dst in (exact, flipped, other):
+            views = [as_view(x, axes) for x in (exact, flipped, other)] + [arr.transpose(axes)]
+            for view in views:
+                copied = np.ascontiguousarray(view)
                 for rows in (None, 1, 2, v):
-                    verdict = ncube._relabels_to(arr, dst, perm, axes, rows=rows)
-                    assert verdict == ncube._relabels_to(copied, dst, perm, rows=rows)
+                    verdict = ncube._relabels_to(arr, view, perm, rows=rows)
+                    assert verdict == ncube._relabels_to(arr, copied, perm, rows=rows)
+                    assert verdict == np.array_equal(exact[:rows], copied[:rows])
                     verdicts.add(verdict)
     assert verdicts == {True, False}
 
 
 def test_relabels_to_with_perm_and_axes_holds_no_copy_of_the_cube():
-    """The mirror of paley3(GF(127)), x -> -x with the coordinates reversed,
-    compared on indices [0, 2) (2 MiB cube), in a thread with no scratch
-    yet, and whole once the scratch is warm: the slabs are views of the
-    scratch, so tracemalloc's peak stays a small fraction of _BUDGET.  A
-    gather from the transposed view copied the whole cube first (2.1 MB
-    with rows=2)."""
+    """The mirror of paley3(GF(127)) (2 MiB cube): the perm x -> -x against
+    the view with the axes reversed, cube.array.T, on indices [0, 2) in a
+    thread with no scratch yet, and whole once the scratch is warm.  The
+    slabs are views of the scratch and dst is read as a view, so
+    tracemalloc's peak stays a small fraction of _BUDGET.  A gather from
+    the transposed cube copied it whole first (2.1 MB with rows=2)."""
     cube = paley3(Field(127))
-    neg, axes = ncube._negation(cube.v), (2, 1, 0)
+    neg, mirror = ncube._negation(cube.v), cube.array.T
     assert cube.data.nbytes >= 2 * ncube._BUDGET
 
     def peaks():
-        restricted = traced_peak(ncube._relabels_to, cube.array, cube.array, neg, axes, 2)
-        ncube._relabels_to(cube.array, cube.array, neg, axes)  # grows the scratch
-        return restricted, traced_peak(ncube._relabels_to, cube.array, cube.array, neg, axes)
+        restricted = traced_peak(ncube._relabels_to, cube.array, mirror, neg, 2)
+        ncube._relabels_to(cube.array, mirror, neg)  # grows the scratch
+        return restricted, traced_peak(ncube._relabels_to, cube.array, mirror, neg)
     restricted, whole = in_a_new_thread(peaks)
     assert restricted < ncube._BUDGET / 16
     assert whole < ncube._BUDGET / 16
-    assert ncube._relabels_to(cube.array, cube.array, neg, axes, rows=2)
-    assert ncube._relabels_to(cube.array, cube.array, neg, axes)
+    assert ncube._relabels_to(cube.array, mirror, neg, rows=2)
+    assert ncube._relabels_to(cube.array, mirror, neg)
+
 
 def test_verify_report_shape():
     rep = is_hadamard(SYL4)

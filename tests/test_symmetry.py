@@ -248,17 +248,26 @@ def few_run_perms(v: int) -> list:
             np.arange(v), swap]
 
 
+def transposed_view(x: np.ndarray, axes) -> np.ndarray:
+    """A view equal to x that reads a C-order copy through transpose(axes),
+    as a coordinate permutation's dst is read; x itself if axes is None."""
+    if axes is None:
+        return x
+    return np.ascontiguousarray(x.transpose(np.argsort(axes))).transpose(axes)
+
+
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_relabels_to_finds_a_difference_in_the_first_or_last_slab(budget, monkeypatch):
     """_relabels_to against the whole-cube relabelling
-    arr.transpose(axes)[np.ix_(perm, ..., perm)], with one entry of it
-    flipped in the first or the last index of axis 0, or on either side
-    of the edges of the growing slabs 1, 2, 4, ..., which start at 0, 1,
-    3 and 7.  The perms are a random one and few_run_perms, for n = 1 to 5
-    (n = 1, whose one axis is relabelled by the slab's gather alone, and
-    the shapes whose larger slabs take the run-by-run copy).  With rows = r
-    only indices [0, r) of axis 0 are compared: a flip below r is found,
-    one at r or above is not."""
+    arr[np.ix_(perm, ..., perm)], as it lies or as a transposed view
+    (transposed_view), with one entry of it flipped in the first or the
+    last index of axis 0, or on either side of the edges of the growing
+    slabs 1, 2, 4, ..., which start at 0, 1, 3 and 7.  The perms are none,
+    a random one and few_run_perms, for n = 1 to 5 (n = 1, whose one axis
+    is relabelled by the slab's gather alone, and the shapes whose larger
+    slabs take the run-by-run copy).  With rows = r only indices [0, r)
+    of axis 0 are compared: a flip below r is found, one at r or above is
+    not."""
     monkeypatch.setattr(ncube, "_BUDGET", budget)
     rng = np.random.default_rng(budget)
     shapes = [(n, v) for n in (1, 2, 3) for v in (1, 2, 5, 8, 13, 40)]
@@ -268,17 +277,15 @@ def test_relabels_to_finds_a_difference_in_the_first_or_last_slab(budget, monkey
         perm, axes = rng.permutation(v), tuple(rng.permutation(n))
         cases = [(None, axes)] + [(p, a) for p in (perm, *few_run_perms(v)) for a in (axes, None)]
         for p, a in cases:
-            whole = arr if a is None else arr.transpose(a)
-            if p is not None:
-                whole = whole[np.ix_(*[p] * n)]
-            assert _relabels_to(arr, whole, p, a)
+            whole = arr if p is None else arr[np.ix_(*[p] * n)]
+            assert _relabels_to(arr, transposed_view(whole, a), p)
             for first in {i for i in (0, 1, 2, 3, 6, 7) if i < v} | {v - 1}:
                 bad = whole.copy()
                 bad[(first, *rng.integers(v, size=n - 1))] *= -1
-                assert not _relabels_to(arr, bad, p, a)
+                assert not _relabels_to(arr, transposed_view(bad, a), p)
                 for rows in {1, (v + 1) // 2, v}:
-                    assert _relabels_to(arr, bad, p, a, rows=rows) == (first >= rows)
-        assert not _relabels_to(arr, arr[:-1], perm, axes)
+                    assert _relabels_to(arr, transposed_view(bad, a), p, rows=rows) == (first >= rows)
+        assert not _relabels_to(arr, arr[:-1], perm)
 
 
 def test_relabels_to_rejects_from_a_small_first_slab():
@@ -289,7 +296,7 @@ def test_relabels_to_rejects_from_a_small_first_slab():
     cube = yang_product(paley2(Field(23)), 4)
     tracemalloc.start()
     try:
-        assert not _relabels_to(cube.array, cube.array, axes=(1, 2, 3, 0))
+        assert not _relabels_to(cube.array, cube.array.transpose(1, 2, 3, 0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
