@@ -22,7 +22,7 @@ from .errors import (
 )
 from .gf import Field
 from .ncube import SignCube, is_hadamard, is_proper, layer, read, write
-from .symmetry import check_cyclic, check_psl_invariance
+from .symmetry import _check_shape, check_cyclic, check_psl_invariance
 
 
 def _fail(message: str) -> int:
@@ -84,6 +84,8 @@ def cmd_verify(args) -> int:
         return _fail("verify does not read --q without --psl")
     F = Field(args.q) if args.psl else None
     cube = _read_cube(args.path)
+    if args.cyclic or args.psl:  # a shape they cannot check, before any verifier runs
+        _check_shape(cube, F)
     results = []
 
     rep = is_hadamard(cube)

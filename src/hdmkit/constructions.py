@@ -23,7 +23,6 @@ the products of their paley2.
 import itertools
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, DimensionTooSmall, NotHadamardInput, TooLarge
 from .gf import Field, _integer
@@ -163,7 +162,10 @@ def dim_lift(h: SignCube) -> SignCube:
     # out[..., y, z] = a[..., y + z] once the last axis runs on past v - 1
     # into a's first v - 1 entries again; the copy is C-contiguous
     wrapped = np.concatenate((a, a[..., :v - 1]), axis=-1)
-    return SignCube._adopt(h.n + 1, v, sliding_window_view(wrapped, v, axis=-1).copy())
+    window = np.ndarray(a.shape + (v,), np.int8, wrapped,
+                        strides=wrapped.strides + wrapped.strides[-1:])
+    window.flags.writeable = False
+    return SignCube._adopt(h.n + 1, v, window.copy())
 
 
 def almost_cube(F: Field, dim: int, chi0: int = -1) -> SignCube:

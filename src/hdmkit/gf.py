@@ -11,7 +11,6 @@ import operator
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     CharacterOfZero,
@@ -264,9 +263,14 @@ class Field:
         u is the sum of the d digits j so read and m the number of minus
         signs.  The table holds chi at every k-tuple of such sums u in
         0..d (p - 1), (d (p - 1) + 1)**k entries and never more than q**d.
-        It is gathered from chi_table one digit axis at a time, and windowed
-        once per digit of each coordinate after the first: over a prime
-        field, one Hankel window over d (p - 1) + 1 values.
+        It is gathered from chi_table one digit axis at a time, a fresh
+        C-contiguous array, and read with its strides repeated once per
+        coordinate, so the view's entry at the digits of (x_1, ..., x_d) is
+        the table's at their digit-wise sums: over a prime field, one
+        Hankel window over d (p - 1) + 1 values.  An ndarray on the table
+        costs less than sliding_window_view, which builds the same view
+        through as_strided's __array_interface__ round trip, about 10 us a
+        call, and with numpy 2.4 holds on to memory as the calls add up.
         """
         p, d = self.p, len(signs)
         low = -signs.count(-1) * (p - 1)
@@ -276,8 +280,8 @@ class Field:
         table = table.reshape((p,) * self.k)  # axis t holds digit k - 1 - t
         for t in range(self.k):
             table = table.take(digit, axis=t)
-        view = sliding_window_view(table, (p,) * (self.k * (d - 1)),
-                                   axis=tuple(range(self.k)) * (d - 1))
+        view = np.ndarray((p,) * (self.k * d), np.int8, table, strides=table.strides * d)
+        view.flags.writeable = False
         back = slice(None, None, -1)
         return view[tuple(back if s < 0 else slice(None)
                           for s in signs for _ in range(self.k))]

@@ -14,15 +14,15 @@ cube as a stack of such matrices, one per axis for is_hadamard and the
 feeds the kernel: it takes the stack in chunks that double in size, the
 first of one matrix or of about _BUDGET // 256 entries of small ones, and
 the columns in blocks, through one float buffer of at most _BUDGET bytes;
-a rule that skips work hands it fewer rows or matrices, gathered in index
-order.  The one matrix whose rows are contiguous fibres, is_hadamard's
-last axis, is cast as blocks of its transpose's rows instead.  That
-buffer, the slabs of _relabels_to and the row blocks of write and read
-are views of one scratch buffer per thread (_scratch), at most _BUDGET
-bytes, which is kept between calls, so a check does not fault in fresh
-pages for its temporaries each time.  Beside the scratch a check holds
-the Gram matrices, v*v floats each.  A plain summation implementation is
-kept alongside as an independent cross-check.
+a rule that skips work hands it a prefix of the rows, or fewer matrices
+gathered in index order.  The one matrix whose rows are contiguous
+fibres, is_hadamard's last axis, is cast as blocks of its transpose's
+rows instead.  That buffer, the slabs of _relabels_to and the row blocks
+of write and read are views of one scratch buffer per thread (_scratch),
+at most _BUDGET bytes, which is kept between calls, so a check does not
+fault in fresh pages for its temporaries each time.  Beside the scratch a
+check holds the Gram matrices, v*v floats each.  A plain summation
+implementation is kept alongside as an independent cross-check.
 
 A cube fixed by the rotation of its coordinates, H(x_1, ..., x_n) =
 H(x_2, ..., x_n, x_1), as the Paley 3-cube and the product of a symmetric
@@ -54,9 +54,9 @@ inner product, and the 2-D layer at fixed values c onto the one at
 pi(c), its rows and columns relabelled alike.  So the full scan's first
 violation is the lex-least of its orbit, and a scan kept to the
 lex-least elements of B's orbits, in index order, reports it.  For
-is_hadamard those are Gram entries among the layers {0, 1, 2}, and
-1 + nu when q = 1 (mod 4), nu the least non-square's index (_heads); for
-is_proper, the layers whose fixed coordinates are in canonical form
+is_hadamard those are Gram rows [0, 2) of the head layers [0, 3), or
+[0, 2 + nu) when q = 1 (mod 4), nu the least non-square's index (_heads);
+for is_proper, the layers whose fixed coordinates are in canonical form
 (_representatives): 6 of the 576 layers of a pair at order 24 in 4
 dimensions.  For n = 3 those are z = inf and z = 0, whose stabilizers in
 B are B and the torus T = <sigma>; T fixes inf and 0 and keeps the
@@ -73,8 +73,8 @@ of all translations, sigma(x + b) = sigma(x) + g²b, so H relabelled by
 sigma is fixed by A as H is, and two A-fixed cubes that agree on the
 n-tuples whose first coordinate is below 2, which meet every orbit of A,
 are equal.  B is compared only after a scan that any report would need
-anyway: is_hadamard first scans the head layers of axis 0, and a hit at
-(0, 1) or (0, 2) is the full scan's first violation whatever the group;
+anyway: is_hadamard first scans the head layers of axis 0, and a hit in
+Gram row 0 is the full scan's first violation whatever the group;
 is_proper first scans the layers of a pair whose first fixed coordinate
 is below 2, a prefix that meets every orbit of A.  A cube that B does not
 fix, and every cube of another order, is scanned whole, is_hadamard after
@@ -354,32 +354,29 @@ def _pair_index(v: int, a: int, b: int) -> int:
     return a * (v - 1) - a * (a - 1) // 2 + b - a - 1
 
 
-def _scan(mats: np.ndarray, rows: int | None = None, pick=None, at=None):
+def _scan(mats: np.ndarray, rows: int | None = None, at=None):
     """_first_violation over a stack of ±1 matrices, in budgeted blocks.
 
     mats is a view of the cube shaped stack + (v, P, Q): matrix k, a flat
     C-order index into the stack, has v rows, row a being mats[k][a] read
-    in C order.  Three arguments shrink the work, each to a sub-scan kept
-    in the full scan's order:
+    in C order.  A caller that needs only the first t rows passes the view
+    mats[:, :t], a stack of t-row matrices whose Gram matrices are the
+    full ones' leading t x t blocks.  Two arguments shrink the work, each
+    to a sub-scan kept in the full scan's order:
 
       rows = r: only the first r rows of each Gram matrix are formed and
-        scanned, a prefix of each matrix's scan: is_hadamard's probe
-        [0, 2), and [0, 2 + nu) in is_proper's 3-D layers z = inf and
-        z = 0, where B and its torus <sigma> put the lex-least pair of
-        every orbit of row pairs; every column is still cast, as the
-        rows' inner products with all v rows need them;
-      pick, a sequence of (start, stop) spans of rows in index order: only
-        those rows are cast, a gathered sub-stack whose Gram matrix alone
-        is formed, each span one slice copy; its entries are those of the
-        full Gram matrix at the picked rows, in the same order.  Of the k
-        picked rows' Gram matrix only rows [0, k - 1) are formed (unless
-        rows is given), which hold every entry above its diagonal, so that
-        numpy hands the product to BLAS gemm: it sends X @ Xᵀ, both operands
-        one buffer, to syrk, which for a few long rows is far slower (with
-        numpy 2.4.6 and OpenBLAS on a 2-CPU x86_64, float32, 3 x 20736:
-        129 us by syrk against 8.1 us by gemm; 4 x 16900: 49 against
-        8.7 us).  A whole matrix keeps syrk, which is faster there
-        (126 x 15876: 3.7 ms against 5.4 ms for rows [0, 125) by gemm);
+        scanned, a prefix of each matrix's scan: is_hadamard's probe and
+        its head layers [0, 2), and [0, 2 + nu) in is_proper's 3-D layers
+        z = inf and z = 0, where B and its torus <sigma> put the lex-least
+        pair of every orbit of row pairs; every column is still cast, as
+        the rows' inner products with all the matrix's rows need them.
+        With r below the matrix's rows numpy hands X[:r] @ Xᵀ to BLAS
+        gemm, where it sends X @ Xᵀ, both operands one buffer, to syrk,
+        which for a few long rows is far slower (with numpy 2.4.6 and
+        OpenBLAS on a 2-CPU x86_64, float32, 3 x 20736: 129 us by syrk
+        against 8.1 us by gemm; 4 x 16900: 49 against 8.7 us).  A whole
+        matrix keeps syrk, which is faster there (126 x 15876: 3.7 ms
+        against 5.4 ms for rows [0, 125) by gemm);
       at, a sequence of (start, stop) spans of flat stack indices in index
         order: only those matrices are scanned, gathered chunk by chunk.
 
@@ -396,18 +393,15 @@ def _scan(mats: np.ndarray, rows: int | None = None, pick=None, at=None):
     of small layers than X @ Xᵀ as a view or X and Xᵀ in one interleaved
     buffer.  A single matrix whose rows run along the cube's contiguous
     fibres (is_hadamard's last axis) is read the other way: as B = Mᵀ,
-    C-contiguous, cast a block y of B's rows at a time and summed as
-    yᵀ @ y, which costs about two thirds of casting a stride-v column
-    block.  Returns (index, a, b, value) as _first_violation does, with
-    index into the whole stack and a, b row indices of the matrix, or None.
+    whose rows are contiguous, cast a block y of B's rows at a time and
+    summed as yᵀ @ y, which costs about two thirds of casting a stride-v
+    column block.  Returns (index, a, b, value) as _first_violation does,
+    with index into the whole stack and a, b row indices of the matrix, or
+    None.
     """
     *stack, v, p_total, q_total = mats.shape
     cols = p_total * q_total
-    kept = np.concatenate([np.arange(lo, hi) for lo, hi in pick or ((0, v),)])
-    k = len(kept)  # rows cast per matrix
-    # a pick's Gram rows [0, k - 1) hold every entry above its diagonal, and
-    # X[:k - 1] @ Xᵀ goes to BLAS gemm, where X @ Xᵀ on one buffer goes to syrk
-    r = (k - 1 if pick else k) if rows is None else rows
+    r = v if rows is None else rows
     total = math.prod(stack)
     if at is not None:  # scan position i is flat index i + shift[its span]
         spans = np.array(at, dtype=np.intp).reshape(-1, 2)
@@ -415,10 +409,10 @@ def _scan(mats: np.ndarray, rows: int | None = None, pick=None, at=None):
         total, shift = int(ends[-1]), spans[:, 1] - ends
     dtype = _gram_dtype(cols)
     # the one float buffer: _BUDGET bytes, or one column if that is more
-    buf = _scratch(min(max(k, _BUDGET // dtype().itemsize), 2 * total * k * cols), dtype)
-    cap = max(1, len(buf) // (2 * k * cols))  # matrices per chunk, beside Xᵀ
-    p_step, q_step = max(1, len(buf) // (k * q_total)), min(q_total, len(buf) // k)
-    start, size = 0, max(1, -(-(_BUDGET // 256) // (k * cols)))
+    buf = _scratch(min(max(v, _BUDGET // dtype().itemsize), 2 * total * v * cols), dtype)
+    cap = max(1, len(buf) // (2 * v * cols))  # matrices per chunk, beside Xᵀ
+    p_step, q_step = max(1, len(buf) // (v * q_total)), min(q_total, len(buf) // v)
+    start, size = 0, max(1, -(-(_BUDGET // 256) // (v * cols)))
     while start < total:
         stop = min(total, start + size, start + cap)
         flat = np.arange(start, stop)
@@ -427,40 +421,29 @@ def _scan(mats: np.ndarray, rows: int | None = None, pick=None, at=None):
         if stop - start == 1:  # a view, no gather, and 2-D products
             m = mats[np.unravel_index(flat[0], stack)]
             if m.strides[0] == m.itemsize:  # rows along the cube's contiguous fibres
-                b = m.reshape(v, cols).T  # C-contiguous: its rows are the columns of m
-                step = len(buf) // k
-                blocks = (_cast(buf, b[s:s + step], pick, axis=1) for s in range(0, cols, step))
+                b = m.reshape(v, cols).T  # its rows, the columns of m, are contiguous
+                step = len(buf) // v
+                blocks = (_cast(buf, b[s:s + step]) for s in range(0, cols, step))
                 hit = _first_violation((y.T[:r], y) for y in blocks)
             else:
-                blocks = (_cast(buf, m[:, p:p + p_step, q:q + q_step], pick).reshape(k, -1)
+                blocks = (_cast(buf, m[:, p:p + p_step, q:q + q_step]).reshape(v, -1)
                           for p in range(0, p_total, p_step)
                           for q in range(0, q_total, q_step))
                 hit = _first_violation((y[:r], y.T) for y in blocks)
         else:
             x = mats[np.unravel_index(flat, stack)]
-            x = _cast(buf, x.reshape(-1, v, cols), pick, axis=1)
+            x = _cast(buf, x.reshape(-1, v, cols))
             hit = _first_violation([(x[:, :r], _cast(buf[x.size:], x.swapaxes(1, 2)))])
         if hit is not None:
             i, a, b, value = hit
-            return int(flat[i]), int(kept[a]), int(kept[b]), value
+            return int(flat[i]), a, b, value
         start, size = stop, size * 2
 
 
-def _cast(buf: np.ndarray, src: np.ndarray, spans=None, axis: int = 0) -> np.ndarray:
-    """src copied into the front of the float buffer buf, shaped as src;
-    with spans, a sequence of (start, stop) in index order, only the
-    indices of the given axis inside them, each span one slice copy."""
-    if spans is None:  # one copy, as the spans' loop measured a few % slower
-        out = buf[:src.size].reshape(src.shape)
-        out[...] = src
-        return out
-    shape = list(src.shape)
-    shape[axis] = sum(hi - lo for lo, hi in spans)
-    out = buf[:math.prod(shape)].reshape(shape)
-    to, src, i = out.swapaxes(0, axis), src.swapaxes(0, axis), 0
-    for lo, hi in spans:
-        to[i:i + hi - lo] = src[lo:hi]
-        i += hi - lo
+def _cast(buf: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """src copied into the front of the float buffer buf, shaped as src."""
+    out = buf[:src.size].reshape(src.shape)
+    out[...] = src
     return out
 
 
@@ -690,19 +673,17 @@ def _affine_fixes(H: SignCube, assume: bool | None = None) -> bool:
         and _fixes(H, _scaling(H.v)[0], rows=2, assume=assume)
 
 
-def _heads(v: int) -> tuple:
-    """Spans of the layers {0, 1, 2}, and 1 + nu when q = v - 1 = 1
-    (mod 4), for q an odd prime power: the rows of the Gram entries that
-    head B's orbits of pairs of points.  B fixes infinity and is
-    transitive on GF(q), so (0, 1) heads the pairs {infinity, x}; it maps
-    {x, y} to {0, y - x} and scales by squares, so the finite pairs fall
-    by whether y - x is a square: one orbit, headed by (1, 2), when -1 is
-    a non-square (q = 3 mod 4), else two, headed by (1, 2) and
-    (1, 1 + nu), nu the least non-square's index (_scaling)."""
-    if v % 4 == 0:
-        return ((0, 3),)
-    nu = _scaling(v)[1]
-    return ((0, 3), (1 + nu, 2 + nu))
+def _heads(v: int) -> int:
+    """The number t of head layers [0, t) of an axis, for q = v - 1 an odd
+    prime power: 3 when q = 3 (mod 4), else 2 + nu, nu the least
+    non-square's index (_scaling).  Gram rows [0, 2) of those layers hold
+    the entries that head B's orbits of pairs of points.  B fixes infinity
+    and is transitive on GF(q), so (0, 1) heads the pairs {infinity, x};
+    it maps {x, y} to {0, y - x} and scales by squares, so the finite
+    pairs fall by whether y - x is a square: one orbit, headed by (1, 2),
+    when -1 is a non-square (q = 3 mod 4), else two, headed by (1, 2) and
+    (1, 1 + nu), since the elements of index 1 to nu - 1 are squares."""
+    return 3 if v % 4 == 0 else 2 + _scaling(v)[1]
 
 
 @functools.lru_cache(maxsize=64)
@@ -753,13 +734,14 @@ def is_hadamard(H: SignCube) -> VerifyReport:
     fixing H violates alike, and the full scan's first violation is the
     lex-least pair of its orbit.  When q = v - 1 is an odd prime power and
     no kept verdict rules B out (_affine_fixes), axis 0 is scanned first on
-    the gathered sub-stack of the layers that hold every B-orbit's head
-    pair (_heads: {0, 1, 2}, and 1 + nu when q = 1 mod 4), before any
-    compare: a violation at (0, 1) or (0, 2) is the full scan's first
-    whatever the group, and is reported at once.  Otherwise B is compared,
-    and if it fixes H that sub-stack decides each axis: its first
-    violation, the head of its orbit, is the full scan's.  Its Gram rows
-    [0, k - 1) of k picked layers are formed, by gemm (_scan).
+    Gram rows [0, 2) of its head layers [0, t), which hold every B-orbit's
+    head pair (_heads: t = 3, or 2 + nu when q = 1 mod 4), before any
+    compare: that sub-scan starts with the full scan's first t - 1 pairs,
+    (0, 1) to (0, t - 1), so a violation in row 0 is the full scan's
+    first whatever the group, and is reported at once.  Otherwise B is
+    compared, and if it fixes H the head layers decide each axis: their
+    first violation, the head of its orbit, is the full scan's.  The two
+    Gram rows are formed by gemm (_scan).
 
     The mirror rho: H(x_1, ..., x_n) = H(-x_n, ..., -x_1) maps the layers
     of axis j at a and b onto those of axis n - 1 - j at -a and -b.  So
@@ -782,8 +764,8 @@ def is_hadamard(H: SignCube) -> VerifyReport:
         # axis = a: [0, a] of this view, read in C order
         mats = H.data.reshape(1, v**axis, v, -1).transpose(0, 2, 1, 3)
         if heads:
-            hit = _scan(mats, pick=heads)
-            if not (hit and hit[1] == 0 and hit[2] <= 2) and not _affine_fixes(H):
+            hit = _scan(mats[:, :heads], rows=2)
+            if not (hit and hit[1] == 0) and not _affine_fixes(H):
                 heads = None  # B does not fix H: scanned whole, as below
         if not heads:
             hit = _scan(mats, rows=2) if axis == 0 and v > 2 else None  # the probe

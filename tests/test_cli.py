@@ -1,6 +1,6 @@
 import pytest
 
-from hdmkit import constructions, gf, ncube
+from hdmkit import cli, constructions, gf, ncube
 from hdmkit.cli import main
 from hdmkit.constructions import almost_cube, paley2, paley3
 from hdmkit.gf import Field
@@ -260,6 +260,29 @@ def test_verify_refuses_q_without_psl(tmp_path, monkeypatch, capsys):
 def test_verify_psl_order_mismatch(tmp_path):
     path = write_cube(tmp_path / "m.hdm", paley3(Field(7)))
     assert main(["verify", path, "--psl", "--q", "5"]) == 2
+
+
+@pytest.mark.parametrize("cube, flags, err", [
+    (lambda: paley3(Field(7)), ["--psl", "--q", "11"], "cube order 8 != q+1 = 12\n"),
+    (lambda: constructions.yang_product(paley2(Field(7)), 4), ["--psl", "--q", "7"],
+     "need n = 3, got n=4\n"),
+    (lambda: constructions.yang_product(paley2(Field(7)), 4), [], "need n = 3, got n=4\n"),
+])
+def test_verify_refuses_a_shape_it_cannot_check_before_verifying(cube, flags, err, tmp_path,
+                                                                 monkeypatch, capsys):
+    """A file --cyclic or --psl cannot check, not 3-D or, for --psl, not
+    of order q + 1, exits 2 with the symmetry module's message and no
+    stdout, and no verifier or symmetry check runs first."""
+    path = write_cube(tmp_path / "m.hdm", cube())
+    called = []
+    for module, name in ((cli, "is_hadamard"), (cli, "is_proper"), (cli, "check_cyclic"),
+                         (cli, "check_psl_invariance"), (ncube, "_scan"),
+                         (ncube, "_relabels_to")):
+        monkeypatch.setattr(module, name, lambda *a, _name=name, **kw: called.append(_name))
+    capsys.readouterr()
+    assert main(["verify", path, "--proper", "--cyclic", *flags]) == 2
+    assert capsys.readouterr() == ("", err)
+    assert called == []
 
 
 def test_verify_cyclic_needs_3d(tmp_path):

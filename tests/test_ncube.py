@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import hashlib
 import io
@@ -522,13 +523,18 @@ def test_first_violation_on_the_last_axis(budget, monkeypatch):
 
 def test_two_dimensional_cube_is_checked_on_its_rows_only(monkeypatch):
     """is_hadamard scans one Gram matrix for a 2-D cube: its columns are
-    orthogonal once its rows are.  The report counts both axes' pairs."""
+    orthogonal once its rows are.  The report counts both axes' pairs.
+    paley2(GF(7)) is fixed by B, so that matrix is the head layers 0-2
+    of axis 0."""
     calls = []
     scan = ncube._scan
     monkeypatch.setattr(ncube, "_scan",
                         lambda mats, **kw: calls.append(mats.shape) or scan(mats, **kw))
     assert is_hadamard(paley2(Field(7))) == VerifyReport(True, checked_pairs=2 * 8 * 7 // 2)
-    assert calls == [(1, 8, 1, 8)]  # axis 0 only
+    assert calls == [(1, 3, 1, 8)]  # axis 0 only
+    del calls[:]
+    assert is_hadamard(SYL16) == VerifyReport(True, checked_pairs=2 * 16 * 15 // 2)
+    assert calls == [(1, 16, 1, 16)] * 2  # the probe, then axis 0 whole
 
 
 def ring_product(h: SignCube, n: int) -> SignCube:
@@ -676,13 +682,11 @@ def relabel_calls(monkeypatch, keywords=None) -> list:
 
 
 def scan_calls(monkeypatch) -> list:
-    """Appends the (stack shape, rows) of every _scan call from now on;
-    rows is the pick, the spans of a gathered sub-stack of rows, when the
-    call has one."""
+    """Appends the (stack shape, rows) of every _scan call from now on; a
+    scan of the head layers [0, t) of an axis has t rows in its shape."""
     scans, scan = [], ncube._scan
     monkeypatch.setattr(ncube, "_scan", lambda mats, **kw:
-                        scans.append((mats.shape, kw.get("rows", kw.get("pick"))))
-                        or scan(mats, **kw))
+                        scans.append((mats.shape, kw.get("rows"))) or scan(mats, **kw))
     return scans
 
 
@@ -815,7 +819,7 @@ def test_prime_paley3_is_certified_by_a_prefix_and_two_compares(monkeypatch):
     keywords = []
     calls = relabel_calls(monkeypatch, keywords)
     assert is_hadamard(cube) == VerifyReport(True, checked_pairs=3 * v * (v - 1) // 2)
-    assert scans == [((1, v, 1, v * v), ((0, 3),))]
+    assert scans == [((1, 3, 1, v * v), 2)]
     assert is_proper(cube) == VerifyReport(True, checked_pairs=3 * v**2 * (v - 1))
     assert scans[1:] == [((2, v, 1, v), 4)]
     sigma = tuple(psl_generators(Field(107))[2].perm())
@@ -853,7 +857,7 @@ def test_a_cube_the_shift_does_not_fix_pays_one_prefix_and_one_compare(monkeypat
     assert is_hadamard(lifted) == is_hadamard_naive(lifted)
     axes = [(1, v, 1, v**3)] + [(1, v, v**j, v ** (3 - j)) for j in range(1, 4)]
     # v - 1 = 7 is prime: the head layers 0-2 of axis 0 come first
-    assert scans == [(axes[0], ((0, 3),)), (axes[0], 2)] + [(a, None) for a in axes]
+    assert scans == [((1, 3, 1, v**3), 2), (axes[0], 2)] + [(a, None) for a in axes]
     assert calls == [(None, shift(v)), ((1, 2, 3, 0), None)]
     del scans[:]
     assert is_proper(lifted) == proper_oracle(lifted)
@@ -1195,8 +1199,8 @@ def test_cubes_only_the_shift_fixes_pay_the_probe_and_whole_scans(budget, monkey
         fresh = adopt(c.array)
         del scans[:]
         assert is_hadamard(c) == is_hadamard_naive(c)
-        assert scans[0] == (axis0, ncube._heads(v))
-        if len(scans) > 1:  # past a hit at (0, 1) or (0, 2): B was compared
+        assert scans[0] == ((1, ncube._heads(v), *axis0[2:]), 2)
+        if len(scans) > 1:  # past a hit in Gram row 0: B was compared
             probed += 1
             assert scans[1] == (axis0, 2)  # the probe, then axis 0 whole if it passes
             assert scans[2:3] in ([], [(axis0, None)])
@@ -1274,15 +1278,15 @@ def test_canonical_layers_are_the_least_of_each_orbit():
 
 def scan_work(monkeypatch) -> list:
     """Appends, per _scan call from now on, (rows cast per matrix,
-    matrices scanned): the rows of the pick or all v, and the matrices of
-    the at spans or the whole stack."""
+    matrices scanned): the rows of the stack's matrices, t for the head
+    layers [0, t) of an axis, and the matrices of the at spans or the
+    whole stack."""
     work, scan = [], ncube._scan
 
-    def counted(mats, rows=None, pick=None, at=None):
+    def counted(mats, rows=None, at=None):
         *stack, v, _, _ = mats.shape
-        work.append((v if pick is None else sum(hi - lo for lo, hi in pick),
-                     math.prod(stack) if at is None else sum(hi - lo for lo, hi in at)))
-        return scan(mats, rows=rows, pick=pick, at=at)
+        work.append((v, math.prod(stack) if at is None else sum(hi - lo for lo, hi in at)))
+        return scan(mats, rows=rows, at=at)
     monkeypatch.setattr(ncube, "_scan", counted)
     return work
 
@@ -1315,14 +1319,14 @@ def test_affine_cubes_are_certified_by_head_and_canonical_layers(monkeypatch):
         assert [kw.get("rows") for kw in keywords] == [None, 2, 2, 2]
         del keywords[:]
         monkeypatch.undo()
-    # p = 13 = 1 mod 4: the head layers are 0, 1, 2 and 1 + nu = 3
+    # p = 13 = 1 mod 4: the head layers are [0, 2 + nu) = [0, 4)
     cube = paley3(Field(13))
     work = scan_work(monkeypatch)
     assert is_hadamard(cube).passed and work == [(4, 1)]
     monkeypatch.undo()
-    cube = paley3(Field(17))  # nu = 3: layers 0-2 and 4
+    cube = paley3(Field(17))  # nu = 3: layers [0, 5), on Gram rows [0, 2)
     scans = scan_calls(monkeypatch)
-    assert is_hadamard(cube).passed and scans == [((1, 18, 1, 18 * 18), ((0, 3), (4, 5)))]
+    assert is_hadamard(cube).passed and scans == [((1, 5, 1, 18 * 18), 2)]
 
 
 def test_a_fresh_cube_scans_the_prefix_before_the_group_is_known(monkeypatch):
@@ -1581,12 +1585,13 @@ def test_the_mirror_of_a_prime_power_product_negates_digit_by_digit(monkeypatch)
     assert not ncube._relabels_to(cube.array, cube.array.T, prime_negation)
 
 
-def test_picked_rows_form_one_gram_row_fewer(monkeypatch):
-    """Of k picked rows, _first_violation gets Gram rows [0, k - 1), which
-    hold every entry above the diagonal, as operands of different shapes
-    (numpy's gemm, not syrk); a whole scan still gets all k = v rows and a
-    rows prefix its r.  A violation between the last two picked rows is
-    found, on a column-block matrix and on the last axis's row blocks."""
+def test_a_rows_prefix_of_head_layers_forms_two_gram_rows(monkeypatch):
+    """The head layers [0, t) of an axis, passed to _scan as the view
+    mats[:, :t] with rows=2, give _first_violation Gram rows [0, 2) of a
+    t x t Gram matrix, as operands of different shapes (numpy's gemm, not
+    syrk); a whole scan still gets all v rows and a rows prefix its r.  A
+    violation between rows 1 and 2 of the prefix is found, on a
+    column-block matrix and on the last axis's row blocks."""
     shapes, first = [], ncube._first_violation
 
     def spied(blocks):
@@ -1594,19 +1599,20 @@ def test_picked_rows_form_one_gram_row_fewer(monkeypatch):
         shapes.append({(x.shape[-2], xt.shape[-1]) for x, xt in blocks})
         return first(blocks)
     monkeypatch.setattr(ncube, "_first_violation", spied)
-    c = paley3(Field(17))  # head layers 0-2 and 4
+    c = paley3(Field(17))  # nu = 3: head layers [0, 5)
     axis0 = c.data.reshape(1, 1, 18, -1).transpose(0, 2, 1, 3)
     last = c.data.reshape(1, 18 * 18, 18, 1).transpose(0, 2, 1, 3)
-    assert ncube._scan(axis0, pick=((0, 3), (4, 5))) is None
-    assert ncube._scan(last, pick=((0, 3), (4, 5))) is None
+    assert ncube._heads(18) == 5
+    assert ncube._scan(axis0[:, :5], rows=2) is None
+    assert ncube._scan(last[:, :5], rows=2) is None
     assert ncube._scan(axis0) is None and ncube._scan(axis0, rows=2) is None
-    assert shapes == [{(3, 4)}, {(3, 4)}, {(18, 18)}, {(2, 18)}]
+    assert shapes == [{(2, 5)}, {(2, 5)}, {(18, 18)}, {(2, 18)}]
     bad = SYL4.array.copy()
     bad[2] = bad[1]  # rows 1 and 2 alike: the one entry above the diagonal that is not 0
     by_columns = np.ascontiguousarray(bad).reshape(1, 4, 1, 4)
     by_rows = np.ascontiguousarray(bad.T).reshape(1, 4, 4, 1).transpose(0, 2, 1, 3)
     for mats in (by_columns, by_rows):
-        assert ncube._scan(mats, pick=((0, 3),)) == (0, 1, 2, 4)
+        assert ncube._scan(mats[:, :3], rows=2) == (0, 1, 2, 4)
     assert shapes[4:] == [{(2, 3)}] * 2
 
 
@@ -1854,6 +1860,149 @@ def test_prime_power_flips_beyond_the_pure_python_oracles(budget, monkeypatch):
         assert report == expected, key
         reports.add((report.passed, report.axis))
     assert {(True, None), (False, 0)} <= reports
+
+
+# -- B-orbit sign patterns: cubes B fixes and the rotation and mirror need not -----
+
+@functools.cache
+def pair_orbits(q: int) -> np.ndarray:
+    """B's orbit of each ordered pair of points of PG(1, q), infinity
+    first, numbered 0-5: (inf, inf), (inf, a), (a, inf), (a, a), and (a, b)
+    with b - a a non-zero square, or a non-square; from Field.sub and
+    Field.chi, not from ncube."""
+    F = Field(q)
+    out = np.empty((q + 1, q + 1), dtype=np.intp)
+    out[0, 0], out[0, 1:], out[1:, 0] = 0, 1, 2
+    for a in F.elems:
+        for b in F.elems:
+            out[1 + a, 1 + b] = 3 if a == b else 4 if F.chi(F.sub(b, a)) == 1 else 5
+    out.flags.writeable = False
+    return out
+
+
+@functools.cache
+def pattern_base(key: tuple) -> SignCube:
+    return cube_of(key)
+
+
+def orbit_pattern_cube(key: tuple, i: int, j: int, bits: int) -> SignCube:
+    """cube_of(key) times f(x_i, x_j), f the ±1 function constant on B's
+    orbits of ordered pairs of points (pair_orbits) whose sign on orbit k
+    is bit k of bits.  B fixes it, as it fixes the base."""
+    base = pattern_base(key)
+    shape = [1] * base.n
+    shape[i] = shape[j] = base.v
+    f = np.where(bits >> pair_orbits(base.v - 1) & 1, -1, 1).astype(np.int8)
+    return adopt(base.array * f.reshape(shape))
+
+
+def proper_gram_oracle(H: SignCube) -> VerifyReport:
+    """is_proper's report from float64 products, sharing no code with
+    _scan, _relabels_to or the group helpers: for each axis pair
+    (j1, j2) in order, one batched M @ Mᵀ and one Mᵀ @ M over the pair's
+    2-D layers M in scan order, exact while v < 2**53, and the first
+    nonzero entry above a diagonal by layer, then rows before columns,
+    then (a, b), as proper_oracle reads them."""
+    v, n = H.v, H.n
+    layers, half = v ** (n - 2), v * (v - 1) // 2
+    upper = np.triu(np.ones((v, v), dtype=bool), 1)
+    for i, (j1, j2) in enumerate(itertools.combinations(range(n), 2)):
+        others = [j for j in range(n) if j not in (j1, j2)]
+        m = H.array.transpose(*others, j1, j2).reshape(layers, v, v).astype(np.float64)
+        grams = m @ m.transpose(0, 2, 1), m.transpose(0, 2, 1) @ m  # rows, then columns
+        bad = [((g != 0) & upper).reshape(layers, -1).any(axis=1) for g in grams]
+        if (bad[0] | bad[1]).any():
+            k = int(np.argmax(bad[0] | bad[1]))
+            side = 0 if bad[0][k] else 1
+            gram = grams[side][k]
+            a, b = (int(x) for x in np.argwhere((gram != 0) & upper)[0])
+            before = a * (2 * v - a - 1) // 2 + b - a - 1  # pairs (a', b') < (a, b)
+            return VerifyReport(False, axis=(j1, j2)[side], pair=(a, b),
+                                deviation=int(gram[a, b]),
+                                checked_pairs=((i * layers + k) * 2 + side) * half + before + 1)
+    return VerifyReport(passed=True, checked_pairs=math.comb(n, 2) * layers * 2 * half)
+
+
+@functools.cache
+def orbit_pattern_oracles(key: tuple, i: int, j: int, bits: int) -> tuple:
+    """(is_hadamard, is_proper) reports of orbit_pattern_cube from the
+    oracles, computed once for all budgets: is_hadamard_naive and
+    proper_oracle up to order 14, where gram_oracle and
+    proper_gram_oracle must agree with them, and those two beyond."""
+    c = orbit_pattern_cube(key, i, j, bits)
+    grams = gram_oracle(c), proper_gram_oracle(c)
+    if c.v > 14:
+        return grams
+    assert grams == (is_hadamard_naive(c), proper_oracle(c)), (key, i, j, bits)
+    return grams
+
+
+# (base, stride at the default budget, stride below it): on its k-th
+# coordinate pair a base takes the functions numbered k mod stride up to
+# 63, so stride 3 takes each function once, and a stride below the default
+# budget, a multiple of the default one, takes a subset of its functions;
+# the strides keep the pure-Python oracles of the 4-D product and the
+# small-budget scans of the larger cubes to a few seconds
+ORBIT_PATTERN_BASES = {
+    "pure-python": ((("paley3", 11), 1, 1), (("paley3", 13), 1, 1),
+                    (("product", 11, 4), 6, 6)),
+    "gram": ((("paley3", 49), 1, 4), (("paley3", 81), 3, 6),
+             (("paley3", 121), 8, 16), (("paley3", 125), 8, 16)),
+}
+
+
+@pytest.mark.parametrize("oracles", ORBIT_PATTERN_BASES)
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_orbit_sign_patterns_give_the_oracles_reports(budget, oracles, monkeypatch):
+    """Cubes that B fixes but the rotation and the mirror need not: a base
+    times a B-orbit sign pattern f(x_i, x_j) on (i, j) = (0, 1), (1, 2) and
+    (0, n - 1) (orbit_pattern_cube).  Both verifiers' full reports, on a
+    fresh cube and again memo-warm, are the oracles' (orbit_pattern_oracles):
+    the pure-Python ones over paley3(GF(11)), paley3(GF(13)) and the 4-D
+    product of paley2(GF(11)), the float64 ones over paley3 at q in
+    {49, 81, 121, 125}, where nu >= p widens the head prefix at 49, 81 and
+    121.  Many first fail on axis 1, past the head prefix of axis 0 and
+    B's compare: is_hadamard on 32 of paley3(GF(13))'s 192 patterns, and
+    is_proper on 48 of paley3(GF(11))'s."""
+    monkeypatch.setattr(ncube, "_BUDGET", budget)
+    later = collections.Counter()
+    for key, default_stride, stride in ORBIT_PATTERN_BASES[oracles]:
+        stride = default_stride if budget == BUDGETS[-1] else stride
+        n = pattern_base(key).n
+        for k, (i, j) in enumerate(((0, 1), (1, 2), (0, n - 1))):
+            for bits in range(k % stride, 64, stride):
+                c = orbit_pattern_cube(key, i, j, bits)
+                reports = is_hadamard(c), is_proper(c)
+                assert reports == orbit_pattern_oracles(key, i, j, bits), (key, i, j, bits)
+                assert (is_hadamard(c), is_proper(c)) == reports, (key, i, j, bits)
+                assert ncube._affine_fixes(c), (key, i, j, bits)
+                later.update((key, name) for name, rep in zip(("hadamard", "proper"), reports)
+                             if rep.axis == 1)
+    if oracles == "pure-python":
+        assert later[("paley3", 13), "hadamard"] == 32 and later[("paley3", 11), "proper"] == 48
+    assert all(later[key, "hadamard"] + later[key, "proper"]
+               for key, _, _ in ORBIT_PATTERN_BASES[oracles])
+
+
+def test_a_hit_in_gram_row_0_of_the_head_prefix_is_reported_with_no_compare(monkeypatch):
+    """A fresh paley3(GF(49)) with one entry flipped at axis-0 index x, for
+    each x in [3, 11) but 1 + nu = 10, fails first at (0, x) of axis 0:
+    the flip changes the inner products of layer x alone.  (0, x) lies in
+    Gram row 0 of the head prefix [0, 2 + nu) = [0, 11), so it is the full
+    scan's first violation whatever the group, and is reported before any
+    relabelling is compared; a shortcut kept to (0, 1) and (0, 2) would
+    first compare B, and find that it does not fix the flipped cube."""
+    base = paley3(Field(49))
+    assert ncube._heads(50) == 11
+    calls = relabel_calls(monkeypatch)
+    for x in (3, 4, 5, 6, 7, 8, 9):
+        a = base.array.copy()
+        a[x, 7, 23] *= -1
+        c = SignCube(3, 50, a)
+        report = is_hadamard(c)
+        assert (report.axis, report.pair) == (0, (0, x))
+        assert report == gram_oracle(c)
+        assert calls == []
 
 
 # -- the per-thread scratch ------------------------------------------------------
