@@ -7,10 +7,13 @@ encoding doubles as the canonical enumeration used for file formats and for
 indexing the projective line.
 
 Everything a Field derives from q alone (the canonical irreducible, the
-digit vectors, the primitive element, the exp/log tables and the chi
-table) is built once per order and process by _field_tables, a bounded
-LRU cache, and shared, immutable, by every Field of that order; the
-instances themselves stay distinct.
+weights p**j, the primitive element, the exp/log tables and the chi table)
+is built once per order and process by _field_tables, a bounded LRU cache,
+and shared, immutable, by every Field of that order; the instances
+themselves stay distinct.  Field is the one place that does digit
+arithmetic on element indices: sums go digit by digit (Field._plus),
+products through exp/log (Field._times), for one index or for arrays of
+them.
 """
 
 import functools
@@ -28,8 +31,8 @@ from .errors import (
     TooLarge,
 )
 
-# Largest order Field accepts.  It bounds the exp and log tables, tuples and
-# arrays of q ints, and keeps paley2 of every admitted order, (q + 1)**2 <= 2**28
+# Largest order Field accepts.  It bounds the exp and log tables, arrays of
+# q ints, and keeps paley2 of every admitted order, (q + 1)**2 <= 2**28
 # entries, within constructions.MAX_ENTRIES.  Checked before q is factored,
 # so a huge q costs no trial division either.
 MAX_ORDER = 16383
@@ -114,19 +117,16 @@ def canonical_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 
 class _Tables(NamedTuple):
-    """What a Field of order q = p**k derives from p and k alone, every part
-    immutable: tuples of Python ints for the scalar operations, read-only
-    arrays for the vectorized ones."""
+    """What a Field of order q = p**k derives from p and k alone, each fact
+    held once and immutable: tuples for the polynomial and the weights,
+    read-only int arrays indexed by element for the rest."""
 
     irr: tuple[int, ...]
     weights: tuple[int, ...]  # p**j for j < k
-    digits: tuple[tuple[int, ...], ...]  # coefficient vector of each index
     prim: int  # the first primitive element
-    exp: tuple[int, ...]  # exp[i] = prim**i, i < q - 1
-    log: tuple[int, ...]  # log[exp[i]] = i; log[0] = 0, unused
-    exp_array: np.ndarray  # exp and log as read-only int arrays
-    log_array: np.ndarray
-    chi: np.ndarray  # chi by element index, read-only int8, 0 at zero
+    exp: np.ndarray  # exp[i] = prim**i, i < q - 1
+    log: np.ndarray  # log[exp[i]] = i; log[0] = 0, unused
+    chi: np.ndarray  # chi by element index, int8, 0 at zero
 
 
 def _poly_mulmod(a, b, irr, p) -> list[int]:
@@ -145,29 +145,30 @@ def _read_only(values, dtype=None) -> np.ndarray:
 def _field_tables(p: int, k: int) -> _Tables:
     """The tables of GF(p**k), built on the first Field of that order and
     then shared.  At most 32 orders are kept, least recently used first
-    out.  The largest admitted order, q = 16381, takes 2 947 292 bytes
-    (tracemalloc): its exp and log tables as tuples and as arrays, and q
-    digit tuples.  So the cache never holds more than about 94 MB.
+    out.  The largest admitted order, q = 16381, takes 279 072 bytes
+    (tracemalloc): its exp and log tables, int64, and its int8 chi table.
+    So the cache never holds more than about 9 MB.
 
     The primitive element: multiplication by a fixed g is F_p-linear, so
     one (q x k)(k x k) product mod p gives g * a for every element a at
-    once: digits holds the coefficient vectors of 0..q-1 as rows, and row
-    j of the k x k factor those of g * p**j, g times the basis monomial
-    x**j.  Each candidate g in enumeration order has its powers walked
-    through its table back to 1, and the first walk of q - 1 steps is the
-    primitive element's exp table.  A power of a walked candidate has an
-    order dividing that candidate's, too small, so it is not walked.
+    once: digits holds the coefficient vectors of 0..q-1 as rows, for the
+    build alone, and row j of the k x k factor those of g * p**j, g times
+    the basis monomial x**j.  Each candidate g in enumeration order has
+    its powers walked through its table back to 1, and the first walk of
+    q - 1 steps is the primitive element's exp table.  A power of a walked
+    candidate has an order dividing that candidate's, too small, so it is
+    not walked.
     """
     q = p**k
     irr = canonical_irreducible(p, k)
     weights = tuple(p**j for j in range(k))
     digits = np.arange(q)[:, None] // np.array(weights) % p
-    vectors = tuple(map(tuple, digits.tolist()))
     walked = set()
     for g in range(1, q):
         if g in walked:
             continue
-        basis = np.array([_poly_mulmod(vectors[g], vectors[w], irr, p) for w in weights])
+        basis = np.array([_poly_mulmod(digits[g].tolist(), digits[w].tolist(), irr, p)
+                          for w in weights])
         times_g = (digits @ basis % p @ np.array(weights)).tolist()
         exp, x = [1], g
         while x != 1:
@@ -176,13 +177,11 @@ def _field_tables(p: int, k: int) -> _Tables:
         if len(exp) == q - 1:
             break
         walked.update(exp)
-    log = [0] * q
-    for i, e in enumerate(exp):
-        log[e] = i
-    log_array = _read_only(log)
-    chi = _read_only(np.r_[0, np.where(log_array[1:] & 1, -1, 1)], np.int8)
-    return _Tables(irr, weights, vectors, g, tuple(exp), tuple(log),
-                   _read_only(exp), log_array, chi)
+    log = np.zeros(q, np.int64)
+    log[exp] = np.arange(q - 1)
+    chi = np.r_[0, np.where(log[1:] & 1, -1, 1)]
+    return _Tables(irr, weights, g, _read_only(exp, np.int64), _read_only(log),
+                   _read_only(chi, np.int8))
 
 
 class Field:
@@ -204,8 +203,7 @@ class Field:
         self.p, self.k = factor_prime_power(q)
         self.q = order
         self._tables = t = _field_tables(self.p, self.k)
-        self.irr, self._weights, self._digits = t.irr, t.weights, t.digits
-        self._exp, self._log = t.exp, t.log
+        self.irr, self._weights, self._exp, self._log = t.irr, t.weights, t.exp, t.log
 
     def __repr__(self):
         return f"GF({self.q})"
@@ -229,7 +227,8 @@ class Field:
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Coefficient vector of element a, constant term first."""
-        return self._digits[self._index(a)]
+        a = self._index(a)
+        return tuple(a // w % self.p for w in self._weights)
 
     def element(self, coeffs) -> int:
         """Index of the element with the given coefficient vector, each
@@ -241,36 +240,48 @@ class Field:
 
     # -- additive structure (coefficientwise mod p) ---------------------------
 
+    def _plus(self, y, b, sign: int = 1):
+        """y + sign * b, sign +-1, digit by digit mod p, as the index
+        encoding adds: for indices y and b that are ints, or int arrays of
+        indices, elementwise.  The one place digits are added; no index is
+        checked."""
+        return sum((y // w + sign * (b // w)) % self.p * w for w in self._weights)
+
     def add(self, a: int, b: int) -> int:
-        da, db = self.coeffs(a), self.coeffs(b)
-        return sum((x + y) % self.p * w for x, y, w in zip(da, db, self._weights))
+        return self._plus(self._index(a), self._index(b))
 
     def sub(self, a: int, b: int) -> int:
-        da, db = self.coeffs(a), self.coeffs(b)
-        return sum((x - y) % self.p * w for x, y, w in zip(da, db, self._weights))
+        return self._plus(self._index(a), self._index(b), -1)
 
     def neg(self, a: int) -> int:
-        return sum(-x % self.p * w for x, w in zip(self.coeffs(a), self._weights))
+        return self._plus(0, self._index(a), -1)
 
     # -- multiplicative structure ---------------------------------------------
 
     def _mul_raw(self, a: int, b: int) -> int:
         """Polynomial product reduced modulo irr, without tables: the
         tests' oracle."""
-        rem = _poly_mulmod(self._digits[a], self._digits[b], self.irr, self.p)
+        rem = _poly_mulmod(self.coeffs(a), self.coeffs(b), self.irr, self.p)
         return sum(c * w for c, w in zip(rem, self._weights))
+
+    def _times(self, c: int, y: np.ndarray) -> np.ndarray:
+        """c * y for an index c and an int array y of indices, elementwise,
+        through the exp/log tables; no index is checked."""
+        if c == 0:
+            return np.zeros_like(y)
+        return np.where(y == 0, 0, self._exp[(self._log[c] + self._log[y]) % (self.q - 1)])
 
     def mul(self, a: int, b: int) -> int:
         a, b = self._index(a), self._index(b)
         if a == 0 or b == 0:
             return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self._exp.item((self._log[a] + self._log[b]) % (self.q - 1))
 
     def inv(self, a: int) -> int:
         a = self._index(a)
         if a == 0:
             raise DivisionByZero("inverse of zero")
-        return self._exp[-self._log[a] % (self.q - 1)]
+        return self._exp.item(-self._log[a] % (self.q - 1))
 
     def primitive_element(self) -> int:
         """First element in enumeration order with multiplicative order q-1."""

@@ -43,10 +43,11 @@ When q = v - 1 is an odd prime power p**k (up to gf.MAX_ORDER), and only
 then, the verifiers also ask whether H is fixed by the affine group B of
 the maps x -> a*x + b on the projective line over GF(q) (infinity
 first), a a non-zero square.  B is generated by the digit translations
-tau_j: x -> x + p**j, which add 1 mod p to digit j of the element index
-(_translations, from p and k alone), and sigma: x -> g²x, g Field(q)'s
-first primitive element (_scaling, _affine_fixes).  B is PSL(2, q)'s
-stabilizer of infinity, and tau_0 and sigma have the bytes of PSL's
+tau_j: x -> x + p**j, which add 1 mod p to digit j of the element index,
+and sigma: x -> g²x, g Field(q)'s first primitive element (_affine_fixes).
+They are kept, with nu and x -> -x, in one record per order, built from
+Field(q)'s sums and products (_point_maps).  B is PSL(2, q)'s stabilizer
+of infinity, and tau_0 and sigma have the bytes of PSL's
 translation and scaling, so the PSL check reads both verdicts from the
 memo.  A relabelling pi that fixes H on every coordinate at once maps the
 layers of axis j at a and b onto those at pi(a) and pi(b), with the same
@@ -86,7 +87,7 @@ one axis alone, by the same argument, as each normalizes B: a permutation
 of the coordinates, such as the rotation, commutes with B, which
 relabels every coordinate alike (_fixes); and the mirror
 rho: H(x_1, ..., x_n) = H(-x_n, ..., -x_1) (_mirror_fixes), with -x
-taken digit by digit over GF(p**k) (_negation), which fixes the Paley
+taken digit by digit over GF(p**k) (_point_maps), which fixes the Paley
 cubes and the products of their paley2, takes x -> a*x + b to
 x -> a*x - b.  rho maps the layers of axis j onto those of axis
 n - 1 - j, and the 2-D layers of a pair (j1, j2) onto those of
@@ -134,8 +135,7 @@ from .errors import (
     ShapeMismatch,
     TooLarge,
 )
-from .gf import MAX_ORDER, Field, _factor, _integer
-from .projline import psl_generators
+from .gf import MAX_ORDER, Field, _factor, _integer, _read_only
 
 # Most axes a cube may have: numpy 1.x's limit on array dimensions.  Only
 # order 1 comes near it: at order 2, 33 axes already make 2**33 entries.
@@ -574,72 +574,66 @@ def _rotation_fixes(H: SignCube) -> bool:
     return _fixes(H, axes=(*range(1, H.n), 0))
 
 
-@functools.lru_cache(maxsize=64)
-def _translations(v: int) -> tuple:
-    """The digit translations of PG(1, q), q = v - 1 = p**k an odd prime
-    power up to gf.MAX_ORDER, as (perm, rows) in compare order; () at any
-    other order.  From p and k alone (gf._factor), with no Field.
+@dataclass(frozen=True)
+class _PointMaps:
+    """B's generators and the mirror's negation on PG(1, q), q = v - 1 =
+    p**k, each a read-only permutation of point indices, infinity first
+    and element a at 1 + a.
 
-    Element a has index sum(a_j * p**j), so tau_j: x -> x + p**j adds 1 mod
-    p to digit j of the index, whatever the modulus polynomial: perm is it
-    on point indices, infinity first and a at 1 + a, read-only.  tau_{k-1},
-    first, has 3 runs, as x -> x + 1 has at k = 1, and rows None: it is
-    compared whole.  Each later tau_j has rows = 1 + p**(j + 1): the points
-    infinity and the a with digits j + 1 to k - 1 zero, which meet every
-    orbit of <tau_{j+1}, ..., tau_{k-1}>, a group tau_j commutes with.  So
-    once those have passed, H relabelled by tau_j is fixed by that group as
-    H is, and two such cubes that agree on the n-tuples whose first
+    chain holds the digit translations tau_j: x -> x + p**j as (perm,
+    rows) in compare order, j from k - 1 down to 0.  Element a has index
+    sum(a_j * p**j), so tau_j adds 1 mod p to digit j of the index,
+    whatever the modulus polynomial.  tau_{k-1}, first, has 3 runs, as
+    x -> x + 1 has at k = 1, and rows None: it is compared whole.  Each
+    later tau_j has rows = 1 + p**(j + 1): the points infinity and the a
+    with digits j + 1 to k - 1 zero, which meet every orbit of
+    <tau_{j+1}, ..., tau_{k-1}>, a group tau_j commutes with.  So once
+    those have passed, H relabelled by tau_j is fixed by that group as H
+    is, and two such cubes that agree on the n-tuples whose first
     coordinate is in the prefix are equal.  tau_0, last, has the bytes of
     PSL's translation x -> x + 1.
+
+    sigma is x -> g²x, g the field's first primitive element, with the
+    bytes of psl_generators(F)[2].perm(); nu is the least non-square's
+    index; neg is x -> -x, so [0, 1, v - 1, v - 2, ..., 2] when q is
+    prime.
+    """
+
+    chain: tuple
+    sigma: np.ndarray
+    nu: int
+    neg: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _point_maps(v: int) -> _PointMaps | None:
+    """The _PointMaps of order v, from Field(v - 1)'s sums (Field._plus)
+    and products (Field._times), so that no digit is read here; None,
+    with no Field built, unless v - 1 is an odd prime power up to
+    gf.MAX_ORDER.  Field(q) takes the order's tables from gf's per-order
+    cache, so a field its caller built already, as hdm verify --psl does,
+    is not built again.
     """
     q = v - 1
-    factors = _factor(q) if 3 <= q <= MAX_ORDER and q % 2 else {}
-    if len(factors) != 1:
-        return ()
-    [(p, k)] = factors.items()
-    a, chain = np.arange(q), []
-    for j in range(k - 1, -1, -1):
-        w = p**j
-        tau = np.r_[0, 1 + a + np.where(a // w % p == p - 1, w - p * w, w)]
-        tau.flags.writeable = False
-        chain.append((tau, None if j == k - 1 else 1 + p * w))
-    return tuple(chain)
+    if not (3 <= q <= MAX_ORDER and q % 2 and len(_factor(q)) == 1):
+        return None
+    F, x = Field(q), np.arange(q)
 
+    def on_points(images: np.ndarray) -> np.ndarray:  # infinity first, a at 1 + a
+        return _read_only(np.r_[0, 1 + images])
 
-@functools.lru_cache(maxsize=64)
-def _scaling(v: int) -> tuple[np.ndarray, int]:
-    """(sigma, nu) for q = v - 1 an odd prime power with _translations:
-    sigma is x -> g²x on PG(1, q) as point indices, read-only, with the
-    bytes of psl_generators(F)[2].perm() (g F's first primitive element),
-    and nu is the least non-square's index.  Asked only once the
-    translations have passed or are assumed to (_affine_fixes) or, when
-    q = 1 (mod 4), for is_hadamard's head layers (_heads).  Field(q) takes
-    the order's tables from gf's per-order cache, so a field its caller
-    built already, as hdm verify --psl does, is not built again.
-    """
-    F = Field(v - 1)
-    sigma = np.array(psl_generators(F)[2].perm())
-    sigma.flags.writeable = False
-    return sigma, int(np.argmax(F.chi_table == -1))
-
-
-@functools.lru_cache(maxsize=64)
-def _negation(v: int) -> np.ndarray:
-    """x -> -x on PG(1, q), q = v - 1 = p**k, as point indices, infinity
-    first and element a at 1 + a, read-only: each digit of a's index
-    negated mod p, so [0, 1, v - 1, v - 2, ..., 2] when q is prime."""
-    [(p, k)] = _factor(v - 1).items()
-    a = np.arange(v - 1)
-    neg = np.r_[0, 1 + sum(-(a // p**j) % p * p**j for j in range(k))]
-    neg.flags.writeable = False
-    return neg
+    chain = tuple((on_points(F._plus(x, F.p**j)), None if j == F.k - 1 else 1 + F.p**(j + 1))
+                  for j in range(F.k - 1, -1, -1))
+    g = F.primitive_element()
+    return _PointMaps(chain, on_points(F._times(F.mul(g, g), x)),
+                      int(np.argmax(F.chi_table == -1)), on_points(F._plus(0, x, -1)))
 
 
 def _mirror_fixes(H: SignCube) -> bool:
     """Is H(x_1, ..., x_n) = H(-x_n, ..., -x_1) everywhere?  Asked only
     once H._fixed holds that B fixes H; False otherwise, with no compare.
 
-    The mirror rho is x -> -x on every coordinate (_negation) with the
+    The mirror rho is x -> -x on every coordinate (_point_maps) with the
     coordinates reversed, P(H) = H.transpose(axes) for the reversed axes,
     and rho fixes H when H relabelled by x -> -x equals P(H): the
     reversal and the negation are their own inverses.  rho normalizes B:
@@ -649,7 +643,7 @@ def _mirror_fixes(H: SignCube) -> bool:
     permutations are (_fixes), which keeps the verdict.
     """
     return _affine_fixes(H, assume=False) and _fixes(
-        H, _negation(H.v), axes=tuple(range(H.n - 1, -1, -1)), rows=2)
+        H, _point_maps(H.v).neg, axes=tuple(range(H.n - 1, -1, -1)), rows=2)
 
 
 def _affine_fixes(H: SignCube, assume: bool | None = None) -> bool:
@@ -658,8 +652,8 @@ def _affine_fixes(H: SignCube, assume: bool | None = None) -> bool:
     prime power up to gf.MAX_ORDER.
 
     B is generated by the digit translations, which generate the group A
-    of all translations, and sigma: x -> g²x (_scaling).  The translations
-    are compared first, in the order of _translations: tau_{k-1} whole and
+    of all translations, and sigma: x -> g²x (_point_maps).  The
+    translations are compared first, in chain order: tau_{k-1} whole and
     each later one on its prefix of axis 0.  sigma is compared only once
     they have passed, on indices [0, 2) of axis 0 alone: sigma normalizes
     A, since sigma(x + b) = sigma(x) + g²b, so H relabelled by sigma is
@@ -669,22 +663,23 @@ def _affine_fixes(H: SignCube, assume: bool | None = None) -> bool:
     a verdict not kept yet, assume=True asks whether B may still be shown
     to fix H, and assume=False whether it is shown already.
     """
-    chain = _translations(H.v)
-    return bool(chain) and all(_fixes(H, tau, rows=rows, assume=assume) for tau, rows in chain) \
-        and _fixes(H, _scaling(H.v)[0], rows=2, assume=assume)
+    maps = _point_maps(H.v)
+    return maps is not None \
+        and all(_fixes(H, tau, rows=rows, assume=assume) for tau, rows in maps.chain) \
+        and _fixes(H, maps.sigma, rows=2, assume=assume)
 
 
 def _heads(v: int) -> int:
     """The number t of head layers [0, t) of an axis, for q = v - 1 an odd
     prime power: 3 when q = 3 (mod 4), else 2 + nu, nu the least
-    non-square's index (_scaling).  Gram rows [0, 2) of those layers hold
+    non-square's index (_point_maps).  Gram rows [0, 2) of those layers hold
     the entries that head B's orbits of pairs of points.  B fixes infinity
     and is transitive on GF(q), so (0, 1) heads the pairs {infinity, x};
     it maps {x, y} to {0, y - x} and scales by squares, so the finite
     pairs fall by whether y - x is a square: one orbit, headed by (1, 2),
     when -1 is a non-square (q = 3 mod 4), else two, headed by (1, 2) and
     (1, 1 + nu), since the elements of index 1 to nu - 1 are squares."""
-    return 3 if v % 4 == 0 else 2 + _scaling(v)[1]
+    return 3 if v % 4 == 0 else 2 + _point_maps(v).nu
 
 
 @functools.lru_cache(maxsize=64)
@@ -693,7 +688,7 @@ def _representatives(v: int, m: int) -> tuple:
     m-tuples of points in canonical form under B, for q = v - 1 an odd
     prime power: every coordinate before the first finite one is infinity, the
     first finite one is 0, the first later one that is neither infinity
-    nor 0 is 1 or nu (_scaling), and the coordinates after it are free.
+    nor 0 is 1 or nu (_point_maps), and the coordinates after it are free.
 
     B fixes infinity; a unique translation takes the first finite
     coordinate to 0, and then a unique square scaling takes the next
@@ -704,7 +699,7 @@ def _representatives(v: int, m: int) -> tuple:
     one.  The spans come from slicing whole blocks of free trailing
     coordinates, with no table of all v**m tuples.
     """
-    nu = _scaling(v)[1]
+    nu = _point_maps(v).nu
 
     def walk(base: int, i: int, finite: bool):
         if i == m:
@@ -884,7 +879,7 @@ def is_proper(H: SignCube) -> VerifyReport:
         if r and reps is None and _affine_fixes(H, assume=False):
             reps = _representatives(v, n - 2)
         # n = 3: the layers z = inf and z = 0, on Gram rows [0, 2 + nu)
-        rows = 2 + _scaling(v)[1] if reps and n == 3 else None
+        rows = 2 + _point_maps(v).nu if reps and n == 3 else None
         hit = _scan(lay[:r], rows=rows, at=reps)
         if hit is None and r and reps is None and not _affine_fixes(H):
             r, hit = None, _scan(lay)

@@ -98,21 +98,14 @@ class Moebius:
         """Action on point indices: perm[i] = index of the image of point i.
 
         The images are those apply gives, computed for every finite point at
-        once: products and quotients from the read-only exp/log arrays the
-        field's order shares, sums digit by digit in base p, as the index
-        encoding adds."""
-        F = self.field
-        exp, log, x = F._tables.exp_array, F._tables.log_array, np.arange(F.q)
-
-        def times(c: int, y: np.ndarray) -> np.ndarray:  # c * y, elementwise
-            return np.where(y == 0, 0, exp[(log[c] + log[y]) % (F.q - 1)]) if c else 0 * y
-
-        def plus(y: np.ndarray, b: int) -> np.ndarray:  # y + b, elementwise
-            return sum((y // w + b // w) % F.p * w for w in F._weights)
-
-        num, den = plus(times(self.a, x), self.b), plus(times(self.c, x), self.d)
+        once by the field's array operations: products by a constant
+        (Field._times) and sums (Field._plus), then the quotients num / den
+        from the same exp/log tables."""
+        F, x = self.field, np.arange(self.field.q)
+        num = F._plus(F._times(self.a, x), self.b)
+        den = F._plus(F._times(self.c, x), self.d)
         # num and den are never both 0, as ad - bc = 1; den = 0 maps to infinity
-        ratio = np.where(num == 0, 0, exp[(log[num] - log[den]) % (F.q - 1)])
+        ratio = np.where(num == 0, 0, F._exp[(F._log[num] - F._log[den]) % (F.q - 1)])
         at_inf = pg_index(self.apply(INF))
         return (at_inf, *np.where(den == 0, 0, 1 + ratio).tolist())
 

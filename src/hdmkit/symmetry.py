@@ -79,18 +79,19 @@ def layer_equiv_witness(F: Field, c: PPoint) -> Moebius:
     Relabelling both free coordinates of the z = c layer of an invariant
     cube by this map yields the z = infinity layer, so every fixed-value
     layer is a row/column permutation of that one.  c must be an element
-    of F: infinity raises InfinityNotAllowed, any other point outside
-    0..q-1 IndexOutOfRange.
+    of F: infinity raises InfinityNotAllowed, any other point that is not
+    an index in 0..q-1 as F._index reads it (never a bool, a str or a
+    list) IndexOutOfRange, from F.neg.
     """
     if c.is_infinity:
         raise InfinityNotAllowed("c must be finite; the identity already works")
-    if not 0 <= c.e < F.q:
-        raise IndexOutOfRange(f"point {c} is not an element of GF({F.q})")
     return Moebius(F, 0, F.neg(1), 1, F.neg(c.e))
 
 
 def check_layer_witness(F: Field, H: SignCube, c: PPoint) -> bool:
-    """Verify layer_c(x, y) = layer_inf(f(x), f(y)) for the witness f."""
+    """Verify layer_c(x, y) = layer_inf(f(x), f(y)) for the witness f.
+    The layer is found at 1 + c.e with c.e read by F._index, a Python int,
+    so a numpy integer such as np.uint8(255) does not wrap."""
     _check_shape(H, F)
     perm = layer_equiv_witness(F, c).perm()
-    return _relabels_to(H.array[:, :, 0], H.array[:, :, 1 + c.e], perm)
+    return _relabels_to(H.array[:, :, 0], H.array[:, :, 1 + F._index(c.e)], perm)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -343,7 +344,7 @@ def test_fields_of_one_order_share_their_tables_but_are_distinct():
     F, G = Field(9), Field(np.int64(9))
     assert F is not G
     assert F._tables is G._tables
-    assert F._exp is G._exp and F._log is G._log and F._digits is G._digits
+    assert F._exp is G._exp and F._log is G._log and F._weights is G._weights
     assert F.chi_table is G.chi_table
     assert F.irr is G.irr
     assert Field(27)._tables is not F._tables
@@ -352,11 +353,11 @@ def test_fields_of_one_order_share_their_tables_but_are_distinct():
 def test_shared_tables_refuse_writes():
     F = Field(25)
     t = F._tables
-    for array in (t.exp_array, t.log_array, t.chi, F.chi_table):
+    for array in (t.exp, t.log, t.chi, F.chi_table):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[1] = 0
-    for seq in (t.exp, t.log, t.digits, t.weights, t.irr, t.digits[3]):
+    for seq in (t.weights, t.irr):
         with pytest.raises(TypeError):
             seq[0] = 0
     with pytest.raises(AttributeError):
@@ -364,6 +365,36 @@ def test_shared_tables_refuse_writes():
     # a write through one instance's chi_table attribute stays its own
     F.chi_table = np.zeros(25, np.int8)
     assert Field(25).chi_table is t.chi and t.chi[1] == 1
+
+
+def test_tables_hold_each_table_once():
+    """An uncached GF(16381) build holds its exp, log and chi arrays and
+    little else: no part of _Tables is a Python sequence of q entries."""
+    gf._field_tables.__wrapped__(7, 1)  # imports and first-call state outside the trace
+    tracemalloc.start()
+    try:
+        tables = gf._field_tables.__wrapped__(16381, 1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 320_000
+    for part in tables:
+        assert isinstance(part, (int, tuple, np.ndarray))
+        assert not isinstance(part, tuple) or len(part) <= 2
+    assert [part.size for part in tables if isinstance(part, np.ndarray)] == [16380, 16381, 16381]
+
+
+@pytest.mark.parametrize("q", [7, 9, 16381])
+def test_scalar_operations_return_python_ints(q):
+    """The tables are numpy arrays; what the scalar operations return is
+    not a numpy integer."""
+    F = Field(q)
+    for a, b in ((1, 2), (q - 1, 3), (2, q - 2)):
+        for value in (F.add(a, b), F.sub(a, b), F.neg(a), F.mul(a, b), F.inv(a), F.chi(a),
+                      *F.coeffs(a), F.element(F.coeffs(a))):
+            assert type(value) is int, (q, a, b, value)
+    assert type(F.primitive_element()) is int
+    assert F.element(F.coeffs(q - 1)) == q - 1
 
 
 def test_cache_keeps_the_32_most_recent_orders():

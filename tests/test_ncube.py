@@ -889,7 +889,7 @@ def test_a_kept_shift_verdict_is_read_before_any_prefix(monkeypatch):
     del scans[:]
     assert is_proper(fresh) == proper_oracle(flipped)
     assert scans == [((2, v, 1, v), None), ((v, v, 1, v), None)]
-    assert calls == [(None, tuple(ncube._translations(v)[0][0].tolist()))]
+    assert calls == [(None, tuple(ncube._point_maps(v).chain[0][0].tolist()))]
 
 
 def test_a_cube_that_fails_in_the_prefix_makes_no_compare(monkeypatch):
@@ -1047,31 +1047,80 @@ ODD_PRIMES_LE_251 = [p for p in range(3, 252, 2) if all(p % d for d in range(3, 
 ODD_PRIME_POWERS_LE_251 = sorted(p**k for p in ODD_PRIMES_LE_251 for k in range(1, 6) if p**k <= 251)
 
 
-def test_translations_scaling_and_negation_match_the_field():
+def test_translations_scaling_and_negation_match_the_field(monkeypatch):
     """For every odd prime power q = p**k <= 251 the verifiers' digit
     translations are x -> x + p**j, most significant first, the first
     compared whole and tau_j on the indices [0, 1 + p**(j + 1)); the last,
     x -> x + 1, has the bytes of psl_generators' translation, the scaling
     x -> g^2 x those of its scaling, nu is the least non-square and the
     negation is x -> -x, all by Field's arithmetic.  Any other order, and
-    one whose v - 1 exceeds gf.MAX_ORDER, has no translations."""
+    one whose v - 1 exceeds gf.MAX_ORDER, has no point maps, and builds no
+    Field to find that out."""
     for q in ODD_PRIME_POWERS_LE_251:
-        F = Field(q)
-        chain = ncube._translations(q + 1)
+        F, maps = Field(q), ncube._point_maps(q + 1)
+        chain = maps.chain
         assert [rows for _, rows in chain] == [None, *(1 + F.p**j for j in range(F.k - 1, 0, -1))]
         for (tau, _), j in zip(chain, range(F.k - 1, -1, -1)):
             assert tau.tolist() == [0, *(1 + F.add(a, F.p**j) for a in F.elems)], (q, j)
         translation, _, scaling = (ncube._memo_key(g.perm()) for g in psl_generators(F))
-        sigma, nu = ncube._scaling(q + 1)
         assert ncube._memo_key(chain[-1][0]) == translation
-        assert ncube._memo_key(sigma) == scaling
-        assert nu == min(a for a in range(1, q) if F.chi(a) == -1)
-        assert ncube._negation(q + 1).tolist() == [0, *(1 + F.neg(a) for a in F.elems)]
-        perms = [tau for tau, _ in chain] + [sigma, ncube._negation(q + 1)]
+        assert ncube._memo_key(maps.sigma) == scaling
+        assert maps.nu == min(a for a in range(1, q) if F.chi(a) == -1)
+        assert maps.neg.tolist() == [0, *(1 + F.neg(a) for a in F.elems)]
+        perms = [tau for tau, _ in chain] + [maps.sigma, maps.neg]
         assert not any(perm.flags.writeable for perm in perms)
+    monkeypatch.setattr(ncube, "Field", None)  # calling it would raise TypeError
     for v in (1, 2, 3, 5, 16, 22, 34, 16384, 16412):
-        assert ncube._translations(v) == (), v
+        assert ncube._point_maps.__wrapped__(v) is None, v
+        assert ncube._point_maps(v) is None, v
         assert not ncube._affine_fixes(SignCube(1, v, np.ones(v, np.int8)))
+
+
+# sha256 prefixes of each order's point maps, taken from the separate
+# translation, scaling and negation helpers that the one record replaced
+POINT_MAP_DIGESTS = {
+    3: "5444b849616a6a46", 5: "1bc9c3f5dc370f3c", 7: "ac88639dea628258",
+    9: "41941097d98e0e2b", 11: "420d5af7aa120e74", 13: "8155243d5d168afc",
+    17: "125ed33e44befe03", 19: "14b00591b123ce73", 23: "4dd19804bb6aca01",
+    25: "25220de613132166", 27: "534e42cc96b431aa", 29: "80d7ca184e0808a2",
+    31: "914e3eeaaf0c2367", 37: "debd0b3834268df5", 41: "85d4ed05bc65ec1d",
+    43: "fc2882131d29e90d", 47: "81fda0a09151438f", 49: "d07f0fe7346c3f64",
+    53: "a2b382191ada50d0", 59: "ded9e351bcd878dd", 61: "d3e9aad0ee5d52ac",
+    67: "436029136be3aac6", 71: "459ab3e9d0c9bfa1", 73: "74eb73793986e92c",
+    79: "9070813501023eac", 81: "200df07b44e983c9", 83: "f25a8a33028b871a",
+    89: "cbf32e0dc9484673", 97: "d64ddc4e5ffae705", 101: "7de485fb99e31d1f",
+    103: "504251d7119ddac4", 107: "b22472bc5e763875", 109: "07d33f7e72cdb68e",
+    113: "801121f1b20fdf04", 121: "e94e37e26763de68", 125: "055441efd89948dd",
+    127: "757a1ce1ca54f1f5", 131: "ce4e16c88fd08f37", 137: "6ae1678fa9ab52f6",
+    139: "5ba2c60eb31e8c4f", 149: "3b6a5b053bb3738d", 151: "55d4c2516b4d0146",
+    157: "caf9a65d03525e44", 163: "ee77cd724a9363bd", 167: "196ee803fa93f518",
+    169: "e94b6425b5767c87", 173: "692b7fb5b271cb68", 179: "c303fe4acdda1fbe",
+    181: "bb31dc25ce14ad4d", 191: "a43dc60ee7ff5583", 193: "ab12d83beebcc431",
+    197: "a07303f759611a24", 199: "f5dbeb85bfb95a23", 211: "fe7c67b3170a2f88",
+    223: "bc36500b2d1d9b23", 227: "03dc21c95eea6a84", 229: "7fe18911ad11f8fc",
+    233: "52380e1956e613a7", 239: "53f555ed349fcd48", 241: "cad4c6df8622704f",
+    243: "f2b9eb3f84501e47", 251: "517a3d618c46654c", 343: "2e02e53470fb9fee",
+    729: "18a41214e451922e", 2187: "c7170555242a739e", 6561: "72bb9246189953c9",
+    15625: "75e03e59e20dea32", 16381: "cc3df904e9ecab9e",
+}
+
+
+def test_point_maps_keep_their_bytes():
+    """The digit translations with their rows, sigma, nu and x -> -x of
+    every odd prime power q <= 251 and of six larger ones up to 16381,
+    hashed in compare order: the same bytes as before the maps were read
+    off Field's sums and products."""
+    assert list(POINT_MAP_DIGESTS) == ODD_PRIME_POWERS_LE_251 + [343, 729, 2187, 6561, 15625, 16381]
+    for q, want in POINT_MAP_DIGESTS.items():
+        maps = ncube._point_maps(q + 1)
+        h = hashlib.sha256()
+        for tau, rows in maps.chain:
+            h.update(np.asarray(tau, np.int64).tobytes())
+            h.update(repr(rows).encode())
+        h.update(np.asarray(maps.sigma, np.int64).tobytes())
+        h.update(repr(maps.nu).encode())
+        h.update(np.asarray(maps.neg, np.int64).tobytes())
+        assert h.hexdigest()[:16] == want, q
 
 
 @functools.cache
@@ -1122,7 +1171,7 @@ def test_verifiers_match_oracles_on_cubes_fixed_by_the_affine_group(budget, monk
     reports = set()
     for n, p in shapes:
         v, orbits = p + 1, affine_orbits(n, p)
-        sigma = ncube._scaling(v)[0]
+        sigma = ncube._point_maps(v).sigma
         for _ in range(3):
             c = affine_cube(rng, n, p)
             for cube in (c, negated_on(c, orbits, int(rng.choice(orbits)))):
@@ -1179,7 +1228,7 @@ def test_cubes_only_the_shift_fixes_pay_the_probe_and_whole_scans(budget, monkey
     cubes = [affine_cube(rng, n, p, scales=(1,))
              for n, p in ((2, 5), (3, 5), (3, 7), (4, 5)) for _ in range(3)]
     # a random cube may be fixed by the scaling x -> -x too, most likely in 2-D
-    cubes = [c for c in cubes if not ncube._relabels_to(c.array, c.array, ncube._scaling(c.v)[0])]
+    cubes = [c for c in cubes if not ncube._relabels_to(c.array, c.array, ncube._point_maps(c.v).sigma)]
     assert len(cubes) >= 8
     for q, triples in ((7, [(1, 2, 4)]), (11, [(2, 5, 9)]), (7, [(1, 2, 4), (1, 2, 3)])):
         orbits = affine_orbits(3, q, (1,))
@@ -1195,7 +1244,7 @@ def test_cubes_only_the_shift_fixes_pay_the_probe_and_whole_scans(budget, monkey
     for c in cubes:
         v, axis0 = c.v, (1, c.v, 1, c.v ** (c.n - 1))
         assert ncube._relabels_to(c.array, c.array, shift(v))
-        assert not ncube._relabels_to(c.array, c.array, ncube._scaling(v)[0])
+        assert not ncube._relabels_to(c.array, c.array, ncube._point_maps(v).sigma)
         fresh = adopt(c.array)
         del scans[:]
         assert is_hadamard(c) == is_hadamard_naive(c)
@@ -1256,7 +1305,7 @@ def test_hadamard_cubes_negated_on_one_affine_orbit_fail_with_the_full_report(bu
 def affine_heads(v: int, m: int) -> set:
     """The least flat index of each orbit of m-tuples under B: the digit
     translations and the scaling (orbit_ids)."""
-    sigma = tuple(ncube._scaling(v)[0].tolist())
+    sigma = tuple(ncube._point_maps(v).sigma.tolist())
     return set(orbit_ids(m, v, (*translations(v), sigma)).tolist())
 
 
@@ -1312,7 +1361,7 @@ def test_affine_cubes_are_certified_by_head_and_canonical_layers(monkeypatch):
         del work[:]
         assert is_proper(cube).passed
         assert work == [(v, reps)] * pairs
-        sigma = tuple(ncube._scaling(v)[0].tolist())
+        sigma = tuple(ncube._point_maps(v).sigma.tolist())
         negation = (0, 1, *range(v - 1, 1, -1))
         assert calls == [(None, shift(v)), (None, sigma), ((*range(1, dim), 0), None),
                          (tuple(range(dim - 1, -1, -1)), negation)]
@@ -1385,7 +1434,7 @@ def test_verifiers_match_oracles_on_cubes_fixed_by_the_mirror(budget, monkeypatc
                               for o in rng.choice(np.unique(orbits), size=2, replace=False)]
         cubes.append(affine_cube(rng, n, p))
         for c in cubes:
-            whole = ncube._relabels_to(c.array, c.array.T, ncube._negation(v))
+            whole = ncube._relabels_to(c.array, c.array.T, ncube._point_maps(v).neg)
             assert ncube._affine_fixes(c) and ncube._mirror_fixes(c) == whole, (n, p)
             hadamard, proper = is_hadamard(c), is_proper(c)
             assert hadamard == is_hadamard_naive(c), (n, p)
@@ -1416,9 +1465,9 @@ def test_a_cube_the_mirror_does_not_fix_is_scanned_on_every_axis_and_pair(monkey
     assert rep.passed and rep == proper_oracle(cube)
     reps = sum(hi - lo for lo, hi in ncube._representatives(v, 2))
     assert work == [(v, reps)] * 6
-    assert calls[3:] == [((3, 2, 1, 0), tuple(ncube._negation(v).tolist()))]
+    assert calls[3:] == [((3, 2, 1, 0), tuple(ncube._point_maps(v).neg.tolist()))]
     assert len(calls) == 4 and keywords[3] == {"rows": 2}
-    assert not ncube._relabels_to(cube.array, cube.array.T, ncube._negation(v))
+    assert not ncube._relabels_to(cube.array, cube.array.T, ncube._point_maps(v).neg)
 
 
 def test_every_torus_orbit_of_row_pairs_has_its_least_member_below_row_2_plus_nu():
@@ -1430,7 +1479,7 @@ def test_every_torus_orbit_of_row_pairs_has_its_least_member_below_row_2_plus_nu
     prime fields and over GF(9), GF(25), GF(27) and GF(49), by Field's
     products."""
     for p in ODD_PRIMES_LE_251[:12] + [9, 25, 27, 49]:
-        F, v, nu = Field(p), p + 1, ncube._scaling(p + 1)[1]
+        F, v, nu = Field(p), p + 1, ncube._point_maps(p + 1).nu
         squares = sorted({F.mul(a, a) for a in range(1, p)})
         heads = set()
         for a, b in itertools.combinations(range(v), 2):
@@ -1454,7 +1503,7 @@ def test_affine_3_cubes_failing_in_layer_0_past_row_1_give_the_full_report(budge
         assert ncube._affine_fixes(c)
         del scans[:]
         rep = is_proper(c)
-        assert scans == [((2, v, 1, v), 2 + ncube._scaling(v)[1])]
+        assert scans == [((2, v, 1, v), 2 + ncube._point_maps(v).nu)]
         assert rep == proper_oracle(c) and rep.pair == pair
         assert (rep.checked_pairs - 1) // (v * (v - 1)) == 1  # the layer z = 0
         assert is_hadamard(c) == is_hadamard_naive(c)
@@ -1485,7 +1534,7 @@ def orbit_ids(n: int, v: int, perms: tuple) -> np.ndarray:
 
 def translations(v: int) -> tuple:
     """The digit translations of PG(1, v - 1) as tuples, in compare order."""
-    return tuple(tuple(tau.tolist()) for tau, _ in ncube._translations(v))
+    return tuple(tuple(tau.tolist()) for tau, _ in ncube._point_maps(v).chain)
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
@@ -1503,10 +1552,10 @@ def test_prefix_translation_verdicts_match_the_whole_compare(budget, monkeypatch
     signs = np.array([-1, 1], dtype=np.int8)
     verdicts = []
     for n, q in ((2, 9), (3, 9), (2, 25), (3, 25), (2, 27), (3, 27)):
-        v, chain = q + 1, ncube._translations(q + 1)
+        v, chain = q + 1, ncube._point_maps(q + 1).chain
         taus = translations(v)
         steps = [(perm, rows, taus[:i]) for i, (perm, rows) in enumerate(chain)]
-        steps.append((ncube._scaling(v)[0], 2, taus))
+        steps.append((ncube._point_maps(v).sigma, 2, taus))
         for perm, rows, before in steps:
             for fixed in (False, True):
                 group = before + (tuple(perm.tolist()),) * fixed
@@ -1519,7 +1568,7 @@ def test_prefix_translation_verdicts_match_the_whole_compare(budget, monkeypatch
                                                   rows=rows) == whole, (n, q, rows)
                         verdicts.append(whole)
                         expected = all(ncube._relabels_to(cube.array, cube.array, g)
-                                       for g in (*taus, ncube._scaling(v)[0]))
+                                       for g in (*taus, ncube._point_maps(v).sigma))
                         assert ncube._affine_fixes(adopt(cube.array)) == expected
     assert True in verdicts and False in verdicts
 
@@ -1543,7 +1592,7 @@ def test_prime_power_paley_cubes_and_negated_orbits_match_the_oracles(budget, mo
     failed = set()
     for q in (9, 25, 27):
         v, taus = q + 1, translations(q + 1)
-        sigma = tuple(ncube._scaling(v)[0].tolist())
+        sigma = tuple(ncube._point_maps(v).sigma.tolist())
         for group, fixed in ((taus, False), (taus + (sigma,), True)):
             orbits = orbit_ids(3, v, group)
             for orbit in rng.choice(np.unique(orbits), size=3, replace=False):
@@ -1559,7 +1608,7 @@ def test_prime_power_paley_cubes_and_negated_orbits_match_the_oracles(budget, mo
 def test_the_mirror_of_a_prime_power_product_negates_digit_by_digit(monkeypatch):
     """yang_product(paley2(GF(27)), 4) is fixed by B and by the mirror rho,
     x -> -x with the coordinates reversed, whose negation over GF(27) is
-    digit by digit (_negation): the verifiers compare the translations
+    digit by digit (_point_maps): the verifiers compare the translations
     x -> x + 9 (whole), x + 3 and x + 1 (on [0, 10) and [0, 4)), the
     scaling, the rotation, which does not fix the cube, and rho, each on
     [0, 2) but the first, then scan axes 0-1 and pairs (0, 1), (0, 2),
@@ -1574,8 +1623,8 @@ def test_the_mirror_of_a_prime_power_product_negates_digit_by_digit(monkeypatch)
     assert (is_hadamard(cube), is_proper(cube)) == expected
     reps = sum(hi - lo for lo, hi in ncube._representatives(v, 2))
     assert work == [(3, 1)] * 2 + [(v, reps)] * 4
-    rho = tuple(ncube._negation(v).tolist())
-    sigma = tuple(ncube._scaling(v)[0].tolist())
+    rho = tuple(ncube._point_maps(v).neg.tolist())
+    sigma = tuple(ncube._point_maps(v).sigma.tolist())
     assert calls == [(None, tau) for tau in translations(v)] + [
         (None, sigma), ((1, 2, 3, 0), None), ((3, 2, 1, 0), rho)]
     assert [kw.get("rows") for kw in keywords] == [None, 10, 4, 2, 2, 2]
@@ -2058,7 +2107,7 @@ def test_a_fresh_threads_first_whole_compare_peaks_within_the_budget():
     cube = paley3(Field(127))
     a, v = cube.array, cube.v
     assert a.nbytes >= 2 * ncube._BUDGET
-    for dst, perm in ((a.transpose(1, 2, 0), None), (a, shift(v)), (a.T, ncube._negation(v))):
+    for dst, perm in ((a.transpose(1, 2, 0), None), (a, shift(v)), (a.T, ncube._point_maps(v).neg)):
         peak = in_a_new_thread(lambda: traced_peak(ncube._relabels_to, a, dst, perm))
         assert peak <= ncube._BUDGET + (16 << 10), (view_axes(a, dst), peak)
 
@@ -2180,7 +2229,7 @@ def test_relabels_to_with_perm_and_axes_holds_no_copy_of_the_cube():
     tracemalloc's peak stays a small fraction of _BUDGET.  A gather from
     the transposed cube copied it whole first (2.1 MB with rows=2)."""
     cube = paley3(Field(127))
-    neg, mirror = ncube._negation(cube.v), cube.array.T
+    neg, mirror = ncube._point_maps(cube.v).neg, cube.array.T
     assert cube.data.nbytes >= 2 * ncube._BUDGET
 
     def peaks():

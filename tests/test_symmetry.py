@@ -422,6 +422,27 @@ def test_symmetry_checks_reject_bad_permutations_and_points(monkeypatch):
             check_layer_witness(F, cube, c)
 
 
+def test_layer_witness_reads_its_point_as_an_element_index():
+    """The point is read by Field._index: a str, a list or a bool is
+    IndexOutOfRange, not a bare TypeError or the element 1, and a numpy
+    integer is the element it holds, so np.uint8(255) finds layer 256,
+    not 1 + 255 wrapped to 0 in uint8."""
+    F = Field(7)
+    cube = paley3(F)
+    for c in (PPoint("a"), PPoint([1]), PPoint(True), PPoint(np.True_), PPoint(1.0)):
+        with pytest.raises(IndexOutOfRange):
+            layer_equiv_witness(F, c)
+        with pytest.raises(IndexOutOfRange):
+            check_layer_witness(F, cube, c)
+    for c in range(7):
+        witness = layer_equiv_witness(F, PPoint(np.int64(c)))
+        assert witness.perm() == layer_equiv_witness(F, PPoint(c)).perm()
+        assert type(witness.d) is int
+        assert check_layer_witness(F, cube, PPoint(np.uint8(c)))
+    F = Field(257)
+    assert check_layer_witness(F, paley3(F), PPoint(np.uint8(255)))
+
+
 def test_relabelling_callers_build_permutations():
     """_relabels_to clips an index out of range instead of raising, so it
     must be handed a permutation of range(v).  check_permutation_invariance
@@ -434,8 +455,8 @@ def test_relabelling_callers_build_permutations():
         F = Field(q)
         perms = [*(g.perm() for g in psl_generators(F)),
                  *(layer_equiv_witness(F, PPoint(c)).perm() for c in F.elems)]
-        perms += [tau for tau, _ in ncube._translations(q + 1)]
-        perms += [ncube._scaling(q + 1)[0], ncube._negation(q + 1)]
+        perms += [tau for tau, _ in ncube._point_maps(q + 1).chain]
+        perms += [ncube._point_maps(q + 1).sigma, ncube._point_maps(q + 1).neg]
         for perm in perms:
             assert sorted(np.asarray(perm).tolist()) == list(range(q + 1))
 
