@@ -47,22 +47,22 @@ tau_j: x -> x + p**j, which add 1 mod p to digit j of the element index,
 and sigma: x -> g²x, g Field(q)'s first primitive element (_affine_fixes).
 They are kept, with nu and x -> -x, in one record per order, built from
 Field(q)'s sums and products (_point_maps).  B is PSL(2, q)'s stabilizer
-of infinity, and tau_0 and sigma have the bytes of PSL's
-translation and scaling, so the PSL check reads both verdicts from the
-memo.  A relabelling pi that fixes H on every coordinate at once maps the
-layers of axis j at a and b onto those at pi(a) and pi(b), with the same
-inner product, and the 2-D layer at fixed values c onto the one at
-pi(c), its rows and columns relabelled alike.  So the full scan's first
-violation is the lex-least of its orbit, and a scan kept to the
-lex-least elements of B's orbits, in index order, reports it.  For
-is_hadamard those are Gram rows [0, 2) of the head layers [0, 3), or
-[0, 2 + nu) when q = 1 (mod 4), nu the least non-square's index (_heads);
-for is_proper, the layers whose fixed coordinates are in canonical form
-(_representatives): 6 of the 576 layers of a pair at order 24 in 4
-dimensions.  For n = 3 those are z = inf and z = 0, whose stabilizers in
-B are B and the torus T = <sigma>; T fixes inf and 0 and keeps the
-squares and the non-squares apart, so every T-orbit of row pairs has its
-lex-least member in Gram rows [0, 2 + nu), and only those are formed.
+of infinity, so the PSL check asks B's verdict by name and adds one
+compare, the inversion's (symmetry.check_psl_invariance).  A relabelling
+pi that fixes H on every coordinate at once maps the layers of axis j
+at a and b onto those at pi(a) and pi(b), with the same inner product,
+and the 2-D layer at fixed values c onto the one at pi(c), its rows and
+columns relabelled alike.  So the full scan's first violation is the
+lex-least of its orbit, and a scan kept to the lex-least elements of B's
+orbits, in index order, reports it.  For is_hadamard those are Gram rows
+[0, 2) of the head layers [0, 3), or [0, 2 + nu) when q = 1 (mod 4), nu
+the least non-square's index (_heads); for is_proper, the layers whose
+fixed coordinates are in canonical form (_representatives): 6 of the
+576 layers of a pair at order 24 in 4 dimensions.  For n = 3 those are
+z = inf and z = 0, whose stabilizers in B are B and the torus
+T = <sigma>; T fixes inf and 0 and keeps the squares and the non-squares
+apart, so every T-orbit of row pairs has its lex-least member in Gram
+rows [0, 2 + nu), and only those are formed.
 
 The translations are compared first, most significant digit first:
 tau_{k-1}, which has 3 runs as x -> x + 1 has over a prime field, whole,
@@ -83,9 +83,9 @@ one probe of Gram rows [0, 2) of axis 0, where every one-entry flip of a
 Hadamard cube shows.  No report depends on B.
 
 Once B fixes H, two more relabellings are compared on indices [0, 2) of
-one axis alone, by the same argument, as each normalizes B: a permutation
-of the coordinates, such as the rotation, commutes with B, which
-relabels every coordinate alike (_fixes); and the mirror
+one axis alone, by the same argument, as each normalizes B: the rotation
+of the coordinates commutes with B, which relabels every coordinate
+alike (_rotation_fixes); and the mirror
 rho: H(x_1, ..., x_n) = H(-x_n, ..., -x_1) (_mirror_fixes), with -x
 taken digit by digit over GF(p**k) (_point_maps), which fixes the Paley
 cubes and the products of their paley2, takes x -> a*x + b to
@@ -95,10 +95,11 @@ n - 1 - j, and the 2-D layers of a pair (j1, j2) onto those of
 scan order when j1 + j2 > n - 1.  So rho is compared at the first such
 axis or pair, once every earlier one has passed, and if it fixes H the
 rest are skipped.  Without B the rotation is compared whole, and rho not
-at all.  Every compare's verdict is memoized on the cube, whose entries
-never change, by the one function that reads and writes the memo
-(_fixes), so each relabelling is decided once per cube, for the
-verifiers and the symmetry module alike.
+at all.  A cube's entries never change, so it keeps one record of at
+most four verdicts, each a bool under its name: "B", "rotation",
+"mirror" and "psl"; a name not held is a verdict not known yet.  One
+function reads and writes the record (_decide), so each is decided once
+per cube, for the verifiers and the symmetry module alike.
 
 File format "HDM v1" (ASCII, LF line endings):
   line 1:   "HDM <n> <v>"  with ASCII decimal integers and single spaces;
@@ -188,7 +189,7 @@ def _index(i, bound: int, what: str) -> int:
 class SignCube:
     """Immutable n-dimensional order-v array with entries in {-1, +1}."""
 
-    # _fixed memoizes _fixes verdicts
+    # _fixed: the verdicts of _decide, a bool under each name decided
     __slots__ = ("n", "v", "data", "_fixed")
 
     def __init__(self, n: int, v: int, entries):
@@ -202,9 +203,9 @@ class SignCube:
     def _adopt(cls, n: int, v: int, data: np.ndarray) -> "SignCube":
         """Wrap a freshly built C-order int8 array without copying it, after
         the same checks as the constructor; the caller hands it over and
-        must not write to it afterwards, which the memo of _fixes relies on.
-        The cube is verified as any other: whatever symmetry its builder
-        knows it has, the verifiers test for themselves."""
+        must not write to it afterwards, which the verdicts that _decide
+        keeps rely on.  The cube is verified as any other: whatever symmetry
+        its builder knows it has, the verifiers test for themselves."""
         n, v = _check_entries(n, v, data)
         cube = cls.__new__(cls)
         cube._init(n, v, data)
@@ -533,45 +534,32 @@ def _relabel_last(slab: np.ndarray, index: np.ndarray, starts: np.ndarray,
     return out
 
 
-def _fixes(H: SignCube, perm=None, axes=None, rows: int | None = None,
-           assume: bool | None = None) -> bool:
-    """_relabels_to(H.array, H.array.transpose(axes), perm), decided once
-    per cube: a SignCube's entries never change, so the verdict is kept in
-    H._fixed, a bool under the axes and the perm's bytes.  This is the
-    one function that reads or writes H._fixed.  A verdict not kept yet is
-    compared if assume is None, and taken to be assume otherwise, with no
-    compare and nothing kept.
-
-    A pure coordinate permutation P (perm None) is compared on indices
-    [0, 2) of axis 0 only if B fixes H (_affine_fixes, asked first).  B
-    relabels every coordinate alike, so it commutes with P: P(H) =
-    H.transpose(axes) is fixed by B, as H is.  Two B-fixed cubes are equal
-    if they agree on a set of n-tuples that meets every orbit of B, and
-    the tuples whose first coordinate is below 2 do: a translation takes
-    any tuple's first coordinate to infinity or 0.  A caller that has
-    shown as much for its perm passes rows itself (_affine_fixes for the
-    later digit translations and the scaling, _mirror_fixes for the
-    mirror).  In every other case the whole cube is compared.
-    """
-    key = _memo_key(perm, axes)
-    if key not in H._fixed:
-        if assume is not None:
-            return assume
-        if perm is None and axes is not None and _affine_fixes(H):
-            rows = 2
-        dst = H.array if axes is None else H.array.transpose(axes)
-        H._fixed[key] = _relabels_to(H.array, dst, perm, rows=rows)
-    return H._fixed[key]
-
-
-def _memo_key(perm=None, axes=None) -> tuple:
-    """The key of H._fixed under which _fixes keeps a verdict."""
-    return axes, None if perm is None else np.asarray(perm, dtype=np.intp).tobytes()
+def _decide(H: SignCube, name: str, compare=None) -> bool | None:
+    """H's verdict under name: "B" (_affine_fixes), "rotation"
+    (_rotation_fixes), "mirror" (_mirror_fixes) or "psl"
+    (symmetry.check_psl_invariance).  A SignCube's entries never change, so
+    each verdict is decided once per cube and kept in H._fixed, a bool
+    under its name, which no other function reads or writes.  A verdict
+    not kept yet is compare()'s, which is then kept, or None, unknown,
+    when no compare is given."""
+    if name not in H._fixed and compare is not None:
+        H._fixed[name] = bool(compare())
+    return H._fixed.get(name)
 
 
 def _rotation_fixes(H: SignCube) -> bool:
-    """Is H(x_1, ..., x_n) = H(x_2, ..., x_n, x_1) everywhere?"""
-    return _fixes(H, axes=(*range(1, H.n), 0))
+    """Is H(x_1, ..., x_n) = H(x_2, ..., x_n, x_1) everywhere?
+
+    The rotation P of the coordinates, P(H) = H.transpose(axes), is
+    compared on indices [0, 2) of axis 0 only if B fixes H (_affine_fixes,
+    asked first), and whole otherwise.  B relabels every coordinate alike,
+    so it commutes with P: P(H) is fixed by B, as H is.  Two B-fixed cubes
+    are equal if they agree on a set of n-tuples that meets every orbit of
+    B, and the tuples whose first coordinate is below 2 do: a translation
+    takes any tuple's first coordinate to infinity or 0.
+    """
+    return _decide(H, "rotation", lambda: _relabels_to(
+        H.array, H.array.transpose(*range(1, H.n), 0), rows=2 if _affine_fixes(H) else None))
 
 
 @dataclass(frozen=True)
@@ -590,13 +578,11 @@ class _PointMaps:
     <tau_{j+1}, ..., tau_{k-1}>, a group tau_j commutes with.  So once
     those have passed, H relabelled by tau_j is fixed by that group as H
     is, and two such cubes that agree on the n-tuples whose first
-    coordinate is in the prefix are equal.  tau_0, last, has the bytes of
-    PSL's translation x -> x + 1.
+    coordinate is in the prefix are equal.  tau_0, last, is x -> x + 1.
 
-    sigma is x -> g²x, g the field's first primitive element, with the
-    bytes of psl_generators(F)[2].perm(); nu is the least non-square's
-    index; neg is x -> -x, so [0, 1, v - 1, v - 2, ..., 2] when q is
-    prime.
+    sigma is x -> g²x, g the field's first primitive element, as
+    psl_generators(F)[2] is; nu is the least non-square's index; neg is
+    x -> -x, so [0, 1, v - 1, v - 2, ..., 2] when q is prime.
     """
 
     chain: tuple
@@ -631,25 +617,24 @@ def _point_maps(v: int) -> _PointMaps | None:
 
 def _mirror_fixes(H: SignCube) -> bool:
     """Is H(x_1, ..., x_n) = H(-x_n, ..., -x_1) everywhere?  Asked only
-    once H._fixed holds that B fixes H; False otherwise, with no compare.
+    once B is shown to fix H; False otherwise, with no compare.
 
     The mirror rho is x -> -x on every coordinate (_point_maps) with the
-    coordinates reversed, P(H) = H.transpose(axes) for the reversed axes,
-    and rho fixes H when H relabelled by x -> -x equals P(H): the
-    reversal and the negation are their own inverses.  rho normalizes B:
-    -(ax + b) = a(-x) - b, and P commutes with B, which relabels every
-    coordinate alike.  So H relabelled by rho is fixed by B as H is, and
-    rho is compared on indices [0, 2) of axis 0 alone, as the coordinate
-    permutations are (_fixes), which keeps the verdict.
+    coordinates reversed, P(H) = H.T, and rho fixes H when H relabelled by
+    x -> -x equals P(H): the reversal and the negation are their own
+    inverses.  rho normalizes B: -(ax + b) = a(-x) - b, and P commutes
+    with B, which relabels every coordinate alike.  So H relabelled by rho
+    is fixed by B as H is, and rho is compared on indices [0, 2) of axis 0
+    alone, as the rotation is (_rotation_fixes).
     """
-    return _affine_fixes(H, assume=False) and _fixes(
-        H, _point_maps(H.v).neg, axes=tuple(range(H.n - 1, -1, -1)), rows=2)
+    return bool(_decide(H, "B")) and _decide(H, "mirror", lambda: _relabels_to(
+        H.array, H.array.T, _point_maps(H.v).neg, rows=2))
 
 
-def _affine_fixes(H: SignCube, assume: bool | None = None) -> bool:
+def _affine_fixes(H: SignCube) -> bool:
     """Is H fixed by B, the affine maps x -> a*x + b of GF(q), q = v - 1,
-    with a a non-zero square?  False with no compare unless q is an odd
-    prime power up to gf.MAX_ORDER.
+    with a a non-zero square?  False with no compare, and nothing kept,
+    unless q is an odd prime power up to gf.MAX_ORDER.
 
     B is generated by the digit translations, which generate the group A
     of all translations, and sigma: x -> g²x (_point_maps).  The
@@ -659,14 +644,12 @@ def _affine_fixes(H: SignCube, assume: bool | None = None) -> bool:
     A, since sigma(x + b) = sigma(x) + g²b, so H relabelled by sigma is
     fixed by A as H is, and two A-fixed cubes that agree on the n-tuples
     whose first coordinate is below 2, which meet every orbit of A, are
-    equal.  Every verdict goes through _fixes, with assume: None compares
-    a verdict not kept yet, assume=True asks whether B may still be shown
-    to fix H, and assume=False whether it is shown already.
+    equal.  The verdict is kept under "B" (_decide).
     """
     maps = _point_maps(H.v)
-    return maps is not None \
-        and all(_fixes(H, tau, rows=rows, assume=assume) for tau, rows in maps.chain) \
-        and _fixes(H, maps.sigma, rows=2, assume=assume)
+    return maps is not None and _decide(H, "B", lambda: all(
+        _relabels_to(H.array, H.array, tau, rows=rows) for tau, rows in maps.chain)
+        and _relabels_to(H.array, H.array, maps.sigma, rows=2))
 
 
 def _heads(v: int) -> int:
@@ -729,7 +712,7 @@ def is_hadamard(H: SignCube) -> VerifyReport:
     Gram[a, b] on every axis, so a violation's whole orbit under a group
     fixing H violates alike, and the full scan's first violation is the
     lex-least pair of its orbit.  When q = v - 1 is an odd prime power and
-    no kept verdict rules B out (_affine_fixes), axis 0 is scanned first on
+    no kept verdict rules B out (_decide), axis 0 is scanned first on
     Gram rows [0, 2) of its head layers [0, t), which hold every B-orbit's
     head pair (_heads: t = 3, or 2 + nu when q = 1 mod 4), before any
     compare: that sub-scan starts with the full scan's first t - 1 pairs,
@@ -754,7 +737,8 @@ def is_hadamard(H: SignCube) -> VerifyReport:
     if H.n < 2:
         raise DimensionTooSmall("need n >= 2")
     n, v = H.n, H.v
-    heads = _heads(v) if _affine_fixes(H, assume=True) else None
+    # B may still be shown to fix H: it is asked at this order, and not refuted
+    heads = _heads(v) if _point_maps(v) and _decide(H, "B") is not False else None
     for axis in range(n):
         # a stack of one matrix, whose row a is the layer with coordinate
         # axis = a: [0, a] of this view, read in C order
@@ -831,7 +815,7 @@ def is_proper(H: SignCube) -> VerifyReport:
     Hadamard exactly when the other is, and the full scan's first failing
     layer is the lex-least of its orbit under a group fixing H.  When
     q = v - 1 is an odd prime power and no kept verdict rules B out
-    (_affine_fixes), a cube (n >= 3) is scanned first on the layers of
+    (_decide), a cube (n >= 3) is scanned first on the layers of
     each pair whose first fixed coordinate is below 2, a prefix of the
     pair's scan that meets every orbit of the translations alone.  Once
     that prefix passes, B is compared: if it fixes H the rest of the pair
@@ -847,9 +831,9 @@ def is_proper(H: SignCube) -> VerifyReport:
     T = <sigma>, whose orbits are {inf}, {0}, the squares and the
     non-squares, so the lex-least row pair of each T-orbit starts at row
     0, 1, 2 (the element 1) or 1 + nu, and z = inf is fixed by all of B.
-    Any other cube, and one that H._fixed already holds B does not fix
-    (kept by is_hadamard, say), is scanned on every pair whole from the
-    start, with no compare.
+    Any other cube, and one whose kept "B" verdict is False (kept by
+    is_hadamard or the PSL check, say), is scanned on every pair whole
+    from the start, with no compare.
 
     The mirror rho: H(x_1, ..., x_n) = H(-x_n, ..., -x_1) maps the 2-D
     layers of a pair (j1, j2) onto those of (n - 1 - j2, n - 1 - j1), with
@@ -867,7 +851,7 @@ def is_proper(H: SignCube) -> VerifyReport:
     # layers whose first fixed coordinate is below r first; None: the whole
     # pair, as for a 2-D cube, whose one layer fixes no coordinate, or once
     # B cannot fix H, which is read with no compare
-    r = 2 if n > 2 and _affine_fixes(H, assume=True) else None
+    r = 2 if n > 2 and _point_maps(v) and _decide(H, "B") is not False else None
     reps = None  # spans of the canonical layers, once B is shown to fix H
     for i, (j1, j2) in enumerate(itertools.combinations(range(n), 2)):
         if j1 + j2 > n - 1 and _mirror_fixes(H):
@@ -876,7 +860,7 @@ def is_proper(H: SignCube) -> VerifyReport:
         # other coordinates c, in scan order
         others = [j for j in range(n) if j not in (j1, j2)]
         lay = H.array.transpose(*others, j1, j2)[..., None, :]
-        if r and reps is None and _affine_fixes(H, assume=False):
+        if r and reps is None and _decide(H, "B"):
             reps = _representatives(v, n - 2)
         # n = 3: the layers z = inf and z = 0, on Gram rows [0, 2 + nu)
         rows = 2 + _point_maps(v).nu if reps and n == 3 else None

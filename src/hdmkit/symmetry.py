@@ -3,17 +3,20 @@
 A determinant-1 Moebius map permutes the q+1 points; applying it to every
 coordinate of a cube indexed in pg_points order is a simultaneous index
 relabelling, and the checks here decide whether the cube is fixed by it.
-Generator invariance extends to the whole generated group, so the full
-group check only runs the three generators, and the cyclic check only
-one coordinate shift (the other is its square).  Every check is one
-relabel-and-compare, ncube._relabels_to; a cube's own relabellings go
-through ncube._fixes, which decides each once per cube, for these checks
-and the verifiers alike, so the verifiers' rotation test answers
-check_cyclic and a repeated check compares nothing.  _check_shape raises
-DimensionMismatch unless n = 3 and, given a field, OrderMismatch unless
-v = q + 1.
+Invariance under generators extends to the generated group, so the
+cyclic check compares one coordinate shift (the other is its square),
+and the PSL check B's generators and the inversion.  Every compare is one
+relabel-and-compare, made through the module attribute
+ncube._relabels_to.  The cyclic and PSL verdicts are kept on the cube by
+name (ncube._decide), as the verifiers keep theirs, so the verifiers'
+rotation test answers check_cyclic, their B verdict is half of the PSL
+check, and a repeated cyclic or PSL check compares nothing.  A
+permutation a caller gives is compared on every call, and nothing is
+kept.  _check_shape raises DimensionMismatch unless n = 3 and, given a
+field, OrderMismatch unless v = q + 1.
 """
 
+from . import ncube
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -22,7 +25,7 @@ from .errors import (
     OrderMismatch,
 )
 from .gf import Field
-from .ncube import SignCube, _fixes, _index, _relabels_to, _rotation_fixes
+from .ncube import SignCube, _index
 from .projline import Moebius, PPoint, psl_generators
 
 
@@ -41,7 +44,7 @@ def check_cyclic(H: SignCube) -> bool:
     is the other shift, so one comparison decides both equalities.
     """
     _check_shape(H)
-    return _rotation_fixes(H)
+    return ncube._rotation_fixes(H)
 
 
 def check_permutation_invariance(H: SignCube, perm) -> bool:
@@ -59,7 +62,7 @@ def check_permutation_invariance(H: SignCube, perm) -> bool:
         raise NotAPermutation(str(exc)) from None
     if set(perm) != set(range(H.v)):
         raise NotAPermutation(f"perm is not a permutation of range({H.v})")
-    return _fixes(H, perm)
+    return ncube._relabels_to(H.array, H.array, perm)
 
 
 def check_moebius_invariance(H: SignCube, F: Field, m: Moebius) -> bool:
@@ -69,8 +72,23 @@ def check_moebius_invariance(H: SignCube, F: Field, m: Moebius) -> bool:
 
 
 def check_psl_invariance(H: SignCube, F: Field) -> bool:
-    """Invariance under every generator, hence under the generated group."""
-    return all(check_moebius_invariance(H, F, g) for g in psl_generators(F))
+    """Is H fixed by PSL(2, q), the group of psl_generators(F)?
+
+    That holds exactly when B, the maps x -> a*x + b with a a non-zero
+    square (ncube._affine_fixes), and the inversion iota: x -> -1/x fix H,
+    since <B, iota> is PSL(2, q).  B contains PSL's translation x -> x + 1
+    and scaling sigma: x -> g²x, and they generate it: sigma^m conjugates
+    x -> x + 1 to x -> x + g^(2m), a translation by any non-zero square,
+    and every element of GF(q) is a sum of squares.  B is the stabilizer
+    of infinity in PSL's 2-transitive, hence primitive, action on
+    PG(1, q), so B is maximal in PSL; iota moves infinity to 0, so it is
+    not in B, and <B, iota> is all of PSL, which the three generators
+    generate.  B's verdict is shared with the verifiers; the inversion is
+    compared whole, and only if B fixes H.
+    """
+    _check_shape(H, F)
+    return ncube._decide(H, "psl", lambda: ncube._affine_fixes(H) and ncube._relabels_to(
+        H.array, H.array, psl_generators(F)[1].perm()))
 
 
 def layer_equiv_witness(F: Field, c: PPoint) -> Moebius:
@@ -94,4 +112,4 @@ def check_layer_witness(F: Field, H: SignCube, c: PPoint) -> bool:
     so a numpy integer such as np.uint8(255) does not wrap."""
     _check_shape(H, F)
     perm = layer_equiv_witness(F, c).perm()
-    return _relabels_to(H.array[:, :, 0], H.array[:, :, 1 + F._index(c.e)], perm)
+    return ncube._relabels_to(H.array[:, :, 0], H.array[:, :, 1 + F._index(c.e)], perm)

@@ -5,6 +5,7 @@ from hdmkit.cli import main
 from hdmkit.constructions import almost_cube, paley2, paley3
 from hdmkit.gf import Field
 from hdmkit.ncube import SignCube, parse, serialize
+from hdmkit.projline import psl_generators
 
 PALEY2_Q3 = "HDM 2 4\n-+++\n+++-\n+-++\n++-+\n"
 
@@ -187,22 +188,24 @@ def test_verify_makes_each_relabelling_compare_once(tmp_path, monkeypatch, capsy
     x -> g^2 x and the rotation on indices 0 and 1 of axis 0.  Over
     GF(27) the digit translations x -> x + 9, x + 3 and x + 1 come first,
     the first whole and the others on the indices [0, 10) and [0, 4) of
-    axis 0.  --psl adds only the inversion: the translation x -> x + 1 and
-    the scaling have the verifier's bytes, and both verdicts are kept."""
+    axis 0.  --psl adds only the inversion x -> -1/x, whole: it reads B's
+    kept verdict by name."""
     calls, relabels = [], ncube._relabels_to
 
     def recorded(src, dst, perm=None, **kw):
         # the coordinate permutation, read off the strides of dst, a view of src
         axes = tuple(src.strides.index(s) for s in dst.strides)
-        calls.append((None if axes == tuple(range(src.ndim)) else axes, perm is None,
-                      kw.get("rows")))
+        calls.append((None if axes == tuple(range(src.ndim)) else axes,
+                      None if perm is None else tuple(int(i) for i in perm), kw.get("rows")))
         return relabels(src, dst, perm, **kw)
     monkeypatch.setattr(ncube, "_relabels_to", recorded)
-    shift, psl = (None, False, None), (None, False, None)
-    tail = [(None, False, 2), ((1, 2, 0), True, 2)]
     out = "hadamard: PASS\nproper: PASS\ncyclic: PASS\n"
-    for q, verifier in ((19, [shift, *tail]),
-                        (27, [shift, (None, False, 10), (None, False, 4), *tail])):
+    for q in (19, 27):
+        maps = ncube._point_maps(q + 1)
+        verifier = [(None, tuple(tau.tolist()), rows) for tau, rows in maps.chain]
+        verifier += [(None, tuple(maps.sigma.tolist()), 2), ((1, 2, 0), None, 2)]
+        assert [rows for _, _, rows in verifier] == ([None, 2, 2] if q == 19 else [None, 10, 4, 2, 2])
+        psl = (None, psl_generators(Field(q))[1].perm(), None)
         path = write_cube(tmp_path / f"m{q}.hdm", paley3(Field(q)))
         assert main(["verify", path, "--proper", "--cyclic"]) == 0
         assert calls == verifier

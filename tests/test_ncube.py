@@ -215,8 +215,8 @@ def test_constructor_copies_once_and_adopt_does_not_copy():
 
 
 def test_data_is_immutable():
-    """The memo of relabelling verdicts (ncube._fixes) holds only while the
-    entries cannot change: no cube, built or adopted, takes a write."""
+    """The record of relabelling verdicts (ncube._decide) holds only while
+    the entries cannot change: no cube, built or adopted, takes a write."""
     for c in (SignCube(2, 2, [1, 1, 1, -1]), paley3(Field(7))):
         with pytest.raises(ValueError):
             c.data[0] = -1
@@ -225,7 +225,7 @@ def test_data_is_immutable():
 
 
 def test_constructor_starts_without_candidates_or_verdicts():
-    """SignCube(...) copies its input and starts with an empty memo,
+    """SignCube(...) copies its input and starts with an empty record,
     whatever cube its entries come from: no verdict carries over from a
     cube that was verified, and no cube brings relabellings of its own."""
     src = paley3(Field(7))
@@ -265,17 +265,22 @@ def test_the_affine_group_fixes_paley_cubes_and_their_products_only(tmp_path):
 
 
 def test_memo_holds_small_boolean_verdicts():
+    """A cube's record holds a bool under each of the four names it has
+    decided, and nothing else: paley3(GF(13)) after the verifiers and the
+    symmetry checks holds B, the rotation and PSL (no check reaches the
+    mirror), the product of paley2(GF(11)) in 5 dimensions B, the mirror
+    and the rotation, and a user permutation adds nothing."""
     F = Field(13)
     cube = paley3(F)
     assert is_hadamard(cube).passed and not is_proper(cube).passed
     assert check_psl_invariance(cube, F) and check_cyclic(cube)
-    # the rotation and the three PSL generators, the first of which, the
-    # translation, is the shift that is_hadamard tested
-    assert len(cube._fixed) == 4
-    for (axes, perm), verdict in cube._fixed.items():
+    assert check_permutation_invariance(cube, psl_generators(F)[0].perm())
+    assert cube._fixed == {"B": True, "rotation": True, "psl": True}
+    product = yang_product(paley2(Field(11)), 5)
+    assert is_hadamard(product).passed and is_proper(product).passed
+    assert product._fixed == {"B": True, "mirror": True, "rotation": False}
+    for verdict in (*cube._fixed.values(), *product._fixed.values()):
         assert type(verdict) is bool
-        assert axes is None or type(axes) is tuple
-        assert perm is None or (type(perm) is bytes and len(perm) <= 8 * cube.v)
 
 
 def test_flat_order_last_index_fastest():
@@ -761,7 +766,7 @@ def test_a_failing_cube_that_the_candidate_fixes_fails_in_the_prefix(budget, mon
                 arr[tuple(x)] *= -1
                 x = t[x]
         c = adopt(arr)
-        assert ncube._fixes(c, shift(v))
+        assert ncube._relabels_to(c.array, c.array, shift(v))
         rep = is_hadamard(c)
         assert not rep.passed and rep == is_hadamard_naive(c) and rep.pair[0] < 2
         rep = is_proper(c)
@@ -800,7 +805,7 @@ def test_verifiers_match_oracles_on_cubes_with_other_point_symmetries(budget, mo
             cubes.append((adopt(invariant_under(arr, perm)), perm))
     passed = set()
     for c, perm in cubes:
-        assert ncube._fixes(c, perm)
+        assert ncube._relabels_to(c.array, c.array, perm)
         hadamard, proper = is_hadamard(c), is_proper(c)
         assert hadamard == is_hadamard_naive(c)
         assert proper == proper_oracle(c)
@@ -868,17 +873,21 @@ def test_a_cube_the_shift_does_not_fix_pays_one_prefix_and_one_compare(monkeypat
 
 def test_a_kept_shift_verdict_is_read_before_any_prefix(monkeypatch):
     """paley3(GF(27)) with one entry flipped in the layer z = 9 of pair
-    (0, 1), whose verdict on x -> x + 1, the last digit translation of
-    B's chain, check_permutation_invariance kept: is_proper reads that B
-    does not fix it and scans every pair whole from the start, with no
-    prefix and no compare, and is_hadamard keeps its two-row probe, which
-    alone finds the violation.  A fresh copy, with no verdict kept, is
-    first scanned on pair (0, 1)'s two-layer prefix, then compared with
-    x -> x + 9, which does not fix it, and only then scanned whole."""
+    (0, 1), whose B verdict check_psl_invariance kept, False from its
+    first compare, x -> x + 9: is_proper reads that B does not fix it and
+    scans every pair whole from the start, with no prefix and no compare,
+    and is_hadamard keeps its two-row probe, which alone finds the
+    violation.  A fresh copy, with no verdict kept, is first scanned on
+    pair (0, 1)'s two-layer prefix, then compared with x -> x + 9, which
+    does not fix it, and only then scanned whole."""
     v = 28
     flipped = flip_in_layer(paley3(Field(27)), 9, random.Random(27))
     fresh = SignCube(3, v, flipped.data)
-    assert not check_permutation_invariance(flipped, psl_generators(Field(27))[0].perm())
+    calls = relabel_calls(monkeypatch)
+    assert not check_psl_invariance(flipped, Field(27))
+    assert calls == [(None, tuple(ncube._point_maps(v).chain[0][0].tolist()))]
+    assert flipped._fixed == {"B": False, "psl": False}
+    monkeypatch.undo()
     scans = scan_calls(monkeypatch)
     calls = relabel_calls(monkeypatch)
     assert is_proper(flipped) == proper_oracle(flipped)
@@ -967,12 +976,17 @@ def shift_fixed_cube(rng: np.random.Generator, n: int, q: int, rotate: bool) -> 
 
 
 def prefix_verdicts(c: SignCube) -> set:
-    """_fixes(c, axes=sigma) for every coordinate permutation sigma, each
-    against the whole-cube compare; the set of verdicts."""
-    verdicts = set()
+    """For every coordinate permutation sigma, its compare on indices
+    [0, 2) of axis 0 if B fixes c, else whole, as _rotation_fixes
+    compares the rotation, against the whole-cube compare; the rotation
+    itself through _rotation_fixes.  The set of verdicts."""
+    verdicts, rotation = set(), (*range(1, c.n), 0)
     for sigma in itertools.permutations(range(c.n)):
         whole = ncube._relabels_to(c.array, c.array.transpose(sigma))
-        assert ncube._fixes(c, axes=sigma) == whole, (c, sigma)
+        rows = 2 if ncube._affine_fixes(c) else None
+        verdict = ncube._rotation_fixes(c) if sigma == rotation else \
+            ncube._relabels_to(c.array, c.array.transpose(sigma), rows=rows)
+        assert verdict == whole, (c, sigma)
         verdicts.add(whole)
     return verdicts
 
@@ -1007,13 +1021,13 @@ def test_prefix_rotation_verdicts_match_the_whole_compare(monkeypatch):
         cubes.append(adopt(arr))
     verdicts = set()
     for c in cubes:
-        assert ncube._fixes(c, shift(c.v))
+        assert ncube._relabels_to(c.array, c.array, shift(c.v))
         verdicts |= prefix_verdicts(c)
     assert verdicts == {True, False}
     affine = [c for c in cubes if ncube._affine_fixes(c)]
     assert 0 < len(affine) < len(cubes)
-    # every verdict of _fixes on a coordinate permutation of a B-fixed cube
-    # came from a prefix, and every other from a whole compare;
+    # every compare of a coordinate permutation of a B-fixed cube, the
+    # rotation's by _rotation_fixes, was on a prefix, and every other whole;
     # yang_product's is_hadamard adds its input's scaling compares
     assert sum(kw.get("rows") == 2 and perm is None for kw, (_, perm)
                in zip(keywords, calls)) == sum(math.factorial(c.n) for c in affine)
@@ -1034,7 +1048,7 @@ def test_prefix_rotation_needs_fixing_candidates_with_short_orbit_heads(monkeypa
     for c, expected in cases:
         keywords = []
         calls = relabel_calls(monkeypatch, keywords)
-        verdict = ncube._fixes(c, axes=(1, 2, 0))
+        verdict = ncube._rotation_fixes(c)
         assert calls == expected and all(kw.get("rows") is None for kw in keywords)
         monkeypatch.undo()
         assert verdict == ncube._relabels_to(c.array, c.array.transpose(1, 2, 0))
@@ -1051,8 +1065,8 @@ def test_translations_scaling_and_negation_match_the_field(monkeypatch):
     """For every odd prime power q = p**k <= 251 the verifiers' digit
     translations are x -> x + p**j, most significant first, the first
     compared whole and tau_j on the indices [0, 1 + p**(j + 1)); the last,
-    x -> x + 1, has the bytes of psl_generators' translation, the scaling
-    x -> g^2 x those of its scaling, nu is the least non-square and the
+    x -> x + 1, is psl_generators' translation, the scaling x -> g^2 x its
+    scaling, nu is the least non-square and the
     negation is x -> -x, all by Field's arithmetic.  Any other order, and
     one whose v - 1 exceeds gf.MAX_ORDER, has no point maps, and builds no
     Field to find that out."""
@@ -1062,9 +1076,9 @@ def test_translations_scaling_and_negation_match_the_field(monkeypatch):
         assert [rows for _, rows in chain] == [None, *(1 + F.p**j for j in range(F.k - 1, 0, -1))]
         for (tau, _), j in zip(chain, range(F.k - 1, -1, -1)):
             assert tau.tolist() == [0, *(1 + F.add(a, F.p**j) for a in F.elems)], (q, j)
-        translation, _, scaling = (ncube._memo_key(g.perm()) for g in psl_generators(F))
-        assert ncube._memo_key(chain[-1][0]) == translation
-        assert ncube._memo_key(maps.sigma) == scaling
+        translation, _, scaling = (list(g.perm()) for g in psl_generators(F))
+        assert chain[-1][0].tolist() == translation
+        assert maps.sigma.tolist() == scaling
         assert maps.nu == min(a for a in range(1, q) if F.chi(a) == -1)
         assert maps.neg.tolist() == [0, *(1 + F.neg(a) for a in F.elems)]
         perms = [tau for tau, _ in chain] + [maps.sigma, maps.neg]
@@ -1905,7 +1919,7 @@ def test_prime_power_flips_beyond_the_pure_python_oracles(budget, monkeypatch):
     monkeypatch.setattr(ncube, "_BUDGET", budget)
     reports = set()
     for key, c, expected in prime_power_oracle_cubes():
-        report = is_hadamard(SignCube(c.n, c.v, c.array))  # an empty memo
+        report = is_hadamard(SignCube(c.n, c.v, c.array))  # an empty record
         assert report == expected, key
         reports.add((report.passed, report.axis))
     assert {(True, None), (False, 0)} <= reports
@@ -2006,7 +2020,7 @@ def test_orbit_sign_patterns_give_the_oracles_reports(budget, oracles, monkeypat
     """Cubes that B fixes but the rotation and the mirror need not: a base
     times a B-orbit sign pattern f(x_i, x_j) on (i, j) = (0, 1), (1, 2) and
     (0, n - 1) (orbit_pattern_cube).  Both verifiers' full reports, on a
-    fresh cube and again memo-warm, are the oracles' (orbit_pattern_oracles):
+    fresh cube and again with its verdicts kept, are the oracles' (orbit_pattern_oracles):
     the pure-Python ones over paley3(GF(11)), paley3(GF(13)) and the 4-D
     product of paley2(GF(11)), the float64 ones over paley3 at q in
     {49, 81, 121, 125}, where nu >= p widens the head prefix at 49, 81 and
@@ -2031,6 +2045,60 @@ def test_orbit_sign_patterns_give_the_oracles_reports(budget, oracles, monkeypat
         assert later[("paley3", 13), "hadamard"] == 32 and later[("paley3", 11), "proper"] == 48
     assert all(later[key, "hadamard"] + later[key, "proper"]
                for key, _, _ in ORBIT_PATTERN_BASES[oracles])
+
+
+def psl_oracle(c: SignCube, F: Field) -> bool:
+    """Is c fixed by each of the three psl_generators(F), each relabelling
+    made by one whole np.ix_ gather?  Shares no code with _relabels_to,
+    B's point maps or the record of verdicts."""
+    arr = c.array
+    return all(np.array_equal(arr[np.ix_(*[np.asarray(g.perm())] * 3)], arr)
+               for g in psl_generators(F))
+
+
+@functools.cache
+def psl_cases() -> tuple:
+    """(q, kind, entries, psl_oracle's verdict): paley3 at q in {3, 5, 7,
+    9, 11, 13, 25, 27, 49}, one seeded one-entry flip of it, the same flip
+    with its image under the inversion iota: x -> -1/x, which iota fixes
+    and B does not (unless iota fixes the entry, and the flip is undone),
+    and almost_cube(F, 3); and the B-orbit sign patterns of
+    orbit_pattern_cube on paley3 at q = 11, 13 and 49, which B fixes, so
+    the inversion alone decides."""
+    rng = np.random.default_rng(20261022)
+    cases = []
+    for q in (3, 5, 7, 9, 11, 13, 25, 27, 49):
+        F = Field(q)
+        at = tuple(rng.integers(q + 1, size=3))
+        flipped = paley3(F).array.copy()
+        flipped[at] *= -1
+        paired = flipped.copy()
+        paired[tuple(np.asarray(psl_generators(F)[1].perm())[list(at)])] *= -1
+        cases += [(q, "paley3", paley3(F).array), (q, "flip", flipped),
+                  (q, "iota-pair", paired), (q, "almost", almost_cube(F, 3).array)]
+    cases += [(q, "pattern", orbit_pattern_cube(("paley3", q), i, j, bits).array)
+              for q in (11, 13, 49) for i, j in ((0, 1), (1, 2), (0, 2)) for bits in range(64)]
+    return tuple((q, kind, arr, psl_oracle(adopt(arr), Field(q))) for q, kind, arr in cases)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_psl_verdict_is_the_three_generators_verdict(budget, monkeypatch):
+    """check_psl_invariance decides B and then the inversion alone; its
+    verdict is psl_oracle's, the three generators compared whole, on every
+    cube of psl_cases: through SignCube(...) with an empty record, and
+    on a second copy after is_proper and check_cyclic, whose kept B
+    verdict it reads.  B fixes every orbit pattern, and some are fixed by
+    PSL and some not; some cubes that the inversion fixes are not."""
+    monkeypatch.setattr(ncube, "_BUDGET", budget)
+    verdicts = collections.Counter()
+    for q, kind, arr, expected in psl_cases():
+        F, fresh, warm = Field(q), SignCube(3, q + 1, arr), SignCube(3, q + 1, arr)
+        is_proper(warm), check_cyclic(warm)
+        assert check_psl_invariance(fresh, F) == check_psl_invariance(warm, F) == expected, q
+        assert kind != "pattern" or ncube._affine_fixes(fresh)
+        verdicts[kind, expected] += 1
+    assert verdicts["paley3", True] == 9 and verdicts["flip", False] == verdicts["almost", False] == 9
+    assert verdicts["pattern", True] and verdicts["pattern", False] and verdicts["iota-pair", False]
 
 
 def test_a_hit_in_gram_row_0_of_the_head_prefix_is_reported_with_no_compare(monkeypatch):
@@ -2143,7 +2211,7 @@ def test_threads_verifying_at_once_give_the_serial_reports(budget, monkeypatch):
     def results(order):
         out = {}
         for i in order:
-            c = SignCube(3, arrays[i].shape[0], arrays[i])  # an empty memo
+            c = SignCube(3, arrays[i].shape[0], arrays[i])  # an empty record
             out[i] = (is_hadamard(c), is_proper(c),
                       ncube._relabels_to(c.array, c.array, shift(c.v)),
                       ncube._relabels_to(c.array, c.array.transpose(1, 2, 0)))
@@ -2164,8 +2232,8 @@ def test_threads_verifying_at_once_give_the_serial_reports(budget, monkeypatch):
 
 def as_view(x: np.ndarray, axes) -> np.ndarray:
     """A view equal to x that reads a C-order copy through transpose(axes),
-    as _fixes hands _relabels_to the view of a coordinate permutation;
-    x itself when axes is None."""
+    as _rotation_fixes hands _relabels_to the view of a coordinate
+    permutation; x itself when axes is None."""
     if axes is None:
         return x
     return np.ascontiguousarray(x.transpose(np.argsort(axes))).transpose(axes)
@@ -2198,7 +2266,7 @@ def test_relabels_to_with_perm_and_axes_gives_the_transposed_gather_verdicts(bud
     fancy-index relabelling compared on indices [0, rows) of axis 0, for
     random cubes, perms and axes.  dst is the exact relabelling, that with
     one entry flipped, another random cube, and src itself read through
-    the transpose, as _fixes compares a coordinate permutation."""
+    the transpose, as _rotation_fixes compares a coordinate permutation."""
     monkeypatch.setattr(ncube, "_BUDGET", budget)
     rng = np.random.default_rng(20261202)
     verdicts = set()

@@ -14,10 +14,9 @@ from hdmkit.errors import (
     OrderMismatch,
 )
 from hdmkit.gf import Field
-from hdmkit.ncube import SignCube, is_hadamard, is_proper, layer
+from hdmkit.ncube import SignCube, _relabels_to, is_hadamard, is_proper, layer
 from hdmkit.projline import INF, Moebius, PPoint, identity, psl_generators
 from hdmkit.symmetry import (
-    _relabels_to,
     check_cyclic,
     check_layer_witness,
     check_moebius_invariance,
@@ -35,7 +34,7 @@ BUDGETS = (1, 256, 1 << 20)
 
 def under_budgets(check, *args):
     """check(*args) at each budget in BUDGETS; the verdicts must agree.
-    The cubes' memoized verdicts are dropped before each call, so that
+    The cubes' kept verdicts are dropped before each call, so that
     every budget walks the cube."""
     verdicts = set()
     with pytest.MonkeyPatch.context() as mp:
@@ -321,24 +320,33 @@ def test_symmetry_checks_peak_memory():
 
 
 def compare_calls(monkeypatch) -> list:
-    """Appends one entry per _relabels_to call made through ncube."""
+    """Appends (perm, rows) per _relabels_to call made through ncube, the
+    perm as a tuple of ints or None for a coordinate permutation."""
     calls, relabels = [], ncube._relabels_to
-    monkeypatch.setattr(ncube, "_relabels_to", lambda *a, **kw: calls.append(1) or relabels(*a, **kw))
+
+    def recorded(src, dst, perm=None, rows=None):
+        calls.append((None if perm is None else tuple(int(i) for i in perm), rows))
+        return relabels(src, dst, perm, rows)
+    monkeypatch.setattr(ncube, "_relabels_to", recorded)
     return calls
 
 
 def test_psl_and_cyclic_verdicts_are_decided_once_per_cube(monkeypatch):
-    """A cube's relabelling verdicts are memoized on it: the PSL check
-    twice makes its three compares once, and the rotation compare behind
-    check_cyclic and the verifiers is made once.  Bad permutations are
-    still refused on every call."""
+    """A cube's B, PSL and rotation verdicts are kept on it by name: the
+    PSL check twice compares B's chain, here x -> x + 1 whole and the
+    scaling x -> g^2 x on indices [0, 2) of axis 0, and then the inversion
+    whole, once; the rotation compare behind check_cyclic and the
+    verifiers is made once.  Bad permutations are still refused on every
+    call.  A failing B verdict is kept as well, and the inversion is then
+    not compared."""
     F = Field(13)
-    cube = SignCube(3, 14, paley3(F).array)  # no candidates, an empty memo
+    cube = SignCube(3, 14, paley3(F).array)  # an empty record
     calls = compare_calls(monkeypatch)
     assert check_psl_invariance(cube, F) and check_psl_invariance(cube, F)
-    assert len(calls) == 3
+    translation, inversion, scaling = (g.perm() for g in psl_generators(F))
+    assert calls == [(translation, None), (scaling, 2), (inversion, None)]
     assert check_cyclic(cube) and is_hadamard(cube).passed and check_cyclic(cube)
-    assert len(calls) == 4
+    assert calls[3:] == [(None, 2)]
     for _ in range(2):
         with pytest.raises(OrderMismatch):
             check_psl_invariance(cube, Field(11))
@@ -347,25 +355,43 @@ def test_psl_and_cyclic_verdicts_are_decided_once_per_cube(monkeypatch):
         with pytest.raises(NotAPermutation):
             check_permutation_invariance(cube, [0] * 14)
     assert len(calls) == 4
-    # a failing verdict is kept as well
     almost = almost_cube(F, 3)
     assert not check_psl_invariance(almost, F) and not check_psl_invariance(almost, F)
-    assert len(calls) == 5
+    assert calls[4:] == [(translation, None)]
+    assert almost._fixed == {"B": False, "psl": False}
 
 
 def test_psl_after_the_verifiers_compares_only_the_inversion(monkeypatch):
-    """The verifiers compare the digit translations and the scaling
-    x -> g^2 x on paley3, the last translation and the scaling having the
-    bytes of PSL's translation and scaling, so check_psl_invariance then
-    makes one compare, the inversion's, over a prime field and over GF(9),
-    GF(27) and GF(49) alike."""
-    for q, compares in ((7, 1), (13, 1), (19, 1), (9, 1), (27, 1), (49, 1)):
+    """is_hadamard keeps the verdict that B fixes paley3, so
+    check_psl_invariance then reads it by name and makes one compare, the
+    inversion's, whole, over a prime field and over GF(9), GF(27) and
+    GF(49) alike."""
+    for q in (7, 13, 19, 9, 27, 49):
         F = Field(q)
         cube = paley3(F)
         assert is_hadamard(cube).passed
         calls = compare_calls(monkeypatch)
         assert check_psl_invariance(cube, F)
-        assert len(calls) == compares, q
+        assert calls == [(psl_generators(F)[1].perm(), None)], q
+        monkeypatch.undo()
+
+
+def test_a_user_permutation_is_compared_on_every_call(monkeypatch):
+    """check_permutation_invariance keeps no verdict: each call makes one
+    whole compare, and the cube's record is left as it was, whether it
+    held the verifiers' verdicts or was empty."""
+    F = Field(7)
+    warm, fresh = paley3(F), SignCube(3, 8, paley3(F).array)
+    assert is_hadamard(warm).passed and warm._fixed
+    translation = psl_generators(F)[0].perm()
+    scaling = tuple(scaling_perm(F, F.primitive_element()))  # by a non-square
+    for cube in (warm, fresh):
+        record = dict(cube._fixed)
+        calls = compare_calls(monkeypatch)
+        perms = (translation, translation, scaling, scaling)
+        assert [check_permutation_invariance(cube, p) for p in perms] == [True, True, False, False]
+        assert calls == [(p, None) for p in perms]
+        assert cube._fixed == record
         monkeypatch.undo()
 
 
@@ -407,13 +433,17 @@ def test_symmetry_checks_reject_bad_permutations_and_points(monkeypatch):
         with pytest.raises(NotAPermutation):
             check_permutation_invariance(ones, perm)
     assert calls == []
+    assert check_permutation_invariance(ones, [1, 0, *range(2, 8)])
+    assert calls == [((1, 0, *range(2, 8)), None)]  # the recorder sees a valid one
     with pytest.raises(OrderMismatch):
         check_permutation_invariance(ones, range(7))
     # a float used to end in numpy's IndexError, and True to stand for 1
     for bad in (1.0, True, np.True_, "1", None):
         with pytest.raises(NotAPermutation):
             check_permutation_invariance(ones, [bad, 0, *range(2, 8)])
+    assert len(calls) == 1
     assert check_permutation_invariance(ones, [np.int64(1), np.uint8(0), *range(2, 8)])
+    assert len(calls) == 2
     cube = paley3(F)
     for c in (PPoint(20), PPoint(7), PPoint(-1)):
         with pytest.raises(IndexOutOfRange):
