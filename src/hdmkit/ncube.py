@@ -18,9 +18,10 @@ a rule that skips work hands it a prefix of the rows, or fewer matrices
 gathered in index order.  The one matrix whose rows are contiguous
 fibres, is_hadamard's last axis, is cast as blocks of its transpose's
 rows instead.  That buffer, the slabs of _relabels_to and the row blocks
-of write and read are views of one scratch buffer per thread (_scratch),
-at most _BUDGET bytes, which is kept between calls, so a check does not
-fault in fresh pages for its temporaries each time.  Beside the scratch a
+of write and read are views of one scratch buffer per thread (_scratch)
+of _BUDGET bytes, made whole on the thread's first request and kept
+between calls, so a check does not fault in fresh pages for its
+temporaries each time, and no request makes it grow.  Beside the scratch a
 check holds the Gram matrices, v*v floats each.  A plain summation
 implementation is kept alongside as an independent cross-check.
 
@@ -108,7 +109,7 @@ File format "HDM v1" (ASCII, LF line endings):
   no trailing whitespace, and the file ends with a final LF.
 write and read stream it to and from a binary file one block of rows (at
 most _BUDGET bytes, in the scratch) at a time, so a process holds the cube
-and one block; the header line is read in bounded pieces too.
+and the scratch; the header line is read in bounded pieces too.
 read is the one decoder: parse is read over an in-memory stream of a str
 or of ASCII bytes, and serialize is write's output as str.  A file that
 read cannot accept is read again in blocks and lines, after the cube is
@@ -152,10 +153,10 @@ def _check_entries(n: int, v: int, data: np.ndarray) -> tuple[int, int]:
     entries are checked as given, before any int8 cast, so no value can
     wrap or truncate onto ±1.  C-contiguous int8 data, which every
     construction and read hands over, is read once, in slabs of _BUDGET
-    bytes (at least 4 KiB) through the thread's _scratch: x is ±1 exactly when
-    (x + 1) & ~2 is 0 as uint8, since x + 1 is then 0 or 2 mod 256.  Any
-    other data is checked by reductions (min, max, count_nonzero).
-    Neither way allocates anything the size of the cube."""
+    bytes (at least 4 KiB) through one view of the thread's _scratch: x is
+    ±1 exactly when (x + 1) & ~2 is 0 as uint8, since x + 1 is then 0 or 2
+    mod 256.  Any other data is checked by reductions (min, max,
+    count_nonzero).  Neither way allocates anything the size of the cube."""
     dims = _integer(n), _integer(v)
     if None in dims or min(dims) < 1:
         raise ValueError(f"need integers n >= 1 and v >= 1, got n={n!r} v={v!r}")
@@ -166,9 +167,9 @@ def _check_entries(n: int, v: int, data: np.ndarray) -> tuple[int, int]:
         raise ShapeMismatch(f"expected {v**n} entries, got {data.size}")
     if data.dtype == np.int8 and data.flags.c_contiguous:
         u, step = data.reshape(-1).view(np.uint8), max(_BUDGET, 4096)
+        buf = _scratch(min(step, u.size), np.uint8)
         for start in range(0, u.size, step):
-            slab = _scratch(min(step, u.size - start), np.uint8)
-            np.add(u[start:start + len(slab)], 1, out=slab)
+            slab = np.add(u[start:start + step], 1, out=buf[:min(step, u.size - start)])
             if np.bitwise_and(slab, 0xFD, out=slab).max():  # max: faster than any
                 raise ValueError("entries must be +1 or -1")
     elif not np.issubdtype(data.dtype, np.integer) or data.min() < -1 \
@@ -237,10 +238,10 @@ class SignCube:
         return self.data.reshape((self.v,) * self.n)
 
     def get(self, idx) -> int:
-        """Entry at an n-tuple of 0-based indices."""
-        idx = tuple(idx)
-        if len(idx) != self.n:
-            raise IndexOutOfRange(f"expected {self.n} indices, got {len(idx)}")
+        """Entry at an n-tuple of 0-based indices; IndexOutOfRange for
+        anything else, a bare integer included."""
+        if not np.iterable(idx) or len(idx := tuple(idx)) != self.n:
+            raise IndexOutOfRange(f"expected a sequence of {self.n} indices, got {idx!r}")
         return int(self.array[tuple(_index(i, self.v, "index") for i in idx)])
 
 
@@ -284,9 +285,10 @@ def layer(H: SignCube, fixed: dict) -> SignCube:
 # block of rows in write and read, a piece of a header line or of a file
 # searched for its first fault, and a slab of the cube in _relabels_to with
 # its relabelled copy or mask.  The float buffer, the row blocks and the
-# slabs are views of one scratch buffer per thread (_scratch), kept between
-# calls, so they cost a thread at most this much in all; the verifiers also
-# hold their Gram matrices, v*v floats each.
+# slabs are views of one scratch buffer per thread (_scratch) of this many
+# bytes, made on the thread's first request and kept between calls, so they
+# cost a thread this much in all; the verifiers also hold their Gram
+# matrices, v*v floats each.
 _BUDGET = 1 << 20
 
 _held = threading.local()  # .buf: this thread's scratch, if it has made one
@@ -296,19 +298,20 @@ def _scratch(count: int, dtype) -> np.ndarray:
     """count items of dtype, uninitialised: the front of this thread's
     scratch buffer if they fit in _BUDGET bytes, else a fresh array.
 
-    The buffer is grown to the largest request of at most _BUDGET bytes and
-    kept, so a call reuses pages the last one faulted in; a larger request
-    (one column or row longer than _BUDGET) is not kept.  A caller must be
-    done with one request's view before it, or any function it calls,
-    makes the next: every request starts at the buffer's front.
+    The buffer is made with all _BUDGET bytes on the thread's first request
+    and kept, so it never grows and a call reuses pages the last one
+    faulted in; it is made again only once _BUDGET has changed.  A larger
+    request (one column or row longer than _BUDGET) is not kept.  Every
+    request starts at the buffer's front, so a caller must not read one
+    request's view once it, or any function it calls, has written through
+    the next.
     """
     nbytes = count * np.dtype(dtype).itemsize
     if nbytes > _BUDGET:
         return np.empty(count, dtype)
     buf = getattr(_held, "buf", None)
-    if buf is None or len(buf) < nbytes:
-        buf = _held.buf = None  # the old buffer is freed before the new one is made
-        buf = _held.buf = np.empty(nbytes, np.uint8)
+    if buf is None or len(buf) != _BUDGET:
+        buf = _held.buf = np.empty(_BUDGET, np.uint8)
     return buf[:nbytes].view(dtype)
 
 
@@ -355,6 +358,19 @@ def _pair_index(v: int, a: int, b: int) -> int:
     return a * (v - 1) - a * (a - 1) // 2 + b - a - 1
 
 
+def _slabs(total: int, item: int, cap: int):
+    """(start, stop) spans that cover range(total) in order, for items of
+    item entries: the first holds one item, or as many as make
+    _BUDGET // 256 entries if an item holds fewer, each later one twice
+    the last, and none more than cap items.  So a walk that stops early
+    costs at most about twice the work up to its stop."""
+    start, size = 0, max(1, -(-(_BUDGET // 256) // item))
+    while start < total:
+        stop = min(total, start + size, start + cap)
+        yield start, stop
+        start, size = stop, size * 2
+
+
 def _scan(mats: np.ndarray, rows: int | None = None, at=None):
     """_first_violation over a stack of ±1 matrices, in budgeted blocks.
 
@@ -381,12 +397,12 @@ def _scan(mats: np.ndarray, rows: int | None = None, at=None):
       at, a sequence of (start, stop) spans of flat stack indices in index
         order: only those matrices are scanned, gathered chunk by chunk.
 
-    The stack is taken in chunks that double in size, so an early violation
-    costs at most about twice the work up to it.  The first chunk holds
-    one matrix, or as many as make _BUDGET // 256 entries (4096 at the
-    default budget) if the matrices are smaller: a stack of tiny layers
-    then goes in one or two chunks rather than in one call per matrix.
-    One float buffer of at most _BUDGET bytes (one column, if that is
+    The stack is taken in chunks that double in size (_slabs), so an early
+    violation costs at most about twice the work up to it.  The first
+    chunk holds one matrix, or as many as make _BUDGET // 256 entries (4096
+    at the default budget) if the matrices are smaller: a stack of tiny
+    layers then goes in one or two chunks rather than in one call per
+    matrix.  One float buffer of _BUDGET bytes (one column, if that is
     larger), the thread's _scratch, is reused for every block and kept
     between calls: a chunk of one matrix is cast a column block at a time
     and its Gram matrix summed as y @ yᵀ; a larger chunk holds whole
@@ -410,12 +426,10 @@ def _scan(mats: np.ndarray, rows: int | None = None, at=None):
         total, shift = int(ends[-1]), spans[:, 1] - ends
     dtype = _gram_dtype(cols)
     # the one float buffer: _BUDGET bytes, or one column if that is more
-    buf = _scratch(min(max(v, _BUDGET // dtype().itemsize), 2 * total * v * cols), dtype)
+    buf = _scratch(max(v, _BUDGET // dtype().itemsize), dtype)
     cap = max(1, len(buf) // (2 * v * cols))  # matrices per chunk, beside Xᵀ
     p_step, q_step = max(1, len(buf) // (v * q_total)), min(q_total, len(buf) // v)
-    start, size = 0, max(1, -(-(_BUDGET // 256) // (v * cols)))
-    while start < total:
-        stop = min(total, start + size, start + cap)
+    for start, stop in _slabs(total, v * cols, cap):
         flat = np.arange(start, stop)
         if at is not None:
             flat += shift[np.searchsorted(ends, flat, side="right")]
@@ -438,7 +452,6 @@ def _scan(mats: np.ndarray, rows: int | None = None, at=None):
         if hit is not None:
             i, a, b, value = hit
             return int(flat[i]), a, b, value
-        start, size = stop, size * 2
 
 
 def _cast(buf: np.ndarray, src: np.ndarray) -> np.ndarray:
@@ -457,18 +470,17 @@ def _relabels_to(src: np.ndarray, dst: np.ndarray, perm=None, rows: int | None =
     of range(len(src)), which every caller checks or builds: the gathers
     clip an index out of range instead of raising.
 
-    Walks dst's axis 0 in slabs that double in size and stops at the first
-    slab that differs, so a difference near the start costs a small slab.
-    The first slab holds one index, or as many as make _BUDGET // 256
-    entries if an index holds fewer, as _scan's first chunk does.
-    A slab holds at most half of _BUDGET bytes (at least one index of axis
-    0), and the thread's _scratch holds two slabs: src's axis 0 is
-    relabelled by a gather from src into one half, each later axis but the
-    last by a gather, which moves whole rows, into the other half, and the
-    last axis by _relabel_last; the comparison's mask is then written over
-    the half the slab is not in.  src is read as it lies, and dst's slab
-    as a view: a gather from a transposed src would first copy it whole
-    into C order.
+    Walks dst's axis 0 in slabs that double in size, as _scan's chunks do
+    (_slabs), and stops at the first slab that differs, so a difference
+    near the start costs a small slab.  A slab holds at most half of
+    _BUDGET bytes (at least one index of axis 0), and the two halves of
+    the thread's _scratch, taken once per call, hold two slabs: src's axis
+    0 is relabelled by a gather from src into one half, each later axis
+    but the last by a gather, which moves whole rows, into the other half,
+    and the last axis by _relabel_last; the comparison's mask is then
+    written over the half the slab is not in.  src is read as it lies, and
+    dst's slab as a view: a gather from a transposed src would first copy
+    it whole into C order.
     """
     if src.shape != dst.shape:
         return False
@@ -480,31 +492,23 @@ def _relabels_to(src: np.ndarray, dst: np.ndarray, perm=None, rows: int | None =
         np.not_equal(index[1:] - index[:-1], 1, out=jumps[1:])
         starts = jumps.nonzero()[0]
     cap, row = max(1, _BUDGET // (2 * dst[:1].size * src.itemsize)), dst[:1].size
-    start, end = 0, len(dst) if rows is None else min(rows, len(dst))
-    size = max(1, -(-(_BUDGET // 256) // max(row, 1)))
-    while start < end:
-        stop = min(end, start + size, start + cap)
-        shape, count = (stop - start, *src.shape[1:]), (stop - start) * row
-        buf = _scratch(2 * count, src.dtype)
-        # each relabelling writes the slab into the spare half b of the
-        # scratch, which the old slab then becomes; mode="clip" writes
-        # straight into out, where the default mode would buffer it
-        b = buf[count:].reshape(shape)
+    end = len(dst) if rows is None else min(rows, len(dst))
+    halves = _scratch(2 * cap * row, src.dtype).reshape(2, cap, *src.shape[1:])
+    for start, stop in _slabs(end, row, cap):
+        # each relabelling writes the slab into the spare half b, which the
+        # old slab then becomes; mode="clip" writes straight into out, where
+        # the default mode would buffer it
+        a, b = halves[:, :stop - start]
         if index is None:
             slab = src[start:stop]
         else:
-            slab = src.take(index[start:stop], axis=0, out=buf[:count].reshape(shape),
-                            mode="clip")
+            slab = src.take(index[start:stop], axis=0, out=a, mode="clip")
             # one gather per axis: measured 2-3x faster than one fancy-index gather
             for axis in range(1, src.ndim):
                 slab, b = (slab.take(index, axis=axis, out=b, mode="clip") if axis < src.ndim - 1
                            else _relabel_last(slab, index, starts, b)), slab
         if np.not_equal(slab, dst[start:stop], out=b.view(bool)).any():
             return False
-        # no view of this slab's scratch may outlive it: a larger next
-        # request frees the old buffer before it makes the new one
-        del buf, slab, b
-        start, size = stop, size * 2
     return True
 
 
@@ -879,30 +883,31 @@ def is_proper(H: SignCube) -> VerifyReport:
 
 # -- HDM v1 text format ----------------------------------------------------------
 
-def _block_rows(v: int) -> int:
-    """Rows of v characters and an LF per I/O block: as many as fit in
-    _BUDGET bytes, and at least one."""
-    return max(1, _BUDGET // (v + 1))
+def _row_blocks(rows: int, v: int):
+    """(start, block) for each block of the rows lines of v characters and
+    an LF, in order: block, for lines [start, start + len(block)), is a
+    (len(block), v + 1) uint8 view of one buffer of at most _BUDGET bytes
+    (one line if a line is longer), the thread's _scratch."""
+    step = max(1, _BUDGET // (v + 1))
+    buf = _scratch(min(rows, step) * (v + 1), np.uint8).reshape(-1, v + 1)
+    for start in range(0, rows, step):
+        yield start, buf[:min(step, rows - start)]
 
 
 def write(H: SignCube, out) -> None:
     """Write H in HDM v1 to the binary stream out.
 
-    The rows are converted one block at a time into one reused uint8
-    buffer of at most _BUDGET bytes (one row if a row is longer), the
-    thread's _scratch, whose last column is set to LF on every call, so
+    The rows are converted one block at a time into the thread's _scratch
+    (_row_blocks), whose last column is set to LF on every block, so
     writing holds nothing the size of the cube.
     """
     rows, v = H.v ** (H.n - 1), H.v
     grid = H.data.view(np.uint8).reshape(rows, v)
-    block_rows = min(rows, _block_rows(v))
-    buf = _scratch(block_rows * (v + 1), np.uint8).reshape(block_rows, v + 1)
-    buf[:, v] = ord("\n")
     out.write(f"HDM {H.n} {H.v}\n".encode("ascii"))
-    for start in range(0, rows, len(buf)):
-        block = buf[:min(len(buf), rows - start)]
+    for start, block in _row_blocks(rows, v):
         # read's map inverted: 44 - 1 = '+', and 44 - 255 = '-' mod 256
         np.subtract(np.uint8(44), grid[start:start + len(block)], out=block[:, :v])
+        block[:, v] = ord("\n")
         out.write(block)
 
 
@@ -917,9 +922,9 @@ def read(f) -> SignCube:
     """Read an HDM v1 file from the seekable binary stream f.
 
     The header line is read and checked, and the stream's size against
-    it, before the cube is allocated; the rows are then read one block of
-    at most _BUDGET bytes at a time into the thread's _scratch and converted
-    into the cube, so a valid file costs the cube and one block.  Any
+    it, before the cube is allocated; the rows are then read one block at
+    a time into the thread's _scratch (_row_blocks) and converted into the
+    cube, so a valid file costs the cube and the scratch.  Any
     other file raises the ParseError of its first fault, in the order
     listed under parse, which _first_fault finds after the cube is
     dropped, reading blocks of at most _BUDGET bytes and then one row at a
@@ -974,10 +979,7 @@ def _read_rows(f, n: int, v: int) -> SignCube:
     or an entry is not '+' or '-'."""
     rows = v ** (n - 1)
     cube = np.empty((rows, v), dtype=np.uint8)
-    block_rows = min(rows, _block_rows(v))
-    buf = _scratch(block_rows * (v + 1), np.uint8).reshape(block_rows, v + 1)
-    for start in range(0, rows, len(buf)):
-        block = buf[:min(len(buf), rows - start)]
+    for start, block in _row_blocks(rows, v):
         if f.readinto(block) != block.nbytes or not (block[:, v] == ord("\n")).all():
             raise ValueError("short block or misplaced LF")
         # 44 - '+' = 1 and 44 - '-' = -1 (255 as uint8); every other ASCII

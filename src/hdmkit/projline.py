@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDeterminant
-from .gf import Field
+from .errors import BadDeterminant, IndexOutOfRange
+from .gf import Field, _integer
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,15 @@ def pg_points(F: Field) -> list[PPoint]:
 
 
 def pg_index(pt: PPoint) -> int:
-    """Position of pt in pg_points: 0 for infinity, 1 + element index otherwise."""
-    return 0 if pt.e is None else 1 + pt.e
+    """Position of pt in pg_points: 0 for infinity, 1 + element index
+    otherwise.  The index is read by gf._integer, so a negative index, a
+    bool or a non-integer raises IndexOutOfRange; with no field given,
+    an index past the last element is not caught here."""
+    if pt.e is None:
+        return 0
+    if (e := _integer(pt.e)) is None or e < 0:
+        raise IndexOutOfRange(f"point {pt.e!r} is not an integer element index >= 0")
+    return 1 + e
 
 
 class Moebius:

@@ -83,12 +83,21 @@ def check_psl_invariance(H: SignCube, F: Field) -> bool:
     of infinity in PSL's 2-transitive, hence primitive, action on
     PG(1, q), so B is maximal in PSL; iota moves infinity to 0, so it is
     not in B, and <B, iota> is all of PSL, which the three generators
-    generate.  B's verdict is shared with the verifiers; the inversion is
-    compared whole, and only if B fixes H.
+    generate.  B's verdict is shared with the verifiers.
+
+    The inversion is compared only if B fixes H, and then on indices
+    [0, 2 + nu) of axis 0 alone, nu the least non-square's index
+    (ncube._point_maps).  B holds the torus T = <sigma>, and iota
+    normalizes T: iota(sigma(iota(x))) = x / g² = sigma^-1(x).  So H
+    relabelled by iota is fixed by T as H is, and two T-fixed cubes that
+    agree on the triples whose first coordinate is in a set meeting every
+    T-orbit of points are equal.  The T-orbits are {infinity}, {0}, the
+    squares and the non-squares, and indices 0, 1, 2 (the element 1) and
+    1 + nu of the prefix meet them.
     """
     _check_shape(H, F)
     return ncube._decide(H, "psl", lambda: ncube._affine_fixes(H) and ncube._relabels_to(
-        H.array, H.array, psl_generators(F)[1].perm()))
+        H.array, H.array, psl_generators(F)[1].perm(), rows=2 + ncube._point_maps(H.v).nu))
 
 
 def layer_equiv_witness(F: Field, c: PPoint) -> Moebius:

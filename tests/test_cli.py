@@ -188,8 +188,9 @@ def test_verify_makes_each_relabelling_compare_once(tmp_path, monkeypatch, capsy
     x -> g^2 x and the rotation on indices 0 and 1 of axis 0.  Over
     GF(27) the digit translations x -> x + 9, x + 3 and x + 1 come first,
     the first whole and the others on the indices [0, 10) and [0, 4) of
-    axis 0.  --psl adds only the inversion x -> -1/x, whole: it reads B's
-    kept verdict by name."""
+    axis 0.  --psl adds only the inversion x -> -1/x, on indices
+    [0, 4) of axis 0, as nu, the least non-square's index, is 2 over both
+    fields: it reads B's kept verdict by name."""
     calls, relabels = [], ncube._relabels_to
 
     def recorded(src, dst, perm=None, **kw):
@@ -205,7 +206,7 @@ def test_verify_makes_each_relabelling_compare_once(tmp_path, monkeypatch, capsy
         verifier = [(None, tuple(tau.tolist()), rows) for tau, rows in maps.chain]
         verifier += [(None, tuple(maps.sigma.tolist()), 2), ((1, 2, 0), None, 2)]
         assert [rows for _, _, rows in verifier] == ([None, 2, 2] if q == 19 else [None, 10, 4, 2, 2])
-        psl = (None, psl_generators(Field(q))[1].perm(), None)
+        psl = (None, psl_generators(Field(q))[1].perm(), 4)
         path = write_cube(tmp_path / f"m{q}.hdm", paley3(Field(q)))
         assert main(["verify", path, "--proper", "--cyclic"]) == 0
         assert calls == verifier

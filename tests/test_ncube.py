@@ -89,6 +89,16 @@ def test_get_out_of_range():
         c.get((0,))
 
 
+def test_get_refuses_a_bare_integer():
+    """get takes a sequence of n indices: a bare integer, which used to end
+    in a bare TypeError, is IndexOutOfRange, as is a 1-D cube's."""
+    for c in (SignCube(2, 2, [1, 1, 1, -1]), SignCube(1, 3, [1, -1, 1])):
+        for idx in (5, 1, np.int64(1)):
+            with pytest.raises(IndexOutOfRange, match="expected a sequence of"):
+                c.get(idx)
+    assert SignCube(1, 3, [1, -1, 1]).get([1]) == -1
+
+
 C3 = SignCube(3, 3, [1] * 27)
 
 
@@ -1703,6 +1713,37 @@ def test_the_first_chunk_holds_at_least_budget_over_256_entries(monkeypatch):
     assert sizes == [1, 2, 4, 1]
 
 
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_slabs_are_the_spans_of_the_loops_they_replace(budget, monkeypatch):
+    """_slabs(total, item, cap) yields the chunk spans of _scan's former
+    loop and the slab spans of _relabels_to's, written out here as they
+    were, for several totals, item sizes and caps."""
+    monkeypatch.setattr(ncube, "_BUDGET", budget)
+
+    def scan_chunks(total, item, cap):  # item = v * cols entries per matrix
+        spans, start, size = [], 0, max(1, -(-(budget // 256) // item))
+        while start < total:
+            stop = min(total, start + size, start + cap)
+            spans.append((start, stop))
+            start, size = stop, size * 2
+        return spans
+
+    def relabel_slabs(end, row, cap):  # row = entries per index of axis 0
+        spans, start = [], 0
+        size = max(1, -(-(budget // 256) // max(row, 1)))
+        while start < end:
+            stop = min(end, start + size, start + cap)
+            spans.append((start, stop))
+            start, size = stop, size * 2
+        return spans
+    for total, item, cap in itertools.product((0, 1, 2, 5, 17, 100, 1000), (1, 3, 16, 100, 4096, 5000),
+                                              (1, 2, 7, 64, 10**6)):
+        spans = list(ncube._slabs(total, item, cap))
+        assert spans == scan_chunks(total, item, cap) == relabel_slabs(total, item, cap)
+        starts, stops = [a for a, _ in spans], [b for _, b in spans]  # they tile range(total)
+        assert starts == [0, *stops][:len(spans)] and stops[-1:] == [total][:len(spans)]
+
+
 def test_gram_dtype_is_exact_up_to_its_bound():
     # float32 holds every integer up to 2**24 and not 2**24 + 1
     assert ncube._gram_dtype(2**24) is np.float32
@@ -2101,6 +2142,47 @@ def test_psl_verdict_is_the_three_generators_verdict(budget, monkeypatch):
     assert verdicts["pattern", True] and verdicts["pattern", False] and verdicts["iota-pair", False]
 
 
+@functools.cache
+def psl_cases_at_121() -> tuple:
+    """(entries, psl_oracle's verdict) of a few B-orbit sign patterns of
+    paley3(GF(121)) (orbit_pattern_cube), on each coordinate pair: the
+    diagonal orbits negated and the off-diagonal ones, which PSL fixes,
+    and single orbits, which it does not."""
+    F = Field(121)
+    cases = []
+    for (i, j), bits in (((0, 1), 0b001001), ((1, 2), 0b110110), ((0, 2), 0b010000),
+                         ((0, 1), 0b100000), ((1, 2), 0b000010), ((0, 2), 0b001000)):
+        c = orbit_pattern_cube(("paley3", 121), i, j, bits)
+        cases.append((c.array, psl_oracle(c, F)))
+    return tuple(cases)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_psl_verdict_on_the_widest_torus_prefix(budget, monkeypatch):
+    """At q = 121, nu = 12, so once B is shown check_psl_invariance
+    compares the inversion on indices [0, 14) of axis 0 alone, the widest
+    prefix of the orders psl_cases builds.  Its verdict is psl_oracle's
+    on B-orbit sign patterns that PSL fixes and that it does not, on a
+    cube with an empty record and on one whose B verdict is kept, where
+    the inversion is the one compare."""
+    monkeypatch.setattr(ncube, "_BUDGET", budget)
+    F = Field(121)
+    inversion = psl_generators(F)[1].perm()
+    assert ncube._point_maps(122).nu == 12
+    verdicts, relabels = set(), ncube._relabels_to
+    for arr, expected in psl_cases_at_121():
+        fresh, warm = SignCube(3, 122, arr), SignCube(3, 122, arr)
+        assert check_psl_invariance(fresh, F) == expected
+        assert ncube._affine_fixes(warm) and warm._fixed == {"B": True}
+        keywords = []
+        calls = relabel_calls(monkeypatch, keywords)
+        assert check_psl_invariance(warm, F) == expected
+        assert calls == [(None, inversion)] and keywords == [{"rows": 14}]
+        monkeypatch.setattr(ncube, "_relabels_to", relabels)
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 def test_a_hit_in_gram_row_0_of_the_head_prefix_is_reported_with_no_compare(monkeypatch):
     """A fresh paley3(GF(49)) with one entry flipped at axis-0 index x, for
     each x in [3, 11) but 1 + nu = 10, fails first at (0, x) of axis 0:
@@ -2143,25 +2225,46 @@ def in_a_new_thread(fn):
 
 
 def test_scratch_keeps_requests_up_to_the_budget_only(monkeypatch):
-    """A thread's scratch grows to its largest request of at most _BUDGET
-    bytes and serves every request from its front; a larger request gets
-    a fresh array, which is not kept."""
+    """A thread's scratch takes all _BUDGET bytes on its first request,
+    however small, and never grows: every request of at most _BUDGET
+    bytes is a view of its front, and a larger one gets a fresh array,
+    which is not kept.  Only a changed _BUDGET makes it again."""
     monkeypatch.setattr(ncube, "_BUDGET", 4096)
 
     def requests():
-        ncube._scratch(100, np.uint8)
-        assert ncube._held.buf.nbytes == 100
-        full = ncube._scratch(1024, np.float32)  # 4096 bytes: grown to the budget
+        first = ncube._scratch(100, np.uint8)
         held = ncube._held.buf
-        assert held.nbytes == 4096 and np.shares_memory(full, held)
+        assert held.nbytes == 4096 and first.base is held
+        full = ncube._scratch(1024, np.float32)  # 4096 bytes: the whole budget
         assert full.dtype == np.float32 and full.shape == (1024,)
         again = ncube._scratch(10, np.float64)
-        assert np.shares_memory(again, held) and again.ctypes.data == held.ctypes.data
+        assert {x.ctypes.data for x in (first, full, again)} == {held.ctypes.data}
         big = ncube._scratch(1025, np.float32)
         assert big.shape == (1025,) and not np.shares_memory(big, held)
         assert ncube._held.buf is held and ncube._scratch(4096, np.uint8).base is held
+        monkeypatch.setattr(ncube, "_BUDGET", 8192)
+        assert ncube._scratch(1, np.uint8).base is ncube._held.buf is not held
+        assert ncube._held.buf.nbytes == 8192
     in_a_new_thread(requests)
     assert in_a_new_thread(lambda: getattr(ncube._held, "buf", None)) is None
+
+
+def test_a_fresh_threads_read_holds_the_cube_and_one_budget(tmp_path):
+    """read of paley3(GF(127)) (2 MiB cube) in a thread with no scratch
+    yet: its row blocks and the ±1 check of the cube it adopts are views
+    of one scratch of _BUDGET bytes, so tracemalloc's peak is the cube,
+    _BUDGET and a few kB.  A scratch grown to each larger request peaked
+    at the cube and two budgets: the check's slab came while read still
+    held its row blocks."""
+    cube = paley3(Field(127))
+    path = tmp_path / "p127.hdm"
+    with open(path, "wb") as f:
+        write(cube, f)
+    with open(path, "rb") as f:
+        peak = in_a_new_thread(lambda: traced_peak(read, f))
+        f.seek(0)
+        assert read(f) == cube
+    assert peak <= cube.data.nbytes + ncube._BUDGET + (16 << 10)
 
 
 def test_a_fresh_threads_first_whole_compare_peaks_within_the_budget():
@@ -2291,19 +2394,19 @@ def test_relabels_to_with_perm_and_axes_gives_the_transposed_gather_verdicts(bud
 
 def test_relabels_to_with_perm_and_axes_holds_no_copy_of_the_cube():
     """The mirror of paley3(GF(127)) (2 MiB cube): the perm x -> -x against
-    the view with the axes reversed, cube.array.T, on indices [0, 2) in a
-    thread with no scratch yet, and whole once the scratch is warm.  The
-    slabs are views of the scratch and dst is read as a view, so
-    tracemalloc's peak stays a small fraction of _BUDGET.  A gather from
-    the transposed cube copied it whole first (2.1 MB with rows=2)."""
+    the view with the axes reversed, cube.array.T, on indices [0, 2) and
+    whole, in a thread whose scratch is taken.  The slabs are views of
+    the scratch and dst is read as a view, so tracemalloc's peak stays a
+    small fraction of _BUDGET.  A gather from the transposed cube copied
+    it whole first (2.1 MB with rows=2)."""
     cube = paley3(Field(127))
     neg, mirror = ncube._point_maps(cube.v).neg, cube.array.T
     assert cube.data.nbytes >= 2 * ncube._BUDGET
 
     def peaks():
-        restricted = traced_peak(ncube._relabels_to, cube.array, mirror, neg, 2)
-        ncube._relabels_to(cube.array, mirror, neg)  # grows the scratch
-        return restricted, traced_peak(ncube._relabels_to, cube.array, mirror, neg)
+        ncube._scratch(1, np.uint8)  # takes the thread's scratch
+        return (traced_peak(ncube._relabels_to, cube.array, mirror, neg, 2),
+                traced_peak(ncube._relabels_to, cube.array, mirror, neg))
     restricted, whole = in_a_new_thread(peaks)
     assert restricted < ncube._BUDGET / 16
     assert whole < ncube._BUDGET / 16

@@ -74,6 +74,21 @@ def test_pg_points_length():
     assert [pg_index(pt) for pt in pts] == list(range(10))
 
 
+@pytest.mark.parametrize("e", [-1, -10, True, False, 1.5, 2.0, "3"])
+def test_pg_index_refuses_malformed_points(e):
+    """An element index is read by gf._integer: PPoint(-1) used to give 0,
+    infinity's index, PPoint(True) 2 and PPoint(1.5) 2.5."""
+    with pytest.raises(IndexOutOfRange):
+        pg_index(PPoint(e))
+
+
+def test_pg_index_takes_numpy_integers_as_ints():
+    """PPoint(np.uint8(255)) used to wrap to 0, infinity's index: 1 + e
+    was taken in e's dtype."""
+    assert pg_index(PPoint(np.int64(4))) == 5 and type(pg_index(PPoint(np.uint8(255)))) is int
+    assert pg_index(PPoint(np.uint8(255))) == 256
+
+
 # -- construction and evaluation ----------------------------------------------
 
 def test_moebius_new_accepts_det_one():

@@ -331,11 +331,18 @@ def compare_calls(monkeypatch) -> list:
     return calls
 
 
+def torus_rows(F: Field) -> int:
+    """2 + nu, nu the index of F's least non-square: the axis-0 prefix
+    [0, 2 + nu) holds infinity, 0, the element 1 and a non-square, one
+    point of each orbit of the torus <x -> g^2 x>."""
+    return 2 + next(a for a in F.elems if a and F.chi(a) == -1)
+
+
 def test_psl_and_cyclic_verdicts_are_decided_once_per_cube(monkeypatch):
     """A cube's B, PSL and rotation verdicts are kept on it by name: the
     PSL check twice compares B's chain, here x -> x + 1 whole and the
     scaling x -> g^2 x on indices [0, 2) of axis 0, and then the inversion
-    whole, once; the rotation compare behind check_cyclic and the
+    on indices [0, 2 + nu), once; the rotation compare behind check_cyclic and the
     verifiers is made once.  Bad permutations are still refused on every
     call.  A failing B verdict is kept as well, and the inversion is then
     not compared."""
@@ -344,7 +351,8 @@ def test_psl_and_cyclic_verdicts_are_decided_once_per_cube(monkeypatch):
     calls = compare_calls(monkeypatch)
     assert check_psl_invariance(cube, F) and check_psl_invariance(cube, F)
     translation, inversion, scaling = (g.perm() for g in psl_generators(F))
-    assert calls == [(translation, None), (scaling, 2), (inversion, None)]
+    assert torus_rows(F) == 4  # 2 is a non-square mod 13
+    assert calls == [(translation, None), (scaling, 2), (inversion, 4)]
     assert check_cyclic(cube) and is_hadamard(cube).passed and check_cyclic(cube)
     assert calls[3:] == [(None, 2)]
     for _ in range(2):
@@ -364,15 +372,15 @@ def test_psl_and_cyclic_verdicts_are_decided_once_per_cube(monkeypatch):
 def test_psl_after_the_verifiers_compares_only_the_inversion(monkeypatch):
     """is_hadamard keeps the verdict that B fixes paley3, so
     check_psl_invariance then reads it by name and makes one compare, the
-    inversion's, whole, over a prime field and over GF(9), GF(27) and
-    GF(49) alike."""
+    inversion's on indices [0, 2 + nu) of axis 0, over a prime field and
+    over GF(9), GF(27) and GF(49) alike."""
     for q in (7, 13, 19, 9, 27, 49):
         F = Field(q)
         cube = paley3(F)
         assert is_hadamard(cube).passed
         calls = compare_calls(monkeypatch)
         assert check_psl_invariance(cube, F)
-        assert calls == [(psl_generators(F)[1].perm(), None)], q
+        assert calls == [(psl_generators(F)[1].perm(), torus_rows(F))], q
         monkeypatch.undo()
 
 
